@@ -2,7 +2,7 @@
 
 Submodules:
 
-* ``linalg``: dense float64 helpers (fixed-order matmul, stable softmax).
+* ``linalg``: dense float64 helpers (BLAS matmul, stable softmax).
 * ``oblique``: product-of-spheres manifold: projection, geodesic distance,
   tangent projection, retraction.
 * ``lorentz``: hyperboloid model: exp/log maps at the origin, geodesic

@@ -18,6 +18,12 @@ wiring runs the Lorentz kernel in both directions: object-aware context
 (instance as Q, context as K/V) and context-aware object (context as Q,
 instance as K/V), with the latter mean-pooled when a two-slice context is
 supplied.
+
+All three kernels, the Euclidean baseline included, share one per-head
+skeleton.  Each kernel supplies only a function that returns a fresh n x m
+score matrix for one head.  Score matrices are consumed in place: the
+temperature, exp and mask steps overwrite that matrix rather than copying
+it.  Inputs (q, k, v and the mask) are never written.
 """
 
 from __future__ import annotations
@@ -136,13 +142,52 @@ def _head_slices(m: np.ndarray, heads: int):
     return [m[:, h * step:(h + 1) * step] for h in range(heads)]
 
 
-def _apply_mask(scores: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarray:
+def _check_mask(mask, shape) -> Optional[np.ndarray]:
+    """The additive mask as float64, rejected if it cannot give finite weights.
+
+    A NaN or +inf entry, or a row with no finite entry (every key masked
+    out), would make that row's softmax NaN; each raises and names the row.
+    """
     if mask is None:
-        return scores
+        return None
     mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != scores.shape:
-        raise ValueError(f"mask shape {mask.shape} != scores shape {scores.shape}")
-    return scores + mask
+    if mask.shape != shape:
+        raise ValueError(f"mask shape {mask.shape} != scores shape {shape}")
+    bad = np.isnan(mask) | (mask == np.inf)
+    if bad.any():
+        row = int(np.flatnonzero(bad.any(axis=1))[0])
+        raise ValueError(f"mask row {row} has a NaN or +inf entry")
+    empty = ~np.isfinite(mask).any(axis=1)
+    if empty.any():
+        row = int(np.flatnonzero(empty)[0])
+        raise ValueError(f"mask row {row} has no finite entry (every key is masked out)")
+    return mask
+
+
+def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],
+               head_scores: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+    """Validation, head split, mask, softmax and value product of every kernel.
+
+    ``head_scores(qh, kh)`` returns one head's n x m pre-softmax scores as a
+    fresh array, which is consumed here: the mask is added into it in place.
+    """
+    q = as_matrix(q, name="q")
+    k = as_matrix(k, name="k")
+    v = as_matrix(v, name="v")
+    if q.shape[1] != k.shape[1]:
+        raise ValueError(f"q/k feature dims differ: {q.shape[1]} vs {k.shape[1]}")
+    if k.shape[0] != v.shape[0]:
+        raise ValueError(f"k has {k.shape[0]} rows but v has {v.shape[0]}")
+    mask = _check_mask(mask, (q.shape[0], k.shape[0]))
+    outs = []
+    for qh, kh, vh in zip(_head_slices(q, cfg.heads),
+                          _head_slices(k, cfg.heads),
+                          _head_slices(v, cfg.heads)):
+        scores = head_scores(qh, kh)
+        if mask is not None:
+            scores += mask
+        outs.append(matmul(softmax_rows(scores), vh))
+    return np.concatenate(outs, axis=1)
 
 
 def oblique_attention(q, k, v, cfg: AttentionConfig,
@@ -153,23 +198,15 @@ def oblique_attention(q, k, v, cfg: AttentionConfig,
     D_ij = arccos(clip(q_i . k_j)), weights = softmax(-D / tau_obl), output
     = weights @ v_head.  tau_obl = 1 reproduces plain softmax(-D).
     """
-    q = as_matrix(q, name="q")
-    k = as_matrix(k, name="k")
-    v = as_matrix(v, name="v")
-    if q.shape[1] != k.shape[1]:
-        raise ValueError(f"q/k feature dims differ: {q.shape[1]} vs {k.shape[1]}")
-    if k.shape[0] != v.shape[0]:
-        raise ValueError(f"k has {k.shape[0]} rows but v has {v.shape[0]}")
-    outs = []
-    for qh, kh, vh in zip(_head_slices(q, cfg.heads),
-                          _head_slices(k, cfg.heads),
-                          _head_slices(v, cfg.heads)):
+
+    def head_scores(qh, kh):
         qn = oblique.project(qh.T).inner.T
         kn = oblique.project(kh.T).inner.T
         d = oblique.pairwise_distances(qn, kn, cfg.eps_oblique)
-        w = softmax_rows(_apply_mask(-d / cfg.tau_obl, mask))
-        outs.append(matmul(w, vh))
-    return np.concatenate(outs, axis=1)
+        # d / -tau is -d / tau exactly: negation commutes with rounding.
+        return np.divide(d, -cfg.tau_obl, out=d)
+
+    return _multihead(q, k, v, cfg, mask, head_scores)
 
 
 def oblique_self_attention(x, pos, emb: Optional[EmbedFn],
@@ -196,25 +233,18 @@ def lorentz_cross_attention(q, k, v, cfg: AttentionConfig,
     distance matrix, and A = softmax(exp(-D / tau_lor)) - the double
     exponential, exactly as specified.  Values are never lifted.
     """
-    q = as_matrix(q, name="q")
-    k = as_matrix(k, name="k")
-    v = as_matrix(v, name="v")
-    if q.shape[1] != k.shape[1]:
-        raise ValueError(f"q/k feature dims differ: {q.shape[1]} vs {k.shape[1]}")
-    if k.shape[0] != v.shape[0]:
-        raise ValueError(f"k has {k.shape[0]} rows but v has {v.shape[0]}")
     c = cfg.curvature
-    outs = []
-    for qh, kh, vh in zip(_head_slices(q, cfg.heads),
-                          _head_slices(k, cfg.heads),
-                          _head_slices(v, cfg.heads)):
+
+    def head_scores(qh, kh):
         alpha = cfg.alpha if cfg.alpha is not None else 1.0 / math.sqrt(qh.shape[1])
         sq, tq = lorentz.lift_rows(qh, c, scale=alpha)
         sk, tk = lorentz.lift_rows(kh, c, scale=alpha)
         d = lorentz.pairwise_distance_matrix(sq, tq, sk, tk, c, cfg.eps_lorentz)
-        a = softmax_rows(_apply_mask(np.exp(-d / cfg.tau_lor), mask))
-        outs.append(matmul(a, vh))
-    return np.concatenate(outs, axis=1)
+        # d / -tau is -d / tau exactly: negation commutes with rounding.
+        np.divide(d, -cfg.tau_lor, out=d)
+        return np.exp(d, out=d)
+
+    return _multihead(q, k, v, cfg, mask, head_scores)
 
 
 def bidirectional_attention(instance, context, cfg: AttentionConfig):
@@ -246,14 +276,10 @@ def bidirectional_attention(instance, context, cfg: AttentionConfig):
 def euclidean_attention(q, k, v, cfg: AttentionConfig,
                         mask: Optional[np.ndarray] = None) -> np.ndarray:
     """Plain scaled dot-product attention, the benchmark baseline."""
-    q = as_matrix(q, name="q")
-    k = as_matrix(k, name="k")
-    v = as_matrix(v, name="v")
-    outs = []
-    for qh, kh, vh in zip(_head_slices(q, cfg.heads),
-                          _head_slices(k, cfg.heads),
-                          _head_slices(v, cfg.heads)):
-        scores = qh @ kh.T / math.sqrt(qh.shape[1])
-        w = softmax_rows(_apply_mask(scores, mask))
-        outs.append(matmul(w, vh))
-    return np.concatenate(outs, axis=1)
+
+    def head_scores(qh, kh):
+        scores = qh @ kh.T
+        scores /= math.sqrt(qh.shape[1])
+        return scores
+
+    return _multihead(q, k, v, cfg, mask, head_scores)

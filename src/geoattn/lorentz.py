@@ -28,6 +28,7 @@ Numerical conventions:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,8 @@ __all__ = [
 
 MIN_CURVATURE = 1e-3
 DEFAULT_EPS_CLIP = 1e-15
+
+_SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 
 # Off-manifold tolerance on the (normalized) constraint residual: roomy
 # enough for serialized round-trips, tight enough to catch construction bugs.
@@ -194,10 +197,19 @@ def pairwise_distance_matrix(space_x: np.ndarray, time_x: np.ndarray,
                              space_y: np.ndarray, time_y: np.ndarray,
                              c: float,
                              eps_clip: float = DEFAULT_EPS_CLIP) -> np.ndarray:
-    """Pairwise geodesic distances from stacked space/time components."""
+    """Pairwise geodesic distances from stacked space/time components.
+
+    The result is a fresh array; every step after the product runs in place
+    on it.
+    """
     c = check_curvature(c)
-    beta = -c * (space_x @ space_y.T - np.outer(time_x, time_y))
-    return np.arccosh(np.maximum(beta, 1.0 + eps_clip)) / math.sqrt(c)
+    beta = space_x @ space_y.T
+    beta -= np.outer(time_x, time_y)
+    beta *= -c
+    np.maximum(beta, 1.0 + eps_clip, out=beta)
+    np.arccosh(beta, out=beta)
+    beta /= math.sqrt(c)
+    return beta
 
 
 def pairwise_distances(xs, ys, c: float,
@@ -230,12 +242,28 @@ def lift_rows(m: np.ndarray, c: float, scale: float = 1.0):
     """Lift each row of ``m`` through the exponential map at the origin.
 
     Returns (space, time) arrays; ``scale`` plays the role of the tangent
-    scale alpha.  Vectorized counterpart of mapping each row separately.
+    scale alpha.  Vectorized counterpart of mapping each row separately,
+    with the Taylor branch of :func:`_sinhc` for small arguments.
+
+    The squared norm of a lifted row's space part is sinh^2(sqrt(c) r) / c,
+    which overflows float64 once sqrt(c) r passes
+    asinh(sqrt(c * float_max)), about 355.6 + ln(c) / 2.  A row past that
+    limit raises ValueError instead of producing inf or NaN coordinates.
     """
     c = check_curvature(c)
     v = np.asarray(m, dtype=np.float64) * scale
     r = np.sqrt((v * v).sum(axis=1))
-    factor = np.array([_sinhc(t) for t in math.sqrt(c) * r])
+    t = math.sqrt(c) * r
+    limit = math.asinh(math.sqrt(c) * _SQRT_FLOAT_MAX)
+    if t.max(initial=0.0) > limit:
+        raise ValueError(
+            f"lift_rows: largest sqrt(c) * r is {t.max():.6g}, past the float64 "
+            f"limit {limit:.6g} at c = {c:g} (r is the scaled row norm)"
+        )
+    small = t < 1e-4
+    t2 = t * t
+    safe_t = np.where(small, 1.0, t)
+    factor = np.where(small, 1.0 + t2 / 6.0 + t2 * t2 / 120.0, np.sinh(safe_t) / safe_t)
     space = factor[:, None] * v
     time = np.sqrt(1.0 / c + (space * space).sum(axis=1))
     return space, time

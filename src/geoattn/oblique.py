@@ -110,8 +110,8 @@ def project(m, eps_zero: float = 1e-12) -> ObliqueMatrix:
     return ObliqueMatrix(out, degenerate=tuple(bool(b) for b in dead))
 
 
-def _clip(t, eps_clip: float):
-    return np.clip(t, -1.0 + eps_clip, 1.0 - eps_clip)
+def _clip(t, eps_clip: float, out=None):
+    return np.clip(t, -1.0 + eps_clip, 1.0 - eps_clip, out=out)
 
 
 def geodesic_distance(q: ObliqueMatrix, k: ObliqueMatrix,
@@ -132,7 +132,8 @@ def pairwise_distances(q_rows, k_rows, eps_clip: float = DEFAULT_EPS_CLIP) -> np
     """Pairwise arccos distances between unit-norm rows.
 
     Each row is a single-column oblique point, so D_ij = arccos(clip(q_i . k_j)).
-    All entries land in [arccos(1 - eps), arccos(-1 + eps)].
+    All entries land in [arccos(1 - eps), arccos(-1 + eps)].  The result is
+    a fresh array; clip and arccos run in place on it.
     """
     q = as_matrix(q_rows, name="q rows")
     k = as_matrix(k_rows, name="k rows")
@@ -140,7 +141,8 @@ def pairwise_distances(q_rows, k_rows, eps_clip: float = DEFAULT_EPS_CLIP) -> np
         raise ValueError(
             f"feature dim mismatch: q has {q.shape[1]}, k has {k.shape[1]}"
         )
-    return np.arccos(_clip(q @ k.T, eps_clip))
+    d = q @ k.T
+    return np.arccos(_clip(d, eps_clip, out=d), out=d)
 
 
 def tangent_project(w: ObliqueMatrix, grad) -> ObliqueTangent:

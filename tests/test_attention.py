@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from geoattn import attention
 from geoattn.attention import (AttentionConfig, bidirectional_attention,
                                default_embed, euclidean_attention, fourier_pe,
                                lorentz_cross_attention, oblique_attention,
                                oblique_self_attention)
 from geoattn.diffcheck import naive_attention_reference
+from geoattn.linalg import softmax_rows
+
+KERNELS = [oblique_attention, lorentz_cross_attention, euclidean_attention]
 
 
 def test_config_validation():
@@ -108,8 +112,7 @@ def test_self_attention_embedding_must_keep_rows():
                                lambda x, pos: np.ones((4, 2)), cfg)
 
 
-@pytest.mark.parametrize("kernel", [oblique_attention, lorentz_cross_attention,
-                                    euclidean_attention])
+@pytest.mark.parametrize("kernel", KERNELS)
 def test_permutation_equivariance(kernel):
     rng = np.random.default_rng(40)
     q = rng.normal(size=(10, 8))
@@ -149,6 +152,67 @@ def test_mask_is_additive():
     assert np.abs(out - out_dropped).max() < 1e-12
     with pytest.raises(ValueError, match="mask shape"):
         oblique_attention(q, k, v, cfg, mask=np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("entry, message", [
+    (math.nan, r"mask row 2 has a NaN or \+inf entry"),
+    (math.inf, r"mask row 2 has a NaN or \+inf entry"),
+    (-math.inf, r"mask row 2 has no finite entry"),
+])
+def test_mask_rejects_rows_without_finite_weights(kernel, entry, message):
+    rng = np.random.default_rng(52)
+    q, k, v = rng.normal(size=(3, 4, 6))
+    mask = np.zeros((4, 4))
+    if entry == -math.inf:
+        mask[2, :] = entry
+    else:
+        mask[2, 1] = entry
+    with pytest.raises(ValueError, match=message):
+        kernel(q, k, v, AttentionConfig(heads=2), mask=mask)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_mask_minus_inf_drops_a_key(kernel):
+    rng = np.random.default_rng(53)
+    q, k, v = rng.normal(size=(3, 4, 6))
+    cfg = AttentionConfig(heads=2)
+    mask = np.zeros((4, 4))
+    mask[:, 1] = -math.inf
+    out = kernel(q, k, v, cfg, mask=mask)
+    dropped = kernel(q, np.delete(k, 1, axis=0), np.delete(v, 1, axis=0), cfg)
+    assert np.abs(out - dropped).max() < 1e-12
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_kernels_write_no_input(kernel, monkeypatch):
+    rng = np.random.default_rng(54)
+    q, k, v = rng.normal(size=(3, 5, 6))
+    mask = rng.normal(size=(5, 5))
+    mask[0, 1] = -math.inf
+    before = [a.copy() for a in (q, k, v, mask)]
+    pure = []
+
+    def checked_softmax(m):
+        m_before = m.copy()
+        out = softmax_rows(m)
+        pure.append(np.array_equal(m, m_before))
+        return out
+
+    monkeypatch.setattr(attention, "softmax_rows", checked_softmax)
+    cfg = AttentionConfig(heads=2)
+    kernel(q, k, v, cfg, mask=mask)
+    kernel(q, q, q, cfg)  # q is k is v, as in self attention
+    assert pure == [True] * 4
+    for got, want in zip((q, k, v, mask), before):
+        assert np.array_equal(got, want)
+
+
+def test_lorentz_lift_past_float64_limit_raises():
+    cfg = AttentionConfig(heads=1, alpha=1.0, curvature=1.0)
+    q = np.array([[0.3, 0.4], [600.0, 800.0]])  # sqrt(c) r = 1000
+    with pytest.raises(ValueError, match="largest sqrt.*is 1000, past the float64 limit"):
+        lorentz_cross_attention(q, q, q, cfg)
 
 
 def test_bidirectional_single_context():

@@ -173,11 +173,36 @@ def test_volume_growth():
 def test_lift_rows_matches_exp_origin():
     rng = np.random.default_rng(6)
     m = rng.normal(size=(10, 4))
+    # a zero row and rows on both sides of the sinhc Taylor switch (1e-4)
+    for t in (0.0, 5e-5, 1e-4, 2e-4):
+        m = np.vstack([m, [t / (0.3 * math.sqrt(2.0)), 0.0, 0.0, 0.0]])
     space, time = lorentz.lift_rows(m, 2.0, scale=0.3)
-    for i in range(10):
+    for i in range(m.shape[0]):
         p = lorentz.exp_origin(0.3 * m[i], 2.0)
         assert np.abs(space[i] - p.space).max() < 1e-12
         assert abs(time[i] - p.time) < 1e-12
+
+
+def test_lift_rows_keeps_finite_output_below_float64_limit():
+    # sqrt(c) r = 350 is just inside the limit of about 355.58 at c = 1
+    m = np.array([[210.0, 280.0], [0.3, 0.4]])
+    space, time = lorentz.lift_rows(m, 1.0)
+    assert np.isfinite(space).all() and np.isfinite(time).all()
+    for i in range(2):
+        p = lorentz.exp_origin(m[i], 1.0)
+        assert np.abs(space[i] - p.space).max() <= 1e-14 * np.abs(p.space).max()
+        assert abs(time[i] - p.time) <= 1e-14 * p.time
+
+
+@pytest.mark.parametrize("c, r", [(1.0, 400.0), (1.0, 1000.0), (4.0, 500.0)])
+def test_lift_rows_past_float64_limit_raises(c, r):
+    # sinh^2(sqrt(c) r) / c, the lifted squared norm, would overflow
+    m = np.array([[0.3, 0.4], [0.6 * r, 0.8 * r]])
+    limit = math.asinh(math.sqrt(c) * math.sqrt(np.finfo(float).max))
+    message = (rf"largest sqrt\(c\) \* r is {math.sqrt(c) * r:g}, "
+               rf"past the float64 limit {limit:.6g}")
+    with pytest.raises(ValueError, match=message):
+        lorentz.lift_rows(m, c)
 
 
 def test_distance_gradient_matches_finite_differences():

@@ -13,27 +13,33 @@ Two experiments:
   the landscape, giving a near-straight descent path; the demo claims only
   this qualitative effect.
 
-Both experiments are deterministic given their seed.  Stress gradients for
-the Lorentz arm are evaluated in vectorized form (the per-pair formula is
-identical to lorentz.distance_gradient, which the tests cross-check).
+Both experiments are deterministic given their seed.  In the tree
+embedding each stress evaluation is one vectorized pairwise-distance pass,
+and the gradient at an accepted point reuses that pass instead of computing
+the distances again.  The Lorentz stress gradient is, per pair,
+2 err_ij * lorentz.distance_gradient(u_i, u_j, c); the tests check the
+vectorized form against that sum and against finite differences.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import networkx as nx
 import numpy as np
 
 from . import oblique
-from .lorentz import _sinhc, _sinhc_deriv_over_r, check_curvature
+from .lorentz import (DEFAULT_EPS_CLIP, _sinhc, _sinhc_deriv_over_r,
+                      check_curvature)
 
 __all__ = [
     "TreeSpec",
+    "PhaseTrace",
     "EmbeddingRun",
     "DescentRun",
     "tree_distance_matrix",
@@ -56,6 +62,26 @@ class TreeSpec:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
 
 
+@dataclass(frozen=True)
+class PhaseTrace:
+    """What one expansion phase of :func:`embed_tree` did.
+
+    ``evaluations`` counts stress evaluations at trial points, so it equals
+    ``accepted + backoffs + gave_up``; the evaluation at the phase's start
+    point is not counted.  ``gave_up`` is 1 when the line search found no
+    descent and ended the phase early, else 0.
+    """
+
+    lam: float  # scale of the target distances
+    accepted: int
+    evaluations: int
+    backoffs: int
+    gave_up: int
+    start_stress: float
+    end_stress: float
+    final_step: float
+
+
 @dataclass
 class EmbeddingRun:
     """Parameters and results of one tree-embedding arm."""
@@ -70,6 +96,7 @@ class EmbeddingRun:
     final_distortion: Optional[float] = None
     worst_ratio: Optional[float] = None
     final_stress: Optional[float] = None
+    phases: list = field(default_factory=list)  # one PhaseTrace per phase
 
 
 @dataclass
@@ -116,57 +143,110 @@ def tree_distance_matrix(spec: TreeSpec) -> np.ndarray:
     return t
 
 
-def _euclidean_distances(x: np.ndarray) -> np.ndarray:
-    diff = x[:, None, :] - x[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=-1))
+class _StressEval(NamedTuple):
+    """One stress evaluation: the stress and what its gradient reuses.
+
+    ``arg`` (the clipped arccosh argument) and ``parts`` (the per-row
+    factors of :func:`_lorentz_parts`) are None for the Euclidean space.
+    """
+
+    stress: float
+    d: np.ndarray    # pairwise distances
+    err: np.ndarray  # d - targets, zero diagonal
+    arg: Optional[np.ndarray] = None
+    parts: Optional[tuple] = None
 
 
-def _euclidean_stress_grad(x, t):
-    d = _euclidean_distances(x)
-    err = d - t
+def _stress_eval(d, targets, arg=None, parts=None) -> _StressEval:
+    err = d - targets
     np.fill_diagonal(err, 0.0)
     stress = 0.5 * float((err * err).sum())  # each unordered pair once
-    safe = np.where(d > 1e-12, d, 1.0)
-    coef = np.where(d > 1e-12, 2.0 * err / safe, 0.0)
-    diff = x[:, None, :] - x[None, :, :]
-    grad = (coef[:, :, None] * diff).sum(axis=1)
-    return stress, grad
+    return _StressEval(stress, d, err, arg, parts)
+
+
+def _euclidean_distances(x, targets) -> _StressEval:
+    """Stress of ``x`` against ``targets`` from one distance pass.
+
+    The n x n squared distances are summed one coordinate column at a time.
+    """
+    d = np.zeros((len(x), len(x)))
+    for k in range(x.shape[1]):
+        dk = x[:, k, None] - x[None, :, k]
+        dk *= dk
+        d += dk
+    np.sqrt(d, out=d)
+    return _stress_eval(d, targets)
+
+
+def _euclidean_stress_grad(x, ev: _StressEval) -> np.ndarray:
+    """Stress gradient at ``x`` from its evaluation ``ev``.
+
+    grad_i = sum_j coef_ij (x_i - x_j).  coef is exactly symmetric and the
+    difference column exactly antisymmetric, so summing over i (axis 0) and
+    negating adds the same terms in the same order as summing over j.
+    """
+    # coef = 2 err / d, and 0 at coincident points (doubling is exact)
+    coef = np.zeros_like(ev.d)
+    np.divide(ev.err, ev.d, out=coef, where=ev.d > 1e-12)
+    coef *= 2.0
+    grad = np.empty_like(x)
+    for k in range(x.shape[1]):
+        dk = x[:, k, None] - x[None, :, k]
+        dk *= coef
+        grad[:, k] = dk.sum(axis=0)
+    np.negative(grad, out=grad)
+    return grad
 
 
 def _lorentz_parts(u, c):
+    """Per-row factors: a = sqrt(c), cosh(a r), sinh(a r)/(a r) and
+    (d/dr sinh(a r)/r) / r, with r the row norms of ``u``."""
     a = math.sqrt(c)
     r = np.sqrt((u * u).sum(axis=1))
-    cosh = np.cosh(a * r)
-    sc = np.array([_sinhc(t) for t in a * r])          # sinh(a r)/(a r)
-    g = np.array([_sinhc_deriv_over_r(t, a) for t in r])
-    return a, r, cosh, sc, g
+    return a, np.cosh(a * r), _sinhc(a * r), _sinhc_deriv_over_r(r, a)
 
 
-def _lorentz_distances(u, c, eps_clip=1e-15):
-    a, _, cosh, sc, _ = _lorentz_parts(u, c)
-    dots = u @ u.T
-    beta = np.outer(cosh, cosh) - dots * a * a * np.outer(sc, sc)
-    return np.arccosh(np.maximum(beta, 1.0 + eps_clip)) / a
+def _lorentz_distances(u, targets, c) -> _StressEval:
+    """Stress of the lifted rows of ``u`` against ``targets`` from one
+    distance pass.
+
+    beta_ij = cosh_i cosh_j - (u_i . u_j) a^2 sc_i sc_j is the arccosh
+    argument, clipped at 1 + DEFAULT_EPS_CLIP as in :mod:`lorentz`.
+    """
+    parts = _lorentz_parts(u, c)
+    a, cosh, sc, _ = parts
+    beta = u @ u.T
+    beta *= a
+    beta *= a
+    beta *= np.outer(sc, sc)
+    np.subtract(np.outer(cosh, cosh), beta, out=beta)
+    np.maximum(beta, 1.0 + DEFAULT_EPS_CLIP, out=beta)
+    d = np.arccosh(beta)
+    d /= a
+    return _stress_eval(d, targets, beta, parts)
 
 
-def _lorentz_stress_grad(u, t, c):
-    a, _, cosh, sc, g = _lorentz_parts(u, c)
-    dots = u @ u.T
-    beta = np.outer(cosh, cosh) - dots * a * a * np.outer(sc, sc)
-    clipped = np.maximum(beta, 1.0 + 1e-15)
-    d = np.arccosh(clipped) / a
-    err = d - t
-    np.fill_diagonal(err, 0.0)
-    stress = 0.5 * float((err * err).sum())
+def _lorentz_stress_grad(u, ev: _StressEval) -> np.ndarray:
+    """Stress gradient at ``u`` from its evaluation ``ev``.
+
+    Per pair this is 2 err_ij times lorentz.distance_gradient(u_i, u_j, c).
+    """
+    a, cosh, sc, g = ev.parts
     # dD/dbeta = 1 / (a sqrt(beta^2 - 1)); zero out the (clipped) diagonal.
-    denom = a * np.sqrt(np.maximum(clipped * clipped - 1.0, 1e-300))
-    w = 2.0 * err / denom
+    w = ev.arg * ev.arg
+    w -= 1.0
+    np.maximum(w, 1e-300, out=w)
+    np.sqrt(w, out=w)
+    w *= a
+    np.divide(2.0 * ev.err, w, out=w)
     np.fill_diagonal(w, 0.0)
     # grad_i beta_ij = (a^2 sc_i cosh_j - a g_i dots_ij sc_j) u_i
     #                 - a^2 sc_i sc_j u_j
-    coef_ui = a * a * sc * (w @ cosh) - a * g * ((w * dots) @ sc)
-    grad = coef_ui[:, None] * u - (a * a * sc)[:, None] * ((w * sc[None, :]) @ u)
-    return stress, grad
+    wdots = u @ u.T
+    wdots *= w
+    coef_ui = a * a * sc * (w @ cosh) - a * g * (wdots @ sc)
+    w *= sc[None, :]
+    return coef_ui[:, None] * u - (a * a * sc)[:, None] * (w @ u)
 
 
 def _distortion(d: np.ndarray, t: np.ndarray):
@@ -191,65 +271,73 @@ def embed_tree(spec: TreeSpec, run: EmbeddingRun) -> EmbeddingRun:
     start from a seeded Gaussian.  The step budget is split evenly over a
     progressive-expansion schedule: each phase descends against scaled-down
     target distances, ending at the true targets.  With backtracking
-    enabled the stress is non-increasing within a phase.  Deterministic
-    given the seed.
+    enabled the stress is non-increasing within a phase.
+
+    Each stress evaluation is one pairwise-distance pass.  An accepted
+    trial point's evaluation is kept and its gradient reuses it, so no
+    point's distances are computed twice; a rejected trial's is dropped.
+    ``phases`` in the result holds one :class:`PhaseTrace` per phase.
+    Deterministic given the seed.
     """
     if run.dim < 2:
         raise ValueError(f"embedding dim must be >= 2, got {run.dim}")
     if run.space not in ("euclidean", "lorentz"):
         raise ValueError(f"unknown space {run.space!r}")
-    if run.space == "lorentz":
-        check_curvature(run.curvature)
+    if run.space == "euclidean":
+        evaluate, gradient = _euclidean_distances, _euclidean_stress_grad
+    else:
+        c = check_curvature(run.curvature)
+        evaluate = functools.partial(_lorentz_distances, c=c)
+        gradient = _lorentz_stress_grad
     t = tree_distance_matrix(spec)
     rng = np.random.default_rng(run.seed)
     x = rng.normal(scale=0.1, size=(t.shape[0], run.dim))
 
-    def stress_grad(pts, targets):
-        if run.space == "euclidean":
-            return _euclidean_stress_grad(pts, targets)
-        return _lorentz_stress_grad(pts, targets, run.curvature)
-
-    def stress_only(pts, targets):
-        if run.space == "euclidean":
-            d = _euclidean_distances(pts)
-        else:
-            d = _lorentz_distances(pts, run.curvature)
-        err = d - targets
-        np.fill_diagonal(err, 0.0)
-        return 0.5 * float((err * err).sum())
-
     steps_per_phase = -(-run.steps // len(_EXPANSION_PHASES))  # ceil; 0 stays 0
-    stress = None
+    phases = []
     for lam in _EXPANSION_PHASES:
         targets = lam * t
         step = run.step_size
-        stress, grad = stress_grad(x, targets)
+        ev = evaluate(x, targets)
+        stress = start_stress = ev.stress
+        accepted = evaluations = backoffs = gave_up = 0
         for _ in range(steps_per_phase):
             if not math.isfinite(stress):
                 raise ValueError(
                     "stress diverged to NaN/Inf; try a smaller step_size"
                 )
+            grad = gradient(x, ev)
+            ev = None  # keep one evaluation alive, not two
             trial = x - step * grad
-            trial_stress = stress_only(trial, targets)
+            ev = evaluate(trial, targets)
+            evaluations += 1
             if run.backtracking:
-                backoffs = 0
-                while trial_stress > stress and backoffs < 40:
+                tries = 0
+                while ev.stress > stress and tries < 40:
                     step *= 0.5
                     trial = x - step * grad
-                    trial_stress = stress_only(trial, targets)
-                    backoffs += 1
-                if trial_stress > stress:
+                    ev = None
+                    ev = evaluate(trial, targets)
+                    tries += 1
+                evaluations += tries
+                backoffs += tries
+                if ev.stress > stress:
+                    gave_up = 1
                     break  # no descent direction progress left
-                if backoffs == 0:
+                if tries == 0:
                     step = min(step * 1.2, run.step_size)
             x = trial
-            stress, grad = stress_grad(x, targets)
+            stress = ev.stress
+            accepted += 1
+        phases.append(PhaseTrace(lam, accepted, evaluations, backoffs, gave_up,
+                                 start_stress, stress, step))
 
-    d = (_euclidean_distances(x) if run.space == "euclidean"
-         else _lorentz_distances(x, run.curvature))
-    mean_rel, worst = _distortion(d, t)
+    ev = None
+    final = evaluate(x, t)
+    mean_rel, worst = _distortion(final.d, t)
     return dataclasses.replace(
-        run, final_distortion=mean_rel, worst_ratio=worst, final_stress=stress
+        run, final_distortion=mean_rel, worst_ratio=worst,
+        final_stress=final.stress, phases=phases,
     )
 
 

@@ -15,10 +15,7 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "matmul",
-    "col_norms",
     "softmax_rows",
-    "save_csv",
-    "load_csv",
 ]
 
 
@@ -57,12 +54,6 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def col_norms(m: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each column."""
-    m = np.asarray(m, dtype=np.float64)
-    return np.sqrt((m * m).sum(axis=0))
-
-
 def softmax_rows(m: np.ndarray) -> np.ndarray:
     """Row-wise softmax, shifted by the row max for stability.
 
@@ -75,33 +66,3 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
     np.exp(out, out=out)
     out /= out.sum(axis=1, keepdims=True)
     return out
-
-
-def save_csv(m: np.ndarray, path) -> None:
-    """Write a matrix as CSV: first line ``rows,cols``, then one row per line.
-
-    Values are written with 17 significant digits so a read-back round-trips
-    exactly.
-    """
-    m = as_matrix(m)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"{m.shape[0]},{m.shape[1]}\n")
-        for row in m:
-            f.write(",".join(f"{x:.17g}" for x in row) + "\n")
-
-
-def load_csv(path) -> np.ndarray:
-    """Read a matrix written by :func:`save_csv`."""
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip()
-        try:
-            rows, cols = (int(t) for t in header.split(","))
-        except ValueError as exc:
-            raise ValueError(f"bad matrix CSV header {header!r} in {path}") from exc
-        data = [[float(t) for t in line.strip().split(",")] for line in f if line.strip()]
-    m = as_matrix(data, name=f"matrix from {path}")
-    if m.shape != (rows, cols):
-        raise ValueError(
-            f"matrix CSV {path}: header says {rows}x{cols}, body is {m.shape[0]}x{m.shape[1]}"
-        )
-    return m

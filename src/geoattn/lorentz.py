@@ -136,12 +136,17 @@ def _require_on_manifold(x: LorentzPoint, c: float, what: str) -> None:
         )
 
 
-def _sinhc(t: float) -> float:
-    """sinh(t)/t with the t -> 0 limit handled by Taylor series."""
-    if t < 1e-4:
-        t2 = t * t
-        return 1.0 + t2 / 6.0 + t2 * t2 / 120.0
-    return math.sinh(t) / t
+def _sinhc(t):
+    """sinh(t)/t elementwise, by its Taylor series below t = 1e-4 (no 0/0).
+
+    Accepts a scalar or an array of nonnegative t; a scalar gives a scalar.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    small = t < 1e-4
+    t2 = t * t
+    safe_t = np.where(small, 1.0, t)
+    return np.where(small, 1.0 + t2 / 6.0 + t2 * t2 / 120.0,
+                    np.sinh(safe_t) / safe_t)[()]
 
 
 def _asinhc(s: float) -> float:
@@ -242,8 +247,8 @@ def lift_rows(m: np.ndarray, c: float, scale: float = 1.0):
     """Lift each row of ``m`` through the exponential map at the origin.
 
     Returns (space, time) arrays; ``scale`` plays the role of the tangent
-    scale alpha.  Vectorized counterpart of mapping each row separately,
-    with the Taylor branch of :func:`_sinhc` for small arguments.
+    scale alpha.  Vectorized counterpart of mapping each row separately;
+    the factor is :func:`_sinhc`, Taylor branch included.
 
     The squared norm of a lifted row's space part is sinh^2(sqrt(c) r) / c,
     which overflows float64 once sqrt(c) r passes
@@ -260,21 +265,24 @@ def lift_rows(m: np.ndarray, c: float, scale: float = 1.0):
             f"lift_rows: largest sqrt(c) * r is {t.max():.6g}, past the float64 "
             f"limit {limit:.6g} at c = {c:g} (r is the scaled row norm)"
         )
-    small = t < 1e-4
-    t2 = t * t
-    safe_t = np.where(small, 1.0, t)
-    factor = np.where(small, 1.0 + t2 / 6.0 + t2 * t2 / 120.0, np.sinh(safe_t) / safe_t)
-    space = factor[:, None] * v
+    space = _sinhc(t)[:, None] * v
     time = np.sqrt(1.0 / c + (space * space).sum(axis=1))
     return space, time
 
 
-def _sinhc_deriv_over_r(r: float, a: float) -> float:
-    """(d/dr sinh(a r)/r) / r = (a r cosh(a r) - sinh(a r)) / r^3."""
+def _sinhc_deriv_over_r(r, a: float):
+    """(d/dr sinh(a r)/r) / r = (a r cosh(a r) - sinh(a r)) / r^3, elementwise.
+
+    Below a r = 1e-4 the Taylor series a^3 (1/3 + (a r)^2 / 30) replaces the
+    cancelling closed form.  Accepts a scalar or an array of nonnegative r.
+    """
+    r = np.asarray(r, dtype=np.float64)
     t = a * r
-    if t < 1e-4:
-        return a ** 3 * (1.0 / 3.0 + t * t / 30.0)
-    return (a * r * math.cosh(t) - math.sinh(t)) / r ** 3
+    small = t < 1e-4
+    safe_r = np.where(small, 1.0, r)
+    safe_t = a * safe_r
+    return np.where(small, a ** 3 * (1.0 / 3.0 + t * t / 30.0),
+                    (safe_t * np.cosh(safe_t) - np.sinh(safe_t)) / safe_r ** 3)[()]
 
 
 def distance_gradient(x_tangent, y_tangent, c: float) -> np.ndarray:

@@ -6,6 +6,7 @@ from geoattn.diffcheck import finite_diff_gradient
 from geoattn.experiments import (DescentRun, EmbeddingRun, TreeSpec,
                                  descent_demo, embed_tree, export_trajectories,
                                  tree_distance_matrix)
+from geoattn.lorentz import distance_gradient
 
 
 def test_tree_distance_matrix_depth1():
@@ -35,11 +36,10 @@ def test_euclidean_stress_grad_matches_fd():
     x = rng.normal(size=(3, 2))
 
     def stress(flat):
-        pts = flat.reshape(3, 2)
-        s, _ = experiments._euclidean_stress_grad(pts, t)
-        return s
+        return experiments._euclidean_distances(flat.reshape(3, 2), t).stress
 
-    _, grad = experiments._euclidean_stress_grad(x, t)
+    grad = experiments._euclidean_stress_grad(
+        x, experiments._euclidean_distances(x, t))
     fd = finite_diff_gradient(stress, x.ravel()).reshape(3, 2)
     assert np.abs(grad - fd).max() / np.abs(fd).max() < 1e-5
 
@@ -51,13 +51,29 @@ def test_lorentz_stress_grad_matches_fd():
     c = 1.3
 
     def stress(flat):
-        pts = flat.reshape(3, 2)
-        s, _ = experiments._lorentz_stress_grad(pts, t, c)
-        return s
+        return experiments._lorentz_distances(flat.reshape(3, 2), t, c).stress
 
-    _, grad = experiments._lorentz_stress_grad(x, t, c)
+    grad = experiments._lorentz_stress_grad(
+        x, experiments._lorentz_distances(x, t, c))
     fd = finite_diff_gradient(stress, x.ravel()).reshape(3, 2)
     assert np.abs(grad - fd).max() / np.abs(fd).max() < 1e-5
+
+
+@pytest.mark.parametrize("c", [0.5, 1.3])
+def test_lorentz_stress_grad_is_sum_of_distance_gradients(c):
+    # d stress / d u_i = sum_j 2 err_ij grad_u d(exp_O(u_i), exp_O(u_j)).
+    rng = np.random.default_rng(2)
+    t = tree_distance_matrix(TreeSpec(depth=2))
+    u = rng.normal(scale=0.5, size=(t.shape[0], 2))
+    u[0] = 0.0  # the root at the origin takes both Taylor branches
+    ev = experiments._lorentz_distances(u, t, c)
+    got = experiments._lorentz_stress_grad(u, ev)
+    want = np.zeros_like(u)
+    for i in range(len(u)):
+        for j in range(len(u)):
+            if i != j:
+                want[i] += 2.0 * ev.err[i, j] * distance_gradient(u[i], u[j], c)
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def test_embed_tree_deterministic():
@@ -74,6 +90,10 @@ def test_embed_tree_zero_steps_keeps_init():
     out = embed_tree(spec, EmbeddingRun(space="euclidean", steps=0, seed=1))
     # untouched Gaussian(0.1) init is far off the unit-edge tree
     assert out.final_distortion > 0.5
+    assert len(out.phases) == 4
+    for p in out.phases:
+        assert (p.accepted, p.evaluations, p.backoffs, p.gave_up) == (0, 0, 0, 0)
+        assert p.end_stress == p.start_stress
 
 
 def test_embed_tree_validation():
@@ -92,6 +112,32 @@ def test_embed_tree_reduces_stress():
     done = embed_tree(spec, EmbeddingRun(space="euclidean", steps=300, seed=2))
     assert done.final_stress < start.final_stress
     assert done.final_distortion < start.final_distortion
+
+
+@pytest.mark.parametrize("space", ["euclidean", "lorentz"])
+def test_embed_tree_phase_trace(space):
+    spec = TreeSpec(depth=3)
+    out = embed_tree(spec, EmbeddingRun(space=space, steps=400, seed=4))
+    assert [p.lam for p in out.phases] == list(experiments._EXPANSION_PHASES)
+    for p in out.phases:
+        assert p.evaluations == p.accepted + p.backoffs + p.gave_up
+        assert p.accepted + p.gave_up <= 100  # 400 steps over four phases
+        assert p.end_stress <= p.start_stress
+        assert 0.0 < p.final_step <= 0.05
+    assert out.phases[-1].end_stress == out.final_stress
+
+
+def test_embed_tree_phase_trace_gave_up(monkeypatch):
+    # A huge uphill gradient makes every trial, even after 40 halvings,
+    # raise the stress, so the line search gives up at the phase's start.
+    grad = experiments._euclidean_stress_grad
+    monkeypatch.setattr(experiments, "_euclidean_stress_grad",
+                        lambda x, ev: -1e30 * grad(x, ev))
+    out = embed_tree(TreeSpec(depth=2),
+                     EmbeddingRun(space="euclidean", steps=40, seed=0))
+    for p in out.phases:
+        assert (p.accepted, p.backoffs, p.gave_up, p.evaluations) == (0, 40, 1, 41)
+        assert p.end_stress == p.start_stress
 
 
 def test_descent_demo_converges_and_decreases():

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from geoattn.linalg import (as_matrix, as_vector, col_norms, load_csv, matmul,
-                            save_csv, softmax_rows)
+from geoattn.linalg import as_matrix, as_vector, matmul, softmax_rows
 
 
 def _triple_loop_matmul(a, b):
@@ -82,30 +81,3 @@ def test_as_vector_rejects_bad_input():
         as_vector(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="NaN or Inf"):
         as_vector([math.inf])
-
-
-def test_col_norms():
-    m = np.array([[3.0, 0.0], [4.0, 2.0]])
-    assert np.allclose(col_norms(m), [5.0, 2.0], atol=1e-15)
-
-
-def test_csv_roundtrip_exact(tmp_path):
-    rng = np.random.default_rng(4)
-    m = rng.normal(size=(5, 3)) * 10.0 ** rng.integers(-8, 8, size=(5, 3))
-    path = tmp_path / "m.csv"
-    save_csv(m, path)
-    assert np.array_equal(load_csv(path), m)
-
-
-def test_csv_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("not,a,header\n1,2,3\n")
-    with pytest.raises(ValueError, match="header"):
-        load_csv(path)
-
-
-def test_csv_shape_mismatch(tmp_path):
-    path = tmp_path / "short.csv"
-    path.write_text("3,2\n1,2\n3,4\n")
-    with pytest.raises(ValueError, match="header says"):
-        load_csv(path)

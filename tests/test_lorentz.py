@@ -183,6 +183,36 @@ def test_lift_rows_matches_exp_origin():
         assert abs(time[i] - p.time) < 1e-12
 
 
+def _sinhc_loop(t):
+    if t < 1e-4:
+        return 1.0 + t * t / 6.0 + t ** 4 / 120.0
+    return math.sinh(t) / t
+
+
+def _sinhc_deriv_over_r_loop(r, a):
+    t = a * r
+    if t < 1e-4:
+        return a ** 3 * (1.0 / 3.0 + t * t / 30.0)
+    return (t * math.cosh(t) - math.sinh(t)) / r ** 3
+
+
+@pytest.mark.parametrize("a", [0.7, 1.0, 1.3])
+def test_sinhc_helpers_array_form_matches_per_element_loop(a):
+    # zero, both sides of the Taylor switch at 1e-4, and large arguments
+    ts = np.array([0.0, 0.99e-4, 1.01e-4, 1.0, 10.0, 300.0])
+    sc = lorentz._sinhc(ts)
+    g = lorentz._sinhc_deriv_over_r(ts / a, a)
+    # the array form picks each element's branch as a scalar call does
+    assert np.array_equal(sc, [lorentz._sinhc(float(t)) for t in ts])
+    assert np.array_equal(g, [lorentz._sinhc_deriv_over_r(float(t) / a, a) for t in ts])
+    for t, got_sc, got_g in zip(ts, sc, g):
+        assert abs(got_sc / _sinhc_loop(t) - 1.0) <= 1e-15
+        # above the switch t cosh t - sinh t ~ t^3 / 3 cancels: one ulp of
+        # sinh(t) moves it by about 3 u / t^2 relative
+        tol = 1e-15 * max(1.0, 3.0 / t ** 2) if t >= 1e-4 else 1e-15
+        assert abs(got_g / _sinhc_deriv_over_r_loop(t / a, a) - 1.0) <= tol
+
+
 def test_lift_rows_keeps_finite_output_below_float64_limit():
     # sqrt(c) r = 350 is just inside the limit of about 355.58 at c = 1
     m = np.array([[210.0, 280.0], [0.3, 0.4]])

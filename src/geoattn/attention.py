@@ -17,7 +17,10 @@ slice re-projected (oblique) or re-lifted (lorentz).  The bidirectional
 wiring runs the Lorentz kernel in both directions: object-aware context
 (instance as Q, context as K/V) and context-aware object (context as Q,
 instance as K/V), with the latter mean-pooled when a two-slice context is
-supplied.
+supplied.  Geodesic distance is symmetric, so both directions share one
+lift of each side and one distance pass per head: cao's scores are the
+transpose of oac's, and its softmax runs over the columns of oac's score
+matrix.
 
 All three kernels, the Euclidean baseline included, share one per-head
 skeleton.  Each kernel supplies only a function that returns a fresh n x m
@@ -224,6 +227,22 @@ def oblique_self_attention(x, pos, emb: Optional[EmbedFn],
     return oblique_attention(qk, qk, x, cfg, mask=mask)
 
 
+def _lorentz_scores(qh, kh, cfg: AttentionConfig) -> np.ndarray:
+    """One head's Lorentz scores exp(-D / tau_lor) as a fresh n x m array.
+
+    q/k row slices are lifted with tangent scale alpha (default
+    1/sqrt(head_dim)); the distance matrix is then consumed in place.
+    """
+    c = cfg.curvature
+    alpha = cfg.alpha if cfg.alpha is not None else 1.0 / math.sqrt(qh.shape[1])
+    sq, tq = lorentz.lift_rows(qh, c, scale=alpha)
+    sk, tk = lorentz.lift_rows(kh, c, scale=alpha)
+    d = lorentz.pairwise_distance_matrix(sq, tq, sk, tk, c, cfg.eps_lorentz)
+    # d / -tau is -d / tau exactly: negation commutes with rounding.
+    np.divide(d, -cfg.tau_lor, out=d)
+    return np.exp(d, out=d)
+
+
 def lorentz_cross_attention(q, k, v, cfg: AttentionConfig,
                             mask: Optional[np.ndarray] = None) -> np.ndarray:
     """Cross attention through hyperbolic geodesic distances.
@@ -233,18 +252,8 @@ def lorentz_cross_attention(q, k, v, cfg: AttentionConfig,
     distance matrix, and A = softmax(exp(-D / tau_lor)) - the double
     exponential, exactly as specified.  Values are never lifted.
     """
-    c = cfg.curvature
-
-    def head_scores(qh, kh):
-        alpha = cfg.alpha if cfg.alpha is not None else 1.0 / math.sqrt(qh.shape[1])
-        sq, tq = lorentz.lift_rows(qh, c, scale=alpha)
-        sk, tk = lorentz.lift_rows(kh, c, scale=alpha)
-        d = lorentz.pairwise_distance_matrix(sq, tq, sk, tk, c, cfg.eps_lorentz)
-        # d / -tau is -d / tau exactly: negation commutes with rounding.
-        np.divide(d, -cfg.tau_lor, out=d)
-        return np.exp(d, out=d)
-
-    return _multihead(q, k, v, cfg, mask, head_scores)
+    return _multihead(q, k, v, cfg, mask,
+                      lambda qh, kh: _lorentz_scores(qh, kh, cfg))
 
 
 def bidirectional_attention(instance, context, cfg: AttentionConfig):
@@ -256,20 +265,42 @@ def bidirectional_attention(instance, context, cfg: AttentionConfig):
     slices; in the two-slice case oac uses the stacked slices as keys and
     values, and cao is computed per slice and mean-pooled over the slice
     axis.
+
+    Both directions share one distance pass per head.  Geodesic distance
+    is symmetric, so cao's score matrix is the transpose of oac's: each
+    head lifts the instance slice and the (stacked) context slice once,
+    builds one n x m score matrix S = exp(-D / tau_lor), and takes
+    oac = softmax_rows(S) @ context and cao = softmax_rows(S.T) @ instance,
+    i.e. cao's softmax runs over the columns of S.  The results equal
+    separate ``lorentz_cross_attention`` calls per direction up to the
+    summation order of the column softmax and the value product.
     """
     instance = as_matrix(instance, name="instance")
-    if isinstance(context, (list, tuple)):
+    pooled = isinstance(context, (list, tuple))
+    if pooled:
         slices = [as_matrix(s, name="context slice") for s in context]
         if len(slices) != 2 or slices[0].shape != slices[1].shape:
             raise ValueError("two-slice context must be two equally-shaped matrices")
-        stacked = np.concatenate(slices, axis=0)
-        oac = lorentz_cross_attention(instance, stacked, stacked, cfg)
-        cao_slices = [lorentz_cross_attention(s, instance, instance, cfg) for s in slices]
-        cao = (cao_slices[0] + cao_slices[1]) / 2.0
-        return oac, cao
-    context = as_matrix(context, name="context")
-    oac = lorentz_cross_attention(instance, context, context, cfg)
-    cao = lorentz_cross_attention(context, instance, instance, cfg)
+        context = np.concatenate(slices, axis=0)
+    else:
+        context = as_matrix(context, name="context")
+    if instance.shape[1] != context.shape[1]:
+        raise ValueError(f"instance/context feature dims differ: "
+                         f"{instance.shape[1]} vs {context.shape[1]}")
+    n_cao = context.shape[0] // 2 if pooled else context.shape[0]
+    oac = np.empty(instance.shape)
+    cao = np.empty((n_cao, instance.shape[1]))
+    step = instance.shape[1] // cfg.heads
+    for h, (inst_h, ctx_h) in enumerate(zip(_head_slices(instance, cfg.heads),
+                                            _head_slices(context, cfg.heads))):
+        cols = slice(h * step, (h + 1) * step)
+        scores = _lorentz_scores(inst_h, ctx_h, cfg)
+        oac[:, cols] = matmul(softmax_rows(scores), ctx_h)
+        out = matmul(softmax_rows(scores.T), inst_h)
+        del scores  # free this head's n x m arrays before the next distance pass
+        if pooled:
+            out = (out[:n_cao] + out[n_cao:]) / 2.0
+        cao[:, cols] = out
     return oac, cao
 
 

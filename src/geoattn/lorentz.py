@@ -157,17 +157,34 @@ def _asinhc(s: float) -> float:
     return math.asinh(s) / s
 
 
+def _check_lift_limit(t_max: float, c: float, what: str) -> None:
+    """Raise ValueError if sqrt(c) r = ``t_max`` lifts past float64.
+
+    A lifted point's squared space norm is sinh^2(sqrt(c) r) / c, which
+    overflows once sqrt(c) r passes asinh(sqrt(c * float_max)), about
+    355.6 + ln(c) / 2.
+    """
+    limit = math.asinh(math.sqrt(c) * _SQRT_FLOAT_MAX)
+    if t_max > limit:
+        raise ValueError(
+            f"{what}: largest sqrt(c) * r is {t_max:.6g}, past the float64 "
+            f"limit {limit:.6g} at c = {c:g} (r is the scaled row norm)"
+        )
+
+
 def exp_origin(u, c: float) -> LorentzPoint:
     """Exponential map at the origin.
 
     space = sinh(sqrt(c) r) / (sqrt(c) r) * v with v the effective tangent
     vector (scale * enc) and r = ||v||; time is recomputed from space.
-    Accepts a :class:`TangentAtOrigin` or a plain array (scale 1).
+    Accepts a :class:`TangentAtOrigin` or a plain array (scale 1).  Past
+    the float64 limit of :func:`lift_rows` it raises the same ValueError.
     """
     c = check_curvature(c)
     v = u.vector if isinstance(u, TangentAtOrigin) else as_vector(u, name="tangent")
-    r = float(np.linalg.norm(v))
-    space = _sinhc(math.sqrt(c) * r) * v
+    t = math.sqrt(c) * float(np.linalg.norm(v))
+    _check_lift_limit(t, c, "exp_origin")
+    space = _sinhc(t) * v
     time = math.sqrt(1.0 / c + float(np.dot(space, space)))
     return LorentzPoint(space, time)
 
@@ -259,12 +276,7 @@ def lift_rows(m: np.ndarray, c: float, scale: float = 1.0):
     v = np.asarray(m, dtype=np.float64) * scale
     r = np.sqrt((v * v).sum(axis=1))
     t = math.sqrt(c) * r
-    limit = math.asinh(math.sqrt(c) * _SQRT_FLOAT_MAX)
-    if t.max(initial=0.0) > limit:
-        raise ValueError(
-            f"lift_rows: largest sqrt(c) * r is {t.max():.6g}, past the float64 "
-            f"limit {limit:.6g} at c = {c:g} (r is the scaled row norm)"
-        )
+    _check_lift_limit(t.max(initial=0.0), c, "lift_rows")
     space = _sinhc(t)[:, None] * v
     time = np.sqrt(1.0 / c + (space * space).sum(axis=1))
     return space, time

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from geoattn import attention
+from geoattn import attention, lorentz
 from geoattn.attention import (AttentionConfig, bidirectional_attention,
                                default_embed, euclidean_attention, fourier_pe,
                                lorentz_cross_attention, oblique_attention,
@@ -239,6 +239,80 @@ def test_bidirectional_two_slice_context():
     assert np.array_equal(cao, want)
     with pytest.raises(ValueError, match="two-slice"):
         bidirectional_attention(inst, (s0, s1[:3]), cfg)
+
+
+def test_bidirectional_writes_no_input(monkeypatch):
+    rng = np.random.default_rng(62)
+    inst = rng.normal(size=(5, 4))
+    s0, s1, ctx = rng.normal(size=(3, 6, 4))
+    before = [a.copy() for a in (inst, s0, s1, ctx)]
+    pure = []
+
+    def checked_softmax(m):
+        m_before = m.copy()
+        out = softmax_rows(m)
+        pure.append(np.array_equal(m, m_before))
+        return out
+
+    monkeypatch.setattr(attention, "softmax_rows", checked_softmax)
+    cfg = AttentionConfig(heads=2)
+    bidirectional_attention(inst, (s0, s1), cfg)
+    bidirectional_attention(inst, ctx, cfg)
+    bidirectional_attention(inst, inst, cfg)  # instance as its own context
+    assert pure == [True] * 12
+    for got, want in zip((inst, s0, s1, ctx), before):
+        assert np.array_equal(got, want)
+
+
+def test_bidirectional_feature_dims_must_match():
+    cfg = AttentionConfig(heads=2)
+    with pytest.raises(ValueError, match="instance/context feature dims differ: 4 vs 6"):
+        bidirectional_attention(np.ones((5, 4)), np.ones((3, 6)), cfg)
+    with pytest.raises(ValueError, match="instance/context feature dims differ: 4 vs 6"):
+        bidirectional_attention(np.ones((5, 4)), (np.ones((3, 6)), np.ones((3, 6))), cfg)
+
+
+@pytest.mark.parametrize("alpha", [None, 0.7])
+def test_bidirectional_matches_per_direction_calls(alpha):
+    # large enough that the column softmax and the value product may sum
+    # in another order than the separate calls do
+    rng = np.random.default_rng(63)
+    inst = rng.normal(size=(512, 64))
+    s0, s1 = rng.normal(size=(2, 16, 64))
+    cfg = AttentionConfig(heads=4, alpha=alpha)
+    oac, cao = bidirectional_attention(inst, (s0, s1), cfg)
+    stacked = np.vstack([s0, s1])
+    assert np.abs(oac - lorentz_cross_attention(inst, stacked, stacked, cfg)).max() <= 1e-12
+    want = (lorentz_cross_attention(s0, inst, inst, cfg)
+            + lorentz_cross_attention(s1, inst, inst, cfg)) / 2.0
+    assert np.abs(cao - want).max() <= 1e-12
+    oac, cao = bidirectional_attention(inst, s0, cfg)
+    assert np.abs(oac - lorentz_cross_attention(inst, s0, s0, cfg)).max() <= 1e-12
+    assert np.abs(cao - lorentz_cross_attention(s0, inst, inst, cfg)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("two_slice", [False, True])
+def test_bidirectional_one_distance_pass_per_head(two_slice, monkeypatch):
+    counts = {"distance_calls": 0, "lifted_rows": 0}
+    lift_rows, distances = lorentz.lift_rows, lorentz.pairwise_distance_matrix
+
+    def counted_lift(m, *args, **kwargs):
+        counts["lifted_rows"] += m.shape[0]
+        return lift_rows(m, *args, **kwargs)
+
+    def counted_distances(*args, **kwargs):
+        counts["distance_calls"] += 1
+        return distances(*args, **kwargs)
+
+    monkeypatch.setattr(lorentz, "lift_rows", counted_lift)
+    monkeypatch.setattr(lorentz, "pairwise_distance_matrix", counted_distances)
+    rng = np.random.default_rng(64)
+    inst = rng.normal(size=(9, 8))
+    context = tuple(rng.normal(size=(2, 3, 8))) if two_slice else rng.normal(size=(5, 8))
+    n_ctx = 6 if two_slice else 5
+    cfg = AttentionConfig(heads=4)
+    bidirectional_attention(inst, context, cfg)
+    assert counts == {"distance_calls": 4, "lifted_rows": 4 * (9 + n_ctx)}
 
 
 def test_shape_validation():

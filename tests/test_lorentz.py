@@ -235,6 +235,28 @@ def test_lift_rows_past_float64_limit_raises(c, r):
         lorentz.lift_rows(m, c)
 
 
+@pytest.mark.filterwarnings("error")  # raises before any overflow warning
+@pytest.mark.parametrize("c", [1.0, 4.0])
+@pytest.mark.parametrize("t", [400.0, 1000.0])
+def test_exp_origin_past_float64_limit_raises(c, t):
+    # tangent vector scale * enc with sqrt(c) * ||scale * enc|| = t
+    u = lorentz.TangentAtOrigin(np.array([0.6, 0.8]) * t, 1.0 / math.sqrt(c))
+    limit = math.asinh(math.sqrt(c) * math.sqrt(np.finfo(float).max))
+    message = (rf"exp_origin: largest sqrt\(c\) \* r is {t:g}, "
+               rf"past the float64 limit {limit:.6g}")
+    with pytest.raises(ValueError, match=message):
+        lorentz.exp_origin(u, c)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c", [1.0, 4.0])
+def test_exp_origin_keeps_finite_output_below_float64_limit(c):
+    u = lorentz.TangentAtOrigin(np.array([0.6, 0.8]) * 350.0, 1.0 / math.sqrt(c))
+    p = lorentz.exp_origin(u, c)
+    assert np.isfinite(p.space).all() and math.isfinite(p.time)
+    assert lorentz.hyperboloid_residual(p, c) <= 1e-12
+
+
 def test_distance_gradient_matches_finite_differences():
     rng = np.random.default_rng(7)
     c = 1.3

@@ -13,26 +13,34 @@ Two mechanisms:
 
 Both kernels split the value/output stream across heads; geodesic
 distances are computed per head on the head-sliced q/k, with each head's
-slice re-projected (oblique) or re-lifted (lorentz).  The bidirectional
-wiring runs the Lorentz kernel in both directions: object-aware context
-(instance as Q, context as K/V) and context-aware object (context as Q,
-instance as K/V), with the latter mean-pooled when a two-slice context is
-supplied.  Geodesic distance is symmetric, so both directions share one
-lift of each side and one distance pass per head: cao's scores are the
-transpose of oac's, and its softmax runs over the columns of oac's score
-matrix.
+query and key slice projected (oblique) or lifted (lorentz) once.  The
+bidirectional wiring runs the Lorentz kernel in both directions:
+object-aware context (instance as Q, context as K/V) and context-aware
+object (context as Q, instance as K/V), with the latter mean-pooled when a
+two-slice context is supplied.  Geodesic distance is symmetric, so both
+directions share one lift of each side and one distance pass per head:
+cao's scores are the transpose of oac's, and its softmax runs over the
+columns of oac's score matrix.
 
 All three kernels, the Euclidean baseline included, share one per-head
-skeleton.  Each kernel supplies only a function that returns a fresh n x m
-score matrix for one head.  Score matrices are consumed in place: the
-temperature, exp and mask steps overwrite that matrix rather than copying
-it.  Inputs (q, k, v and the mask) are never written.
+skeleton that evaluates query rows in blocks.  Each kernel supplies two
+functions: one that prepares a head's query or key slice (projection,
+lift, or nothing) once per head, and one that returns a fresh rows x m
+score block for a block of prepared query rows against all prepared keys.
+Softmax is row-local, so blocking is exact.  A block holds about
+``_BLOCK_BYTES`` (1 MiB) of scores, so a head's score temporaries are
+O(rows * m) whatever the number of queries.  Score blocks are consumed in
+place: the temperature, exp and mask steps overwrite that block rather
+than copying it.  Inputs (q, k, v and the mask) are never written.
+``bidirectional_attention`` is not blocked: its reverse direction
+normalizes over full columns of the score matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -52,6 +60,9 @@ __all__ = [
 ]
 
 EmbedFn = Callable[[np.ndarray, Optional[np.ndarray]], np.ndarray]
+
+# Target size of one query block's score array; see _multihead.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -168,11 +179,19 @@ def _check_mask(mask, shape) -> Optional[np.ndarray]:
 
 
 def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],
-               head_scores: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+               prepare: Callable[[np.ndarray], tuple],
+               block_scores: Callable[..., np.ndarray]) -> np.ndarray:
     """Validation, head split, mask, softmax and value product of every kernel.
 
-    ``head_scores(qh, kh)`` returns one head's n x m pre-softmax scores as a
-    fresh array, which is consumed here: the mask is added into it in place.
+    Per head, ``prepare(xh)`` runs once on the query slice and once on the
+    key slice and returns a tuple of row-aligned arrays (the projected or
+    lifted rows).  Query rows are then taken in blocks of
+    ``max(1, _BLOCK_BYTES // (8 * m))`` rows: ``block_scores(*query_block,
+    *keys)`` returns that block's rows x m pre-softmax scores as a fresh
+    array, the block's mask rows are added into it in place, and its
+    softmax and value product are written into the output.  Softmax is
+    row-local, so blocking is exact; the per-head score temporaries are
+    O(rows * m), about ``_BLOCK_BYTES`` each, whatever n is.
     """
     q = as_matrix(q, name="q")
     k = as_matrix(k, name="k")
@@ -181,16 +200,23 @@ def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],
         raise ValueError(f"q/k feature dims differ: {q.shape[1]} vs {k.shape[1]}")
     if k.shape[0] != v.shape[0]:
         raise ValueError(f"k has {k.shape[0]} rows but v has {v.shape[0]}")
-    mask = _check_mask(mask, (q.shape[0], k.shape[0]))
-    outs = []
-    for qh, kh, vh in zip(_head_slices(q, cfg.heads),
-                          _head_slices(k, cfg.heads),
-                          _head_slices(v, cfg.heads)):
-        scores = head_scores(qh, kh)
-        if mask is not None:
-            scores += mask
-        outs.append(matmul(softmax_rows(scores), vh))
-    return np.concatenate(outs, axis=1)
+    n, m = q.shape[0], k.shape[0]
+    if m == 0:
+        raise ValueError("k has no rows: attention needs at least one key")
+    mask = _check_mask(mask, (n, m))
+    out = np.empty((n, v.shape[1]))
+    rows = max(1, _BLOCK_BYTES // (8 * m))
+    for qh, kh, vh, oh in zip(_head_slices(q, cfg.heads), _head_slices(k, cfg.heads),
+                              _head_slices(v, cfg.heads), _head_slices(out, cfg.heads)):
+        qp, kp = prepare(qh), prepare(kh)
+        for start in range(0, n, rows):
+            blk = slice(start, start + rows)
+            scores = block_scores(*(a[blk] for a in qp), *kp)
+            if mask is not None:
+                scores += mask[blk]
+            oh[blk] = matmul(softmax_rows(scores), vh)
+            del scores  # free this block's rows x m arrays before the next one
+    return out
 
 
 def oblique_attention(q, k, v, cfg: AttentionConfig,
@@ -202,14 +228,13 @@ def oblique_attention(q, k, v, cfg: AttentionConfig,
     = weights @ v_head.  tau_obl = 1 reproduces plain softmax(-D).
     """
 
-    def head_scores(qh, kh):
-        qn = oblique.project(qh.T).inner.T
-        kn = oblique.project(kh.T).inner.T
+    def block_scores(qn, kn):
         d = oblique.pairwise_distances(qn, kn, cfg.eps_oblique)
         # d / -tau is -d / tau exactly: negation commutes with rounding.
         return np.divide(d, -cfg.tau_obl, out=d)
 
-    return _multihead(q, k, v, cfg, mask, head_scores)
+    return _multihead(q, k, v, cfg, mask,
+                      lambda xh: (oblique.project(xh.T).inner.T,), block_scores)
 
 
 def oblique_self_attention(x, pos, emb: Optional[EmbedFn],
@@ -227,17 +252,22 @@ def oblique_self_attention(x, pos, emb: Optional[EmbedFn],
     return oblique_attention(qk, qk, x, cfg, mask=mask)
 
 
-def _lorentz_scores(qh, kh, cfg: AttentionConfig) -> np.ndarray:
-    """One head's Lorentz scores exp(-D / tau_lor) as a fresh n x m array.
+def _lorentz_lift(cfg: AttentionConfig, xh):
+    """One head's q or k slice lifted onto the hyperboloid as (space, time).
 
-    q/k row slices are lifted with tangent scale alpha (default
-    1/sqrt(head_dim)); the distance matrix is then consumed in place.
+    The tangent scale is alpha, default 1/sqrt(head_dim).
     """
-    c = cfg.curvature
-    alpha = cfg.alpha if cfg.alpha is not None else 1.0 / math.sqrt(qh.shape[1])
-    sq, tq = lorentz.lift_rows(qh, c, scale=alpha)
-    sk, tk = lorentz.lift_rows(kh, c, scale=alpha)
-    d = lorentz.pairwise_distance_matrix(sq, tq, sk, tk, c, cfg.eps_lorentz)
+    alpha = cfg.alpha if cfg.alpha is not None else 1.0 / math.sqrt(xh.shape[1])
+    return lorentz.lift_rows(xh, cfg.curvature, scale=alpha)
+
+
+def _lorentz_scores(cfg: AttentionConfig, sq, tq, sk, tk) -> np.ndarray:
+    """Lorentz scores exp(-D / tau_lor) of lifted rows as a fresh n x m array.
+
+    The distance matrix is consumed in place.
+    """
+    d = lorentz.pairwise_distance_matrix(sq, tq, sk, tk, cfg.curvature,
+                                         cfg.eps_lorentz)
     # d / -tau is -d / tau exactly: negation commutes with rounding.
     np.divide(d, -cfg.tau_lor, out=d)
     return np.exp(d, out=d)
@@ -252,8 +282,8 @@ def lorentz_cross_attention(q, k, v, cfg: AttentionConfig,
     distance matrix, and A = softmax(exp(-D / tau_lor)) - the double
     exponential, exactly as specified.  Values are never lifted.
     """
-    return _multihead(q, k, v, cfg, mask,
-                      lambda qh, kh: _lorentz_scores(qh, kh, cfg))
+    return _multihead(q, k, v, cfg, mask, partial(_lorentz_lift, cfg),
+                      partial(_lorentz_scores, cfg))
 
 
 def bidirectional_attention(instance, context, cfg: AttentionConfig):
@@ -287,6 +317,10 @@ def bidirectional_attention(instance, context, cfg: AttentionConfig):
     if instance.shape[1] != context.shape[1]:
         raise ValueError(f"instance/context feature dims differ: "
                          f"{instance.shape[1]} vs {context.shape[1]}")
+    for name, side in (("instance", instance), ("context", context)):
+        if side.shape[0] == 0:
+            raise ValueError(f"{name} has no rows: both directions need at "
+                             f"least one instance row and one context row")
     n_cao = context.shape[0] // 2 if pooled else context.shape[0]
     oac = np.empty(instance.shape)
     cao = np.empty((n_cao, instance.shape[1]))
@@ -294,7 +328,8 @@ def bidirectional_attention(instance, context, cfg: AttentionConfig):
     for h, (inst_h, ctx_h) in enumerate(zip(_head_slices(instance, cfg.heads),
                                             _head_slices(context, cfg.heads))):
         cols = slice(h * step, (h + 1) * step)
-        scores = _lorentz_scores(inst_h, ctx_h, cfg)
+        scores = _lorentz_scores(cfg, *_lorentz_lift(cfg, inst_h),
+                                 *_lorentz_lift(cfg, ctx_h))
         oac[:, cols] = matmul(softmax_rows(scores), ctx_h)
         out = matmul(softmax_rows(scores.T), inst_h)
         del scores  # free this head's n x m arrays before the next distance pass
@@ -308,9 +343,9 @@ def euclidean_attention(q, k, v, cfg: AttentionConfig,
                         mask: Optional[np.ndarray] = None) -> np.ndarray:
     """Plain scaled dot-product attention, the benchmark baseline."""
 
-    def head_scores(qh, kh):
-        scores = qh @ kh.T
-        scores /= math.sqrt(qh.shape[1])
+    def block_scores(qb, kh):
+        scores = qb @ kh.T
+        scores /= math.sqrt(qb.shape[1])
         return scores
 
-    return _multihead(q, k, v, cfg, mask, head_scores)
+    return _multihead(q, k, v, cfg, mask, lambda xh: (xh,), block_scores)

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from geoattn import attention, lorentz
+from geoattn import attention, lorentz, oblique
 from geoattn.attention import (AttentionConfig, bidirectional_attention,
                                default_embed, euclidean_attention, fourier_pe,
                                lorentz_cross_attention, oblique_attention,
@@ -321,3 +322,87 @@ def test_shape_validation():
         oblique_attention(np.ones((2, 3)), np.ones((2, 4)), np.ones((2, 4)), cfg)
     with pytest.raises(ValueError, match="rows"):
         lorentz_cross_attention(np.ones((2, 4)), np.ones((3, 4)), np.ones((2, 4)), cfg)
+
+
+@pytest.mark.parametrize("kernel", [*KERNELS, bidirectional_attention])
+def test_empty_key_set_names_its_cause(kernel):
+    cfg = AttentionConfig(heads=2)
+    rows, none = np.ones((3, 4)), np.empty((0, 4))
+    if kernel is bidirectional_attention:
+        for inst, ctx, side in ((none, rows, "instance"), (rows, none, "context"),
+                                (rows, (none, none), "context")):
+            with pytest.raises(ValueError, match=f"{side} has no rows"):
+                kernel(inst, ctx, cfg)
+        return
+    with pytest.raises(ValueError, match="k has no rows: attention needs at least one key"):
+        kernel(rows, none, none, cfg)
+    assert kernel(none, rows, rows, cfg).shape == (0, 4)
+
+
+def _blocked_inputs(seed, n=150, m=2048, d=16):
+    """m = 2048 keys make 64-row query blocks: 150 rows are 64 + 64 + 22."""
+    assert attention._BLOCK_BYTES // (8 * m) == 64
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, d)), rng.normal(size=(m, d)), rng.normal(size=(m, d))
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_query_blocks_are_exact_across_ragged_blocks(kernel):
+    q, k, v = _blocked_inputs(70)
+    rng = np.random.default_rng(71)
+    mask = rng.normal(size=(q.shape[0], k.shape[0]))
+    mask[rng.random(mask.shape) < 0.2] = -math.inf
+    cfg = AttentionConfig(heads=4)
+    full = kernel(q, k, v, cfg, mask=mask)
+    for i in (0, 63, 64, 127, 128, 149):
+        alone = kernel(q[i:i + 1], k, v, cfg, mask=mask[i:i + 1])
+        np.testing.assert_allclose(full[i], alone[0], rtol=0, atol=1e-12)
+
+
+def test_query_blocks_prepare_keys_once_per_head(monkeypatch):
+    counts = {"lifted_rows": 0, "distance_calls": 0, "pairs": 0, "projections": 0}
+    lift_rows, distances = lorentz.lift_rows, lorentz.pairwise_distance_matrix
+    project = oblique.project
+
+    def counted_lift(m, *args, **kwargs):
+        counts["lifted_rows"] += m.shape[0]
+        return lift_rows(m, *args, **kwargs)
+
+    def counted_distances(*args, **kwargs):
+        d = distances(*args, **kwargs)
+        counts["distance_calls"] += 1
+        counts["pairs"] += d.size
+        return d
+
+    def counted_project(*args, **kwargs):
+        counts["projections"] += 1
+        return project(*args, **kwargs)
+
+    monkeypatch.setattr(lorentz, "lift_rows", counted_lift)
+    monkeypatch.setattr(lorentz, "pairwise_distance_matrix", counted_distances)
+    monkeypatch.setattr(oblique, "project", counted_project)
+    q, k, v = _blocked_inputs(72)
+    (n, m), heads = (q.shape[0], k.shape[0]), 4
+    cfg = AttentionConfig(heads=heads)
+    lorentz_cross_attention(q, k, v, cfg)
+    oblique_attention(q, k, v, cfg)
+    assert counts == {"lifted_rows": heads * (n + m), "distance_calls": heads * 3,
+                      "pairs": heads * n * m, "projections": 2 * heads}
+
+
+def test_lorentz_peak_memory_is_independent_of_query_count():
+    rng = np.random.default_rng(73)
+    m, d = 1024, 64
+    k, v = rng.normal(size=(2, m, d))
+    cfg = AttentionConfig(heads=4)
+    extra = []
+    for n in (1024, 4096):
+        q = rng.normal(size=(n, d))
+        tracemalloc.start()
+        try:
+            out = lorentz_cross_attention(q, k, v, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra.append(peak - out.nbytes)
+    assert abs(extra[1] - extra[0]) < 1 << 20, extra

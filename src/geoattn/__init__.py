@@ -6,7 +6,7 @@ Submodules:
 * ``oblique``: product-of-spheres manifold: projection, geodesic distance,
   tangent projection, retraction.
 * ``lorentz``: hyperboloid model: exp/log maps at the origin, geodesic
-  distance, volume growth.
+  distance.
 * ``attention``: the two geodesic attention kernels and bidirectional wiring.
 * ``diffcheck``: finite differences and the scalar reference kernels.
 * ``experiments``: tree-embedding distortion and constrained-descent demos.

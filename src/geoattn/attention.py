@@ -156,25 +156,32 @@ def _head_slices(m: np.ndarray, heads: int):
     return [m[:, h * step:(h + 1) * step] for h in range(heads)]
 
 
-def _check_mask(mask, shape) -> Optional[np.ndarray]:
+def _check_mask(mask, shape, rows: int) -> Optional[np.ndarray]:
     """The additive mask as float64, rejected if it cannot give finite weights.
 
     A NaN or +inf entry, or a row with no finite entry (every key masked
-    out), would make that row's softmax NaN; each raises and names the row.
+    out), would make that row's softmax NaN; each raises and names the
+    first such row, NaN or +inf taking precedence.  The mask is checked
+    ``rows`` rows at a time, so its temporaries do not grow with n.
     """
     if mask is None:
         return None
     mask = np.asarray(mask, dtype=np.float64)
     if mask.shape != shape:
         raise ValueError(f"mask shape {mask.shape} != scores shape {shape}")
-    bad = np.isnan(mask) | (mask == np.inf)
-    if bad.any():
-        row = int(np.flatnonzero(bad.any(axis=1))[0])
-        raise ValueError(f"mask row {row} has a NaN or +inf entry")
-    empty = ~np.isfinite(mask).any(axis=1)
-    if empty.any():
-        row = int(np.flatnonzero(empty)[0])
-        raise ValueError(f"mask row {row} has no finite entry (every key is masked out)")
+    empty_row = None
+    for start in range(0, shape[0], rows):
+        blk = mask[start:start + rows]
+        bad = (np.isnan(blk) | (blk == np.inf)).any(axis=1)
+        if bad.any():
+            row = start + int(np.argmax(bad))
+            raise ValueError(f"mask row {row} has a NaN or +inf entry")
+        empty = ~np.isfinite(blk).any(axis=1)
+        if empty_row is None and empty.any():
+            empty_row = start + int(np.argmax(empty))
+    if empty_row is not None:
+        raise ValueError(
+            f"mask row {empty_row} has no finite entry (every key is masked out)")
     return mask
 
 
@@ -203,9 +210,9 @@ def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],
     n, m = q.shape[0], k.shape[0]
     if m == 0:
         raise ValueError("k has no rows: attention needs at least one key")
-    mask = _check_mask(mask, (n, m))
-    out = np.empty((n, v.shape[1]))
     rows = max(1, _BLOCK_BYTES // (8 * m))
+    mask = _check_mask(mask, (n, m), rows)
+    out = np.empty((n, v.shape[1]))
     for qh, kh, vh, oh in zip(_head_slices(q, cfg.heads), _head_slices(k, cfg.heads),
                               _head_slices(v, cfg.heads), _head_slices(out, cfg.heads)):
         qp, kp = prepare(qh), prepare(kh)

@@ -22,16 +22,10 @@ _SIZE_CAP = 256
 @dataclass(frozen=True)
 class FDConfig:
     step: float = 1e-6
-    tolerance: float = 1e-5  # relative, for callers comparing gradients
-    scheme: str = "central"
 
     def __post_init__(self):
-        if not (self.step > 0 and self.tolerance > 0):
-            raise ValueError(
-                f"step and tolerance must be positive, got {self.step}, {self.tolerance}"
-            )
-        if self.scheme != "central":
-            raise ValueError(f"only the central scheme is supported, got {self.scheme!r}")
+        if not self.step > 0:
+            raise ValueError(f"step must be positive, got {self.step}")
 
 
 def finite_diff_gradient(f, x, cfg: FDConfig = FDConfig()) -> np.ndarray:
@@ -62,7 +56,7 @@ def _softmax_row(row):
     return [t / s for t in e]
 
 
-def _oblique_rows(rows, eps_clip):
+def _oblique_rows(rows):
     """Row-normalize; zero rows become e1 (mirrors the projection policy)."""
     out = []
     for row in rows:
@@ -127,8 +121,8 @@ def naive_attention_reference(q, k, v, space: str, cfg) -> np.ndarray:
         kh = [row[h * dq:(h + 1) * dq] for row in k]
         vh = [row[h * dv:(h + 1) * dv] for row in v]
         if space == "oblique":
-            qn = _oblique_rows(qh, cfg.eps_oblique)
-            kn = _oblique_rows(kh, cfg.eps_oblique)
+            qn = _oblique_rows(qh)
+            kn = _oblique_rows(kh)
             scores = [
                 [-_oblique_dist(qn[i], kn[j], cfg.eps_oblique) / cfg.tau_obl
                  for j in range(m)]

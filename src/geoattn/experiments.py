@@ -30,7 +30,6 @@ import os
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-import networkx as nx
 import numpy as np
 
 from . import oblique
@@ -116,31 +115,28 @@ class DescentRun:
     trajectory_oblique: list = field(default_factory=list)
 
 
-def _build_tree(spec: TreeSpec) -> nx.Graph:
-    g = nx.Graph()
-    g.add_node(0)
-    frontier = [0]
-    next_id = 1
-    for _ in range(spec.depth):
-        new_frontier = []
-        for parent in frontier:
-            for _ in range(spec.branching):
-                g.add_edge(parent, next_id)
-                new_frontier.append(next_id)
-                next_id += 1
-        frontier = new_frontier
-    return g
-
-
 def tree_distance_matrix(spec: TreeSpec) -> np.ndarray:
-    """Hop-count distances scaled by edge_length, for all node pairs."""
-    g = _build_tree(spec)
-    n = g.number_of_nodes()
-    t = np.zeros((n, n))
-    for src, lengths in nx.all_pairs_shortest_path_length(g):
-        for dst, hops in lengths.items():
-            t[src, dst] = spec.edge_length * hops
-    return t
+    """Hop-count distances scaled by edge_length, for all node pairs.
+
+    Closed form for the complete b-ary tree in BFS numbering, where node i
+    has parent (i - 1) // b: hops(i, j) = depth_i + depth_j - 2 depth(lca).
+    Column l of the ancestor table holds each node's ancestor at level l
+    (-1 at levels deeper than the node), and the lca's depth is one less than
+    the number of levels on which two nodes' ancestors agree.
+    """
+    b, levels = spec.branching, spec.depth + 1
+    first = (b ** np.arange(levels + 1) - 1) // (b - 1)  # first node of each level
+    node = np.arange(first[-1])
+    depth = np.searchsorted(first, node, side="right") - 1
+    anc = np.empty((node.size, levels), dtype=np.int64)
+    anc[:, -1] = np.where(depth == levels - 1, node, -1)
+    for lvl in range(levels - 1, 0, -1):
+        # (-1 - 1) // b is -1 again, so the marker passes up unchanged.
+        anc[:, lvl - 1] = np.where(depth == lvl - 1, node, (anc[:, lvl] - 1) // b)
+    lca = np.full((node.size, node.size), -1)
+    for col in anc.T:
+        lca += (col[:, None] == col) & (col >= 0)[:, None]
+    return float(spec.edge_length) * (depth[:, None] + depth - 2 * lca)
 
 
 class _StressEval(NamedTuple):

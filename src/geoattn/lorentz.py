@@ -47,13 +47,9 @@ __all__ = [
     "exp_origin",
     "log_origin",
     "geodesic_distance",
-    "pairwise_distances",
-    "volume_growth",
     "distance_gradient",
     "lift_rows",
     "pairwise_distance_matrix",
-    "save_points_csv",
-    "load_points_csv",
 ]
 
 MIN_CURVATURE = 1e-3
@@ -62,7 +58,7 @@ DEFAULT_EPS_CLIP = 1e-15
 _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 
 # Off-manifold tolerance on the (normalized) constraint residual: roomy
-# enough for serialized round-trips, tight enough to catch construction bugs.
+# enough for float64 rounding, tight enough to catch construction bugs.
 _MEMBERSHIP_TOL = 1e-6
 
 
@@ -234,32 +230,6 @@ def pairwise_distance_matrix(space_x: np.ndarray, time_x: np.ndarray,
     return beta
 
 
-def pairwise_distances(xs, ys, c: float,
-                       eps_clip: float = DEFAULT_EPS_CLIP) -> np.ndarray:
-    """Pairwise geodesic distances between two sequences of points."""
-    c = check_curvature(c)
-    xs = list(xs)
-    ys = list(ys)
-    dims = {p.dim for p in xs} | {p.dim for p in ys}
-    if len(dims) != 1:
-        raise ValueError(f"inconsistent point dimensions: {sorted(dims)}")
-    for p in xs + ys:
-        _require_on_manifold(p, c, "pairwise_distances")
-    sx = np.stack([p.space for p in xs])
-    sy = np.stack([p.space for p in ys])
-    tx = np.array([p.time for p in xs])
-    ty = np.array([p.time for p in ys])
-    return pairwise_distance_matrix(sx, tx, sy, ty, c, eps_clip)
-
-
-def volume_growth(r: float, n: int, c: float) -> float:
-    """Volume-growth kernel sinh^(n-1)(sqrt(c) r), unnormalized."""
-    c = check_curvature(c)
-    if r < 0:
-        raise ValueError(f"radius must be nonnegative, got {r}")
-    return math.sinh(math.sqrt(c) * r) ** (n - 1)
-
-
 def lift_rows(m: np.ndarray, c: float, scale: float = 1.0):
     """Lift each row of ``m`` through the exponential map at the origin.
 
@@ -330,35 +300,3 @@ def distance_gradient(x_tangent, y_tangent, c: float) -> np.ndarray:
         - dot * a * sc_w * _sinhc_deriv_over_r(ru, a) * u
     )
     return grad_beta / (a * math.sqrt(beta * beta - 1.0))
-
-
-def save_points_csv(points, c: float, path) -> None:
-    """Serialize points as CSV rows ``c, time, space_1, ..., space_n``."""
-    c = check_curvature(c)
-    with open(path, "w", encoding="utf-8") as f:
-        for p in points:
-            vals = [c, p.time] + list(p.space)
-            f.write(",".join(f"{v:.17g}" for v in vals) + "\n")
-
-
-def load_points_csv(path):
-    """Read points written by :func:`save_points_csv`, re-verifying membership.
-
-    Returns (points, c).
-    """
-    points = []
-    c = None
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            if not line.strip():
-                continue
-            vals = [float(t) for t in line.strip().split(",")]
-            row_c, time, space = vals[0], vals[1], np.array(vals[2:])
-            if c is None:
-                c = check_curvature(row_c)
-            elif row_c != c:
-                raise ValueError(f"mixed curvatures in {path}: {c} vs {row_c}")
-            p = LorentzPoint(space, time)
-            _require_on_manifold(p, c, f"load_points_csv({path})")
-            points.append(p)
-    return points, c

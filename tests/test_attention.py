@@ -359,6 +359,24 @@ def test_query_blocks_are_exact_across_ragged_blocks(kernel):
         np.testing.assert_allclose(full[i], alone[0], rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("bad_rows, message", [
+    ({10: -math.inf, 100: math.nan}, r"mask row 100 has a NaN or \+inf entry"),
+    ({70: -math.inf, 140: -math.inf}, r"mask row 70 has no finite entry"),
+])
+def test_mask_check_names_first_bad_row_across_blocks(bad_rows, message):
+    # NaN or +inf anywhere is reported before a fully masked row in an
+    # earlier block, as a check of the whole mask at once would.
+    q, k, v = _blocked_inputs(74)
+    mask = np.zeros((q.shape[0], k.shape[0]))
+    for row, entry in bad_rows.items():
+        if entry == -math.inf:
+            mask[row, :] = entry
+        else:
+            mask[row, 5] = entry
+    with pytest.raises(ValueError, match=message):
+        lorentz_cross_attention(q, k, v, AttentionConfig(heads=4), mask=mask)
+
+
 def test_query_blocks_prepare_keys_once_per_head(monkeypatch):
     counts = {"lifted_rows": 0, "distance_calls": 0, "pairs": 0, "projections": 0}
     lift_rows, distances = lorentz.lift_rows, lorentz.pairwise_distance_matrix
@@ -401,6 +419,25 @@ def test_lorentz_peak_memory_is_independent_of_query_count():
         tracemalloc.start()
         try:
             out = lorentz_cross_attention(q, k, v, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra.append(peak - out.nbytes)
+    assert abs(extra[1] - extra[0]) < 1 << 20, extra
+
+
+def test_masked_peak_memory_is_independent_of_query_count():
+    rng = np.random.default_rng(75)
+    m, d = 1024, 64
+    k, v = rng.normal(size=(2, m, d))
+    cfg = AttentionConfig(heads=4)
+    extra = []
+    for n in (1024, 4096):
+        q = rng.normal(size=(n, d))
+        mask = np.zeros((n, m))
+        tracemalloc.start()
+        try:
+            out = lorentz_cross_attention(q, k, v, cfg, mask=mask)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -21,8 +21,6 @@ def test_constant_function():
 def test_config_validation():
     with pytest.raises(ValueError, match="positive"):
         FDConfig(step=0.0)
-    with pytest.raises(ValueError, match="central"):
-        FDConfig(scheme="forward")
 
 
 def test_nonfinite_reported_with_coordinate():

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from collections import deque
+
 import numpy as np
 import pytest
 
+import geoattn
 from geoattn import experiments
 from geoattn.diffcheck import finite_diff_gradient
 from geoattn.experiments import (DescentRun, EmbeddingRun, TreeSpec,
@@ -21,6 +27,58 @@ def test_tree_distance_matrix_shape_and_symmetry():
     assert t.shape == (13, 13)  # 1 + 3 + 9 nodes
     assert np.array_equal(t, t.T)
     assert t.max() == 0.5 * 4  # leaf to leaf through the root
+
+
+def _bfs_tree_distances(spec):
+    """Plain-Python oracle: grow the tree frontier by frontier, then BFS."""
+    adj = {0: []}
+    frontier = [0]
+    for _ in range(spec.depth):
+        new_frontier = []
+        for parent in frontier:
+            for _ in range(spec.branching):
+                child = len(adj)
+                adj[child] = [parent]
+                adj[parent].append(child)
+                new_frontier.append(child)
+        frontier = new_frontier
+    n = len(adj)
+    t = np.zeros((n, n))
+    for src in range(n):
+        hops = {src: 0}
+        queue = deque([src])
+        while queue:
+            node = queue.popleft()
+            for nb in adj[node]:
+                if nb not in hops:
+                    hops[nb] = hops[node] + 1
+                    queue.append(nb)
+        for dst, h in hops.items():
+            t[src, dst] = spec.edge_length * h
+    return t
+
+
+@pytest.mark.parametrize("branching, depth, edge_length", [
+    (2, 1, 1.0), (2, 5, 1.0), (3, 2, 0.5), (3, 4, 1.0), (4, 3, 1.0),
+    (2, 8, 1.0), (5, 2, 1.0),
+])
+def test_tree_distance_matrix_matches_bfs(branching, depth, edge_length):
+    spec = TreeSpec(branching=branching, depth=depth, edge_length=edge_length)
+    assert np.array_equal(tree_distance_matrix(spec), _bfs_tree_distances(spec))
+
+
+def test_import_loads_no_third_party_module_but_numpy():
+    # A fresh interpreter, so modules loaded by other tests do not count.
+    src = os.path.dirname(os.path.dirname(geoattn.__file__))
+    probe = (
+        "import sys, numpy; before = set(sys.modules); import geoattn; "
+        "new = {name.split('.')[0] for name in set(sys.modules) - before}; "
+        "print(sorted(new - set(sys.stdlib_module_names) - {'geoattn'}))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]", out
 
 
 def test_spec_validation():

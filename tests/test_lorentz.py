@@ -8,7 +8,6 @@ from geoattn import diffcheck, lorentz
 SINH_1 = 1.1752011936438014
 COSH_1 = 1.5430806348152437
 SINH_2 = 3.6268604078470188
-SINH2_OVER_SINH1 = 3.0861612696304876
 CLIP_FLOOR_C1 = 4.4721359549995794e-08       # arcosh(1 + 1e-15)
 
 
@@ -139,11 +138,15 @@ def test_curvature_scaling():
             assert abs(d_c - d_1 / a) < 1e-9
 
 
+def _stacked(points):
+    return np.stack([p.space for p in points]), np.array([p.time for p in points])
+
+
 def test_pairwise_matches_scalar_loop():
     rng = np.random.default_rng(5)
     c = 1.0
     xs = [_rand_point(rng, 3, c) for _ in range(64)]
-    d = lorentz.pairwise_distances(xs, xs, c)
+    d = lorentz.pairwise_distance_matrix(*_stacked(xs), *_stacked(xs), c)
     for i in range(0, 64, 7):
         for j in range(0, 64, 7):
             assert abs(d[i, j] - lorentz.geodesic_distance(xs[i], xs[j], c)) < 1e-12
@@ -151,23 +154,9 @@ def test_pairwise_matches_scalar_loop():
 
 def test_pairwise_singleton_clip_floor():
     p = lorentz.exp_origin(np.array([1.0, 1.0]), 1.0)
-    d = lorentz.pairwise_distances([p], [p], 1.0)
+    d = lorentz.pairwise_distance_matrix(*_stacked([p]), *_stacked([p]), 1.0)
     assert d.shape == (1, 1)
     assert abs(d[0, 0] - CLIP_FLOOR_C1) < 1e-6
-
-
-def test_pairwise_dimension_check():
-    p2 = lorentz.origin(2, 1.0)
-    p3 = lorentz.origin(3, 1.0)
-    with pytest.raises(ValueError, match="dimensions"):
-        lorentz.pairwise_distances([p2], [p3], 1.0)
-
-
-def test_volume_growth():
-    ratio = lorentz.volume_growth(2.0, 2, 1.0) / lorentz.volume_growth(1.0, 2, 1.0)
-    assert abs(ratio - SINH2_OVER_SINH1) < 1e-12
-    with pytest.raises(ValueError, match="nonnegative"):
-        lorentz.volume_growth(-1.0, 2, 1.0)
 
 
 def test_lift_rows_matches_exp_origin():
@@ -282,23 +271,3 @@ def test_off_manifold_rejected():
         lorentz.geodesic_distance(bad, lorentz.origin(2, 1.0), 1.0)
     with pytest.raises(ValueError, match="off the hyperboloid"):
         lorentz.log_origin(bad, 1.0)
-
-
-def test_points_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(8)
-    c = 0.7
-    pts = [_rand_point(rng, 3, c) for _ in range(5)]
-    path = tmp_path / "pts.csv"
-    lorentz.save_points_csv(pts, c, path)
-    back, c_back = lorentz.load_points_csv(path)
-    assert c_back == c
-    for p, q in zip(pts, back):
-        assert np.abs(p.space - q.space).max() < 1e-15
-        assert p.time == q.time
-
-
-def test_points_csv_mixed_curvature(tmp_path):
-    path = tmp_path / "mixed.csv"
-    path.write_text("1,1,0\n2,0.70710678118654752,0\n")
-    with pytest.raises(ValueError, match="mixed curvatures"):
-        lorentz.load_points_csv(path)

@@ -69,10 +69,8 @@ _BLOCK_BYTES = 1 << 20
 class AttentionConfig:
     """Shared configuration for both kernels.
 
-    ``alpha`` is the tangent scale used when lifting onto the hyperboloid;
-    ``None`` means 1/sqrt(head_dim).  ``log_alpha`` may be supplied instead
-    and is exponentiated once here (the scale is a stored parameter, not a
-    learned one).
+    ``alpha`` is the tangent scale used when lifting onto the hyperboloid:
+    finite and > 0, or ``None`` for 1/sqrt(head_dim).
     """
 
     heads: int = 4
@@ -82,7 +80,6 @@ class AttentionConfig:
     eps_oblique: float = 1e-4
     eps_lorentz: float = 1e-15
     alpha: Optional[float] = None
-    log_alpha: Optional[float] = None
 
     def __post_init__(self):
         if self.heads < 1:
@@ -93,17 +90,8 @@ class AttentionConfig:
                 f"tau_lor={self.tau_lor}"
             )
         lorentz.check_curvature(self.curvature)
-        if self.log_alpha is not None:
-            if self.alpha is not None:
-                raise ValueError("give either alpha or log_alpha, not both")
-            object.__setattr__(self, "alpha", math.exp(self.log_alpha))
-
-    def head_dim(self, d: int) -> int:
-        if d % self.heads != 0:
-            raise ValueError(
-                f"feature dim {d} is not divisible by {self.heads} heads"
-            )
-        return d // self.heads
+        if self.alpha is not None and not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be None or finite and > 0, got {self.alpha}")
 
 
 def fourier_pe(pos, num_freqs: int, out_dim: Optional[int] = None) -> np.ndarray:
@@ -331,18 +319,15 @@ def bidirectional_attention(instance, context, cfg: AttentionConfig):
     n_cao = context.shape[0] // 2 if pooled else context.shape[0]
     oac = np.empty(instance.shape)
     cao = np.empty((n_cao, instance.shape[1]))
-    step = instance.shape[1] // cfg.heads
-    for h, (inst_h, ctx_h) in enumerate(zip(_head_slices(instance, cfg.heads),
-                                            _head_slices(context, cfg.heads))):
-        cols = slice(h * step, (h + 1) * step)
+    for inst_h, ctx_h, oac_h, cao_h in zip(
+            _head_slices(instance, cfg.heads), _head_slices(context, cfg.heads),
+            _head_slices(oac, cfg.heads), _head_slices(cao, cfg.heads)):
         scores = _lorentz_scores(cfg, *_lorentz_lift(cfg, inst_h),
                                  *_lorentz_lift(cfg, ctx_h))
-        oac[:, cols] = matmul(softmax_rows(scores), ctx_h)
+        oac_h[:] = matmul(softmax_rows(scores), ctx_h)
         out = matmul(softmax_rows(scores.T), inst_h)
         del scores  # free this head's n x m arrays before the next distance pass
-        if pooled:
-            out = (out[:n_cao] + out[n_cao:]) / 2.0
-        cao[:, cols] = out
+        cao_h[:] = (out[:n_cao] + out[n_cao:]) / 2.0 if pooled else out
     return oac, cao
 
 

@@ -16,9 +16,11 @@ Two experiments:
 Both experiments are deterministic given their seed.  In the tree
 embedding each stress evaluation is one vectorized pairwise-distance pass,
 and the gradient at an accepted point reuses that pass instead of computing
-the distances again.  The Lorentz stress gradient is, per pair,
-2 err_ij * lorentz.distance_gradient(u_i, u_j, c); the tests check the
-vectorized form against that sum and against finite differences.
+the distances again.  The Lorentz arm takes its lift and distances, clip
+floor included, from lorentz.lift_rows and pairwise_distance_matrix, and
+its gradient in those lifted coordinates is, per pair, 2 err_ij *
+lorentz.distance_gradient(u_i, u_j, c); the tests check it against that
+sum and against finite differences.
 """
 
 from __future__ import annotations
@@ -32,9 +34,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import oblique
-from .lorentz import (DEFAULT_EPS_CLIP, _sinhc, _sinhc_deriv_over_r,
-                      check_curvature)
+from . import lorentz, oblique
+from .lorentz import _sinhc, _sinhc_deriv_over_r, check_curvature
 
 __all__ = [
     "TreeSpec",
@@ -59,6 +60,8 @@ class TreeSpec:
             raise ValueError(f"branching must be >= 2, got {self.branching}")
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
+        if not (math.isfinite(self.edge_length) and self.edge_length > 0):
+            raise ValueError(f"edge_length must be finite and > 0, got {self.edge_length}")
 
 
 @dataclass(frozen=True)
@@ -142,22 +145,21 @@ def tree_distance_matrix(spec: TreeSpec) -> np.ndarray:
 class _StressEval(NamedTuple):
     """One stress evaluation: the stress and what its gradient reuses.
 
-    ``arg`` (the clipped arccosh argument) and ``parts`` (the per-row
-    factors of :func:`_lorentz_parts`) are None for the Euclidean space.
+    ``parts`` is (c, space, time): the curvature and the rows lifted by
+    :func:`lorentz.lift_rows` for the Lorentz space, None for Euclidean.
     """
 
     stress: float
     d: np.ndarray    # pairwise distances
     err: np.ndarray  # d - targets, zero diagonal
-    arg: Optional[np.ndarray] = None
     parts: Optional[tuple] = None
 
 
-def _stress_eval(d, targets, arg=None, parts=None) -> _StressEval:
+def _stress_eval(d, targets, parts=None) -> _StressEval:
     err = d - targets
     np.fill_diagonal(err, 0.0)
     stress = 0.5 * float((err * err).sum())  # each unordered pair once
-    return _StressEval(stress, d, err, arg, parts)
+    return _StressEval(stress, d, err, parts)
 
 
 def _euclidean_distances(x, targets) -> _StressEval:
@@ -194,55 +196,33 @@ def _euclidean_stress_grad(x, ev: _StressEval) -> np.ndarray:
     return grad
 
 
-def _lorentz_parts(u, c):
-    """Per-row factors: a = sqrt(c), cosh(a r), sinh(a r)/(a r) and
-    (d/dr sinh(a r)/r) / r, with r the row norms of ``u``."""
-    a = math.sqrt(c)
-    r = np.sqrt((u * u).sum(axis=1))
-    return a, np.cosh(a * r), _sinhc(a * r), _sinhc_deriv_over_r(r, a)
-
-
 def _lorentz_distances(u, targets, c) -> _StressEval:
-    """Stress of the lifted rows of ``u`` against ``targets`` from one
-    distance pass.
-
-    beta_ij = cosh_i cosh_j - (u_i . u_j) a^2 sc_i sc_j is the arccosh
-    argument, clipped at 1 + DEFAULT_EPS_CLIP as in :mod:`lorentz`.
-    """
-    parts = _lorentz_parts(u, c)
-    a, cosh, sc, _ = parts
-    beta = u @ u.T
-    beta *= a
-    beta *= a
-    beta *= np.outer(sc, sc)
-    np.subtract(np.outer(cosh, cosh), beta, out=beta)
-    np.maximum(beta, 1.0 + DEFAULT_EPS_CLIP, out=beta)
-    d = np.arccosh(beta)
-    d /= a
-    return _stress_eval(d, targets, beta, parts)
+    """Stress of ``u``'s rows, lifted by :func:`lorentz.lift_rows`, against
+    ``targets`` from one :func:`lorentz.pairwise_distance_matrix` pass."""
+    space, time = lorentz.lift_rows(u, c)
+    d = lorentz.pairwise_distance_matrix(space, time, space, time, c)
+    return _stress_eval(d, targets, (c, space, time))
 
 
 def _lorentz_stress_grad(u, ev: _StressEval) -> np.ndarray:
     """Stress gradient at ``u`` from its evaluation ``ev``.
 
-    Per pair this is 2 err_ij times lorentz.distance_gradient(u_i, u_j, c).
+    Per pair this is 2 err_ij times lorentz.distance_gradient(u_i, u_j, c),
+    taken in lifted coordinates: with a = sqrt(c), space_i = sc_i u_i
+    (sc = sinh(a r)/(a r)) and g = (d/dr sinh(a r)/r) / r, the gradient in
+    u_i of cosh(a D_ij) = c (time_i time_j - space_i . space_j) is
+    (a^3 sc_i time_j - a g_i (u_i . space_j)) u_i - a^2 sc_i space_j.
     """
-    a, cosh, sc, g = ev.parts
-    # dD/dbeta = 1 / (a sqrt(beta^2 - 1)); zero out the (clipped) diagonal.
-    w = ev.arg * ev.arg
-    w -= 1.0
-    np.maximum(w, 1e-300, out=w)
-    np.sqrt(w, out=w)
-    w *= a
-    np.divide(2.0 * ev.err, w, out=w)
+    c, space, time = ev.parts
+    a = math.sqrt(c)
+    # dD/d(cosh(a D)) = 1 / (a sinh(a D)); zero out the (clipped) diagonal.
+    w = 2.0 * ev.err / (a * np.sinh(a * ev.d))
     np.fill_diagonal(w, 0.0)
-    # grad_i beta_ij = (a^2 sc_i cosh_j - a g_i dots_ij sc_j) u_i
-    #                 - a^2 sc_i sc_j u_j
-    wdots = u @ u.T
-    wdots *= w
-    coef_ui = a * a * sc * (w @ cosh) - a * g * (wdots @ sc)
-    w *= sc[None, :]
-    return coef_ui[:, None] * u - (a * a * sc)[:, None] * (w @ u)
+    r = np.sqrt((u * u).sum(axis=1))
+    sc, g = _sinhc(a * r), _sinhc_deriv_over_r(r, a)
+    p = w @ space
+    coef_ui = a ** 3 * sc * (w @ time) - a * g * (u * p).sum(axis=1)
+    return coef_ui[:, None] * u - (a * a * sc)[:, None] * p
 
 
 def _distortion(d: np.ndarray, t: np.ndarray):

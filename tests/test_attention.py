@@ -22,20 +22,17 @@ def test_config_validation():
         AttentionConfig(tau_lor=0.0)
     with pytest.raises(ValueError, match="curvature"):
         AttentionConfig(curvature=-1.0)
-    with pytest.raises(ValueError, match="either alpha or log_alpha"):
-        AttentionConfig(alpha=1.0, log_alpha=0.0)
+    for alpha in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="alpha"):
+            AttentionConfig(alpha=alpha)
 
 
-def test_config_log_alpha():
-    cfg = AttentionConfig(log_alpha=0.5)
-    assert abs(cfg.alpha - math.exp(0.5)) < 1e-15
-
-
-def test_head_dim_divisibility():
+@pytest.mark.parametrize("kernel", [*KERNELS, bidirectional_attention])
+def test_kernels_reject_indivisible_heads(kernel):
     cfg = AttentionConfig(heads=3)
+    x = np.ones((4, 8))
     with pytest.raises(ValueError, match="divisible"):
-        cfg.head_dim(8)
-    assert cfg.head_dim(9) == 3
+        kernel(x, x, cfg) if kernel is bidirectional_attention else kernel(x, x, x, cfg)
 
 
 def test_fourier_pe_values():

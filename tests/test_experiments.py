@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -7,12 +8,12 @@ import numpy as np
 import pytest
 
 import geoattn
-from geoattn import experiments
+from geoattn import experiments, lorentz
 from geoattn.diffcheck import finite_diff_gradient
 from geoattn.experiments import (DescentRun, EmbeddingRun, TreeSpec,
                                  descent_demo, embed_tree, export_trajectories,
                                  tree_distance_matrix)
-from geoattn.lorentz import distance_gradient
+from geoattn.lorentz import distance_gradient, exp_origin, geodesic_distance
 
 
 def test_tree_distance_matrix_depth1():
@@ -86,6 +87,9 @@ def test_spec_validation():
         TreeSpec(branching=1)
     with pytest.raises(ValueError, match="depth"):
         TreeSpec(depth=0)
+    for edge_length in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="edge_length"):
+            TreeSpec(edge_length=edge_length)
 
 
 def test_euclidean_stress_grad_matches_fd():
@@ -132,6 +136,46 @@ def test_lorentz_stress_grad_is_sum_of_distance_gradients(c):
             if i != j:
                 want[i] += 2.0 * ev.err[i, j] * distance_gradient(u[i], u[j], c)
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("c", [0.5, 1.3])
+def test_lorentz_distances_match_scalar_geodesic_distance(c):
+    rng = np.random.default_rng(3)
+    t = tree_distance_matrix(TreeSpec(depth=2))
+    u = rng.normal(scale=0.5, size=(t.shape[0], 2))
+    u[0] = 0.0  # the root at the origin
+    got = experiments._lorentz_distances(u, t, c).d
+    points = [exp_origin(row, c) for row in u]
+    want = np.array([[geodesic_distance(x, y, c) for y in points] for x in points])
+    off = ~np.eye(len(u), dtype=bool)
+    assert np.all(np.abs(got - want)[off] <= 1e-12 * want[off])
+    # Self-distances are rounding noise at or just above the clip floor, so
+    # they are bounded, not compared; the root's is the floor itself.
+    floor = math.acosh(1.0 + 1e-15) / math.sqrt(c)
+    assert want[0, 0] == floor and abs(got[0, 0] - floor) <= 1e-12 * floor
+    assert np.all(np.diag(got) < 1e-6)
+
+
+def test_lorentz_stress_uses_one_lift_and_one_distance_pass(monkeypatch):
+    calls = {"lift_rows": 0, "pairwise_distance_matrix": 0}
+    lift_rows, distances = lorentz.lift_rows, lorentz.pairwise_distance_matrix
+
+    def counted_lift(*args, **kwargs):
+        calls["lift_rows"] += 1
+        return lift_rows(*args, **kwargs)
+
+    def counted_distances(*args, **kwargs):
+        calls["pairwise_distance_matrix"] += 1
+        return distances(*args, **kwargs)
+
+    monkeypatch.setattr(lorentz, "lift_rows", counted_lift)
+    monkeypatch.setattr(lorentz, "pairwise_distance_matrix", counted_distances)
+    t = tree_distance_matrix(TreeSpec(depth=2))
+    u = np.random.default_rng(4).normal(scale=0.5, size=(t.shape[0], 2))
+    ev = experiments._lorentz_distances(u, t, 1.0)
+    assert calls == {"lift_rows": 1, "pairwise_distance_matrix": 1}
+    experiments._lorentz_stress_grad(u, ev)
+    assert calls == {"lift_rows": 1, "pairwise_distance_matrix": 1}
 
 
 def test_embed_tree_deterministic():

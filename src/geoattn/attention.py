@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -70,15 +70,15 @@ class AttentionConfig:
     """Shared configuration for both kernels.
 
     ``alpha`` is the tangent scale used when lifting onto the hyperboloid:
-    finite and > 0, or ``None`` for 1/sqrt(head_dim).
+    finite and > 0, or ``None`` for 1/sqrt(head_dim).  The clip floors are
+    not settings: they are the constants ``oblique.EPS_CLIP`` and
+    ``lorentz.EPS_CLIP``.
     """
 
     heads: int = 4
     tau_obl: float = 1.0
     tau_lor: float = 0.1
     curvature: float = 1.0
-    eps_oblique: float = 1e-4
-    eps_lorentz: float = 1e-15
     alpha: Optional[float] = None
 
     def __post_init__(self):
@@ -94,14 +94,12 @@ class AttentionConfig:
             raise ValueError(f"alpha must be None or finite and > 0, got {self.alpha}")
 
 
-def fourier_pe(pos, num_freqs: int, out_dim: Optional[int] = None) -> np.ndarray:
-    """3D Fourier positional encoding.
+def fourier_pe(pos, num_freqs: int) -> np.ndarray:
+    """3D Fourier positional encoding, n x (3 * 2 * num_freqs).
 
     Per coordinate x and frequency f_j = 2^j (j = 0..num_freqs-1), emits
     sin(f_j x), cos(f_j x), interleaved coordinate-major:
     [sin(f_0 x_0), cos(f_0 x_0), sin(f_1 x_0), ..., sin(f_0 x_1), ...].
-    The natural width is 3 * 2 * num_freqs; a different ``out_dim`` is met
-    by zero-padding or truncating on the right.
     """
     pos = as_matrix(pos, name="positions")
     if pos.shape[1] != 3:
@@ -110,14 +108,7 @@ def fourier_pe(pos, num_freqs: int, out_dim: Optional[int] = None) -> np.ndarray
     # shape n x 3 x num_freqs
     phases = pos[:, :, None] * freqs[None, None, :]
     pairs = np.stack([np.sin(phases), np.cos(phases)], axis=-1)
-    enc = pairs.reshape(pos.shape[0], 3 * 2 * num_freqs)
-    if out_dim is None or out_dim == enc.shape[1]:
-        return enc
-    if out_dim < enc.shape[1]:
-        return enc[:, :out_dim]
-    padded = np.zeros((pos.shape[0], out_dim))
-    padded[:, : enc.shape[1]] = enc
-    return padded
+    return pairs.reshape(pos.shape[0], 3 * 2 * num_freqs)
 
 
 def default_embed(num_freqs: int = 4) -> EmbedFn:
@@ -224,7 +215,7 @@ def oblique_attention(q, k, v, cfg: AttentionConfig,
     """
 
     def block_scores(qn, kn):
-        d = oblique.pairwise_distances(qn, kn, cfg.eps_oblique)
+        d = oblique.pairwise_distances(qn, kn)
         # d / -tau is -d / tau exactly: negation commutes with rounding.
         return np.divide(d, -cfg.tau_obl, out=d)
 
@@ -261,8 +252,7 @@ def _lorentz_scores(cfg: AttentionConfig, sq, tq, sk, tk) -> np.ndarray:
 
     The distance matrix is consumed in place.
     """
-    d = lorentz.pairwise_distance_matrix(sq, tq, sk, tk, cfg.curvature,
-                                         cfg.eps_lorentz)
+    d = lorentz.pairwise_distance_matrix(sq, tq, sk, tk, cfg.curvature)
     # d / -tau is -d / tau exactly: negation commutes with rounding.
     np.divide(d, -cfg.tau_lor, out=d)
     return np.exp(d, out=d)

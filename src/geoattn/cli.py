@@ -7,7 +7,6 @@ GEOATTN_SEED overrides the default seed.  All file outputs are UTF-8.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -36,10 +35,7 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def cmd_verify(args) -> int:
-    cfg = AttentionConfig(eps_lorentz=args.eps_lorentz,
-                          eps_oblique=args.eps_oblique)
-    results = run_properties(filter_substring=args.filter or "",
-                             seed=args.seed, cfg=cfg)
+    results = run_properties(filter_substring=args.filter or "", seed=args.seed)
     if not results:
         print(f"no properties match filter {args.filter!r}", file=sys.stderr)
         return 1
@@ -158,9 +154,6 @@ def cmd_tree_embed(args) -> int:
 def cmd_descent(args) -> int:
     run = experiments.descent_demo(experiments.DescentRun(
         condition_number=args.condition_number, tol=args.tol, seed=args.seed))
-    if not os.path.isdir(args.out_dir):
-        print(f"output directory does not exist: {args.out_dir}", file=sys.stderr)
-        return 1
     paths = experiments.export_trajectories(run, args.out_dir)
     ratio = run.iters_oblique / max(run.iters_unconstrained, 1)
     print(f"unconstrained iterations: {run.iters_unconstrained} "
@@ -183,8 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the invariant/property suite")
     v.add_argument("--filter", help="only run properties containing this substring")
-    v.add_argument("--eps-lorentz", type=float, default=1e-15)
-    v.add_argument("--eps-oblique", type=float, default=1e-4)
     v.set_defaults(fn=cmd_verify)
 
     b = sub.add_parser("bench", help="micro-benchmark the three kernels")

@@ -4,34 +4,31 @@ Two kinds: central finite differences (checks analytic distance
 gradients), and a scalar transliteration of both attention algorithms
 (checks the optimized kernels).  The reference deliberately shares no code
 with the optimized paths - plain Python floats, ``math`` calls, and nested
-loops only - so an agreement to 1e-12 is meaningful evidence.
+loops only - so an agreement to 1e-12 is meaningful evidence.  It writes
+its clip floors, 1e-4 (oblique) and 1e-15 (Lorentz), as its own literals
+rather than importing ``oblique.EPS_CLIP`` and ``lorentz.EPS_CLIP``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["FDConfig", "finite_diff_gradient", "naive_attention_reference"]
+__all__ = ["finite_diff_gradient", "naive_attention_reference"]
 
 _SIZE_CAP = 256
 
 
-@dataclass(frozen=True)
-class FDConfig:
-    step: float = 1e-6
+def finite_diff_gradient(f, x, step: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient g_i = (f(x + h e_i) - f(x - h e_i)) / 2h.
 
-    def __post_init__(self):
-        if not self.step > 0:
-            raise ValueError(f"step must be positive, got {self.step}")
-
-
-def finite_diff_gradient(f, x, cfg: FDConfig = FDConfig()) -> np.ndarray:
-    """Central-difference gradient g_i = (f(x + h e_i) - f(x - h e_i)) / 2h."""
+    h is ``step``, which must be positive.
+    """
+    if not step > 0:
+        raise ValueError(f"step must be positive, got {step}")
     x = np.asarray(x, dtype=np.float64)
-    h = cfg.step
+    h = step
     grad = np.zeros_like(x)
     for i in range(x.shape[0]):
         xp = x.copy()
@@ -70,11 +67,16 @@ def _oblique_rows(rows):
     return out
 
 
-def _oblique_dist(a, b, eps_clip):
+# Not imported from the kernels: if either EPS_CLIP changes, the 1e-12 gate fails.
+_OBLIQUE_CLIP = 1e-4
+_LORENTZ_CLIP = 1e-15
+
+
+def _oblique_dist(a, b):
     dot = 0.0
     for x, y in zip(a, b):
         dot += x * y
-    dot = min(max(dot, -1.0 + eps_clip), 1.0 - eps_clip)
+    dot = min(max(dot, -1.0 + _OBLIQUE_CLIP), 1.0 - _OBLIQUE_CLIP)
     return math.acos(dot)
 
 
@@ -88,13 +90,13 @@ def _lift_row(row, c, alpha):
     return space, time
 
 
-def _lorentz_dist(p, q, c, eps_clip):
+def _lorentz_dist(p, q, c):
     space_p, time_p = p
     space_q, time_q = q
     inner = -time_p * time_q
     for x, y in zip(space_p, space_q):
         inner += x * y
-    arg = max(-c * inner, 1.0 + eps_clip)
+    arg = max(-c * inner, 1.0 + _LORENTZ_CLIP)
     return math.acosh(arg) / math.sqrt(c)
 
 
@@ -124,7 +126,7 @@ def naive_attention_reference(q, k, v, space: str, cfg) -> np.ndarray:
             qn = _oblique_rows(qh)
             kn = _oblique_rows(kh)
             scores = [
-                [-_oblique_dist(qn[i], kn[j], cfg.eps_oblique) / cfg.tau_obl
+                [-_oblique_dist(qn[i], kn[j]) / cfg.tau_obl
                  for j in range(m)]
                 for i in range(n)
             ]
@@ -134,7 +136,7 @@ def naive_attention_reference(q, k, v, space: str, cfg) -> np.ndarray:
             qp = [_lift_row(row, c, alpha) for row in qh]
             kp = [_lift_row(row, c, alpha) for row in kh]
             scores = [
-                [math.exp(-_lorentz_dist(qp[i], kp[j], c, cfg.eps_lorentz) / cfg.tau_lor)
+                [math.exp(-_lorentz_dist(qp[i], kp[j], c) / cfg.tau_lor)
                  for j in range(m)]
                 for i in range(n)
             ]

@@ -29,6 +29,7 @@ import dataclasses
 import functools
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -51,6 +52,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TreeSpec:
+    """A complete ``branching``-ary tree of the given depth.
+
+    Its (b^(depth+1) - 1) / (b - 1) nodes are counted in Python ints, and a
+    tree whose n x n float64 distance matrix cannot exist (n * n * 8 bytes
+    past ``sys.maxsize``) is rejected, so no int64 count can wrap.
+    """
+
     branching: int = 2
     depth: int = 5
     edge_length: float = 1.0
@@ -62,6 +70,14 @@ class TreeSpec:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
         if not (math.isfinite(self.edge_length) and self.edge_length > 0):
             raise ValueError(f"edge_length must be finite and > 0, got {self.edge_length}")
+        nodes = (self.branching ** (self.depth + 1) - 1) // (self.branching - 1)
+        if nodes * nodes * 8 > sys.maxsize:
+            count = nodes if nodes < 10 ** 30 else "more than 10^30"
+            raise ValueError(
+                f"a tree with branching {self.branching} and depth {self.depth} "
+                f"has {count} nodes; an n x n float64 distance matrix of that "
+                f"size exceeds sys.maxsize bytes"
+            )
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,10 @@ Numerical conventions:
 * The time component is always recomputed from the space component, never
   trusted from input arithmetic.
 * Geodesic distance clips the arcosh argument to [1 + eps, inf) with
-  eps = 1e-15, so self-distance is arcosh(1 + 1e-15)/sqrt(c) ~ 4.47e-8/sqrt(c)
-  (the clip floor), never NaN.
+  eps = ``EPS_CLIP`` = 1e-15, a fixed constant, so self-distance is
+  arcosh(1 + 1e-15)/sqrt(c) ~ 4.47e-8/sqrt(c) (the clip floor), never NaN.
+* Tangent vectors at the origin are plain 1-D arrays: ``exp_origin`` and
+  ``distance_gradient`` take them and ``log_origin`` returns one.
 * Hyperboloid membership is checked with a scale-normalized residual
   |<x,x>_L + 1/c| / max(1, x_time^2).  Far from the origin x_time^2 can
   exceed 1e50 and an absolute residual below rounding error of x_time is
@@ -37,9 +39,8 @@ from .linalg import as_vector
 
 __all__ = [
     "MIN_CURVATURE",
-    "DEFAULT_EPS_CLIP",
+    "EPS_CLIP",
     "LorentzPoint",
-    "TangentAtOrigin",
     "check_curvature",
     "origin",
     "lorentz_inner",
@@ -53,7 +54,7 @@ __all__ = [
 ]
 
 MIN_CURVATURE = 1e-3
-DEFAULT_EPS_CLIP = 1e-15
+EPS_CLIP = 1e-15
 
 _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 
@@ -84,23 +85,6 @@ class LorentzPoint:
     @property
     def dim(self) -> int:
         return self.space.shape[0]
-
-
-@dataclass(frozen=True)
-class TangentAtOrigin:
-    """A tangent vector at the origin: Euclidean part ``enc`` times ``scale``."""
-
-    enc: np.ndarray
-    scale: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "enc", as_vector(self.enc, name="tangent enc"))
-        if not (self.scale > 0):
-            raise ValueError(f"tangent scale must be positive, got {self.scale}")
-
-    @property
-    def vector(self) -> np.ndarray:
-        return self.scale * self.enc
 
 
 def origin(n: int, c: float) -> LorentzPoint:
@@ -171,35 +155,34 @@ def _check_lift_limit(t_max: float, c: float, what: str) -> None:
 def exp_origin(u, c: float) -> LorentzPoint:
     """Exponential map at the origin.
 
-    space = sinh(sqrt(c) r) / (sqrt(c) r) * v with v the effective tangent
-    vector (scale * enc) and r = ||v||; time is recomputed from space.
-    Accepts a :class:`TangentAtOrigin` or a plain array (scale 1).  Past
-    the float64 limit of :func:`lift_rows` it raises the same ValueError.
+    space = sinh(sqrt(c) r) / (sqrt(c) r) * u with r = ||u||; time is
+    recomputed from space.  Past the float64 limit of :func:`lift_rows` it
+    raises the same ValueError.
     """
     c = check_curvature(c)
-    v = u.vector if isinstance(u, TangentAtOrigin) else as_vector(u, name="tangent")
-    t = math.sqrt(c) * float(np.linalg.norm(v))
+    u = as_vector(u, name="tangent")
+    t = math.sqrt(c) * float(np.linalg.norm(u))
     _check_lift_limit(t, c, "exp_origin")
-    space = _sinhc(t) * v
+    space = _sinhc(t) * u
     time = math.sqrt(1.0 / c + float(np.dot(space, space)))
     return LorentzPoint(space, time)
 
 
-def log_origin(x: LorentzPoint, c: float) -> TangentAtOrigin:
+def log_origin(x: LorentzPoint, c: float) -> np.ndarray:
     """Logarithmic map at the origin, inverse of :func:`exp_origin`.
 
-    enc = asinh(s)/s * x_space with s = sqrt(c) ||x_space||, returned with
-    scale 1.  Equals the arcosh form since -c <x, O>_L = sqrt(1 + s^2).
+    Returns the tangent vector asinh(s)/s * x_space with
+    s = sqrt(c) ||x_space||.  Equals the arcosh form since
+    -c <x, O>_L = sqrt(1 + s^2).
     """
     c = check_curvature(c)
     _require_on_manifold(x, c, "log_origin")
     s = math.sqrt(c) * float(np.linalg.norm(x.space))
-    return TangentAtOrigin(_asinhc(s) * x.space, 1.0)
+    return _asinhc(s) * x.space
 
 
-def geodesic_distance(x: LorentzPoint, y: LorentzPoint, c: float,
-                      eps_clip: float = DEFAULT_EPS_CLIP) -> float:
-    """(1/sqrt(c)) arcosh(max(-c <x,y>_L, 1 + eps_clip)).
+def geodesic_distance(x: LorentzPoint, y: LorentzPoint, c: float) -> float:
+    """(1/sqrt(c)) arcosh(max(-c <x,y>_L, 1 + EPS_CLIP)).
 
     The clip keeps the arcosh argument strictly >= 1, so coincident points
     get the floor distance arcosh(1 + eps)/sqrt(c) instead of NaN.
@@ -207,14 +190,13 @@ def geodesic_distance(x: LorentzPoint, y: LorentzPoint, c: float,
     c = check_curvature(c)
     _require_on_manifold(x, c, "geodesic_distance (first argument)")
     _require_on_manifold(y, c, "geodesic_distance (second argument)")
-    arg = max(-c * lorentz_inner(x, y), 1.0 + eps_clip)
+    arg = max(-c * lorentz_inner(x, y), 1.0 + EPS_CLIP)
     return math.acosh(arg) / math.sqrt(c)
 
 
 def pairwise_distance_matrix(space_x: np.ndarray, time_x: np.ndarray,
                              space_y: np.ndarray, time_y: np.ndarray,
-                             c: float,
-                             eps_clip: float = DEFAULT_EPS_CLIP) -> np.ndarray:
+                             c: float) -> np.ndarray:
     """Pairwise geodesic distances from stacked space/time components.
 
     The result is a fresh array; every step after the product runs in place
@@ -224,7 +206,7 @@ def pairwise_distance_matrix(space_x: np.ndarray, time_x: np.ndarray,
     beta = space_x @ space_y.T
     beta -= np.outer(time_x, time_y)
     beta *= -c
-    np.maximum(beta, 1.0 + eps_clip, out=beta)
+    np.maximum(beta, 1.0 + EPS_CLIP, out=beta)
     np.arccosh(beta, out=beta)
     beta /= math.sqrt(c)
     return beta
@@ -267,7 +249,7 @@ def _sinhc_deriv_over_r(r, a: float):
                     (safe_t * np.cosh(safe_t) - np.sinh(safe_t)) / safe_r ** 3)[()]
 
 
-def distance_gradient(x_tangent, y_tangent, c: float) -> np.ndarray:
+def distance_gradient(u, w, c: float) -> np.ndarray:
     """Gradient of d(exp_O(u), exp_O(w)) with respect to u.
 
     Writes the arcosh argument as
@@ -278,8 +260,8 @@ def distance_gradient(x_tangent, y_tangent, c: float) -> np.ndarray:
     which raise.
     """
     c = check_curvature(c)
-    u = x_tangent.vector if isinstance(x_tangent, TangentAtOrigin) else as_vector(x_tangent)
-    w = y_tangent.vector if isinstance(y_tangent, TangentAtOrigin) else as_vector(y_tangent)
+    u = as_vector(u, name="tangent")
+    w = as_vector(w, name="tangent")
     if u.shape != w.shape:
         raise ValueError(f"tangent shape mismatch: {u.shape} vs {w.shape}")
     a = math.sqrt(c)

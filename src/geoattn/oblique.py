@@ -6,10 +6,10 @@ pairs.  The attention kernels treat each embedded feature row as a
 single-column point, so the per-pair distance reduces to arccos of the
 clipped cosine.
 
-Dot products feeding arccos are clipped to [-1 + eps, 1 - eps] (default
-eps = 1e-4).  A deliberate consequence: the self-distance of a point is
-arccos(1 - eps) ~ 0.014142 rather than 0.  This clip floor is documented
-and tested, not hidden.
+Dot products feeding arccos are clipped to [-1 + eps, 1 - eps] with
+eps = ``EPS_CLIP`` = 1e-4, a fixed constant.  A deliberate consequence: the
+self-distance of a point is arccos(1 - eps) ~ 0.014142 rather than 0.  This
+clip floor is documented and tested, not hidden.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .linalg import as_matrix
 
 __all__ = [
-    "DEFAULT_EPS_CLIP",
+    "EPS_CLIP",
     "ObliqueMatrix",
     "ObliqueTangent",
     "project",
@@ -33,7 +33,7 @@ __all__ = [
     "distance_gradient",
 ]
 
-DEFAULT_EPS_CLIP = 1e-4
+EPS_CLIP = 1e-4
 
 # Column norms this close to 1 count as on-manifold.
 _NORM_TOL = 1e-12
@@ -90,16 +90,16 @@ class ObliqueTangent:
         object.__setattr__(self, "delta", d)
 
 
-def project(m, eps_zero: float = 1e-12) -> ObliqueMatrix:
+def project(m) -> ObliqueMatrix:
     """Normalize each column to unit norm.
 
-    Columns with norm < ``eps_zero`` cannot be normalized; they are replaced
+    Columns with norm < 1e-12 cannot be normalized; they are replaced
     by the unit vector e1 and flagged in ``degenerate``.  Attention pipelines
     must not abort on a single dead feature.
     """
     m = as_matrix(m, name="projection input")
     norms = np.sqrt((m * m).sum(axis=0))
-    dead = norms < eps_zero
+    dead = norms < 1e-12
     safe = np.where(dead, 1.0, norms)
     out = m / safe
     if dead.any():
@@ -110,12 +110,11 @@ def project(m, eps_zero: float = 1e-12) -> ObliqueMatrix:
     return ObliqueMatrix(out, degenerate=tuple(bool(b) for b in dead))
 
 
-def _clip(t, eps_clip: float, out=None):
-    return np.clip(t, -1.0 + eps_clip, 1.0 - eps_clip, out=out)
+def _clip(t, out=None):
+    return np.clip(t, -1.0 + EPS_CLIP, 1.0 - EPS_CLIP, out=out)
 
 
-def geodesic_distance(q: ObliqueMatrix, k: ObliqueMatrix,
-                      eps_clip: float = DEFAULT_EPS_CLIP) -> float:
+def geodesic_distance(q: ObliqueMatrix, k: ObliqueMatrix) -> float:
     """sqrt(sum_i arccos^2(q_i . k_i)) over the g column pairs.
 
     Each column-wise dot product is clipped to [-1 + eps, 1 - eps] before
@@ -124,11 +123,11 @@ def geodesic_distance(q: ObliqueMatrix, k: ObliqueMatrix,
     """
     if q.shape != k.shape:
         raise ValueError(f"shape mismatch: {q.shape} vs {k.shape}")
-    dots = _clip((q.inner * k.inner).sum(axis=0), eps_clip)
+    dots = _clip((q.inner * k.inner).sum(axis=0))
     return float(np.sqrt((np.arccos(dots) ** 2).sum()))
 
 
-def pairwise_distances(q_rows, k_rows, eps_clip: float = DEFAULT_EPS_CLIP) -> np.ndarray:
+def pairwise_distances(q_rows, k_rows) -> np.ndarray:
     """Pairwise arccos distances between unit-norm rows.
 
     Each row is a single-column oblique point, so D_ij = arccos(clip(q_i . k_j)).
@@ -142,7 +141,7 @@ def pairwise_distances(q_rows, k_rows, eps_clip: float = DEFAULT_EPS_CLIP) -> np
             f"feature dim mismatch: q has {q.shape[1]}, k has {k.shape[1]}"
         )
     d = q @ k.T
-    return np.arccos(_clip(d, eps_clip, out=d), out=d)
+    return np.arccos(_clip(d, out=d), out=d)
 
 
 def tangent_project(w: ObliqueMatrix, grad) -> ObliqueTangent:
@@ -163,7 +162,7 @@ def retract(t: ObliqueTangent, step: float) -> ObliqueMatrix:
     return project(t.base.inner + step * t.delta)
 
 
-def distance_gradient(q_row, k_row, eps_clip: float = DEFAULT_EPS_CLIP) -> np.ndarray:
+def distance_gradient(q_row, k_row) -> np.ndarray:
     """Gradient of arccos(clip(q . k)) with respect to q.
 
     d/dq arccos(t) = -k / sqrt(1 - t^2) with t the clipped dot product;
@@ -173,5 +172,5 @@ def distance_gradient(q_row, k_row, eps_clip: float = DEFAULT_EPS_CLIP) -> np.nd
     k = np.asarray(k_row, dtype=np.float64)
     if q.shape != k.shape:
         raise ValueError(f"shape mismatch: {q.shape} vs {k.shape}")
-    t = float(_clip(np.dot(q, k), eps_clip))
+    t = float(_clip(np.dot(q, k)))
     return -k / math.sqrt(1.0 - t * t)

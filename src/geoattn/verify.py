@@ -89,15 +89,14 @@ def _prop_oblique_symmetry(rng, cfg):
 
 def _prop_oblique_triangle(rng, cfg):
     worst = -np.inf
-    clip = cfg.eps_oblique
     count = 0
     while count < 1000:
         rows = _unit_rows(rng, 3, 5)
         dots = rows @ rows.T
         off = dots[np.triu_indices(3, k=1)]
-        if np.abs(off).max() > 1.0 - 2 * clip:
+        if np.abs(off).max() > 1.0 - 2 * oblique.EPS_CLIP:
             continue  # stay inside the clip region
-        d = oblique.pairwise_distances(rows, rows, clip)
+        d = oblique.pairwise_distances(rows, rows)
         worst = max(worst, float(d[0, 2] - d[0, 1] - d[1, 2]))
         count += 1
     return worst, 1e-9
@@ -115,8 +114,8 @@ def _prop_tangent_bound(rng, cfg):
 
 def _prop_oblique_clip_floor(rng, cfg):
     rows = _unit_rows(rng, 8, 6)
-    d = oblique.pairwise_distances(rows, rows, cfg.eps_oblique)
-    floor = math.acos(1.0 - cfg.eps_oblique)
+    d = oblique.pairwise_distances(rows, rows)
+    floor = math.acos(1.0 - oblique.EPS_CLIP)
     err = float(np.abs(np.diag(d) - floor).max())
     return err, 1e-12, f"floor = {floor:.6e}"
 
@@ -139,7 +138,7 @@ def _prop_lorentz_roundtrip(rng, cfg):
         u = rng.normal(size=4)
         u *= rng.uniform(0, 10) / max(np.linalg.norm(u), 1e-12)
         back = lorentz.log_origin(lorentz.exp_origin(u, c), c)
-        worst = max(worst, float(np.linalg.norm(back.vector - u)))
+        worst = max(worst, float(np.linalg.norm(back - u)))
     return worst, 1e-9
 
 
@@ -189,8 +188,8 @@ def _prop_lorentz_clip_floor(rng, cfg):
     c = cfg.curvature
     u = rng.normal(size=3)
     x = lorentz.exp_origin(u, c)
-    d = lorentz.geodesic_distance(x, x, c, cfg.eps_lorentz)
-    floor = math.acosh(1.0 + cfg.eps_lorentz) / math.sqrt(c)
+    d = lorentz.geodesic_distance(x, x, c)
+    floor = math.acosh(1.0 + lorentz.EPS_CLIP) / math.sqrt(c)
     return abs(d - floor), 1e-12, f"floor = {floor:.6e}"
 
 
@@ -200,10 +199,10 @@ def _prop_gradients_match_fd(rng, cfg):
         q, k = _unit_rows(rng, 2, 4)
         if abs(float(q @ k)) > 0.9:
             continue
-        analytic = oblique.distance_gradient(q, k, cfg.eps_oblique)
+        analytic = oblique.distance_gradient(q, k)
         fd = diffcheck.finite_diff_gradient(
-            lambda z: math.acos(float(np.clip(z @ k, -1 + cfg.eps_oblique,
-                                              1 - cfg.eps_oblique))), q)
+            lambda z: math.acos(float(np.clip(z @ k, -1 + oblique.EPS_CLIP,
+                                              1 - oblique.EPS_CLIP))), q)
         worst = max(worst, float(np.linalg.norm(analytic - fd) /
                                  np.linalg.norm(fd)))
     for _ in range(100):
@@ -221,7 +220,7 @@ def _prop_gradients_match_fd(rng, cfg):
 def _prop_attention_row_sums(rng, cfg):
     q, k = rng.normal(size=(10, 8)), rng.normal(size=(12, 8))
     d_obl = oblique.pairwise_distances(_unit_rows(rng, 10, 8),
-                                       _unit_rows(rng, 12, 8), cfg.eps_oblique)
+                                       _unit_rows(rng, 12, 8))
     w_obl = softmax_rows(-d_obl / cfg.tau_obl)
     sq, tq = lorentz.lift_rows(q, cfg.curvature, 0.5)
     sk, tk = lorentz.lift_rows(k, cfg.curvature, 0.5)
@@ -329,10 +328,12 @@ ALL_PROPERTIES: dict[str, Callable] = {
 }
 
 
-def run_properties(filter_substring: str = "", seed: int = 0,
-                   cfg: AttentionConfig | None = None) -> list[PropertyResult]:
-    """Run all (or filtered) properties; returns one result per property."""
-    cfg = cfg or AttentionConfig()
+def run_properties(filter_substring: str = "", seed: int = 0) -> list[PropertyResult]:
+    """Run all (or filtered) properties under the default AttentionConfig.
+
+    Returns one result per property.
+    """
+    cfg = AttentionConfig()
     results = []
     for name, fn in ALL_PROPERTIES.items():
         if filter_substring and filter_substring not in name:

@@ -66,7 +66,7 @@ def test_criterion_02_exp_log_roundtrip():
         for _ in range(1000):
             u = rng.normal(size=4)
             u *= rng.uniform(0.0, 10.0) / np.linalg.norm(u)
-            back = lorentz.log_origin(lorentz.exp_origin(u, c), c).vector
+            back = lorentz.log_origin(lorentz.exp_origin(u, c), c)
             worst = max(worst, float(np.linalg.norm(back - u)))
     _report(2, "exp/log roundtrip", worst <= 1e-9, f"max error {worst:.1e}")
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -48,11 +49,10 @@ def test_fourier_pe_values():
 
 
 def test_fourier_pe_pad_truncate():
+    # the width is always 3 * 2 * num_freqs: no padding or truncation
     pos = np.zeros((3, 3))
-    assert fourier_pe(pos, 2, out_dim=5).shape == (3, 5)
-    padded = fourier_pe(pos, 2, out_dim=20)
-    assert padded.shape == (3, 20)
-    assert np.array_equal(padded[:, 12:], np.zeros((3, 8)))
+    for num_freqs in (1, 2, 5):
+        assert fourier_pe(pos, num_freqs).shape == (3, 6 * num_freqs)
     with pytest.raises(ValueError, match="n x 3"):
         fourier_pe(np.zeros((2, 2)), 2)
 
@@ -211,6 +211,35 @@ def test_lorentz_lift_past_float64_limit_raises():
     q = np.array([[0.3, 0.4], [600.0, 800.0]])  # sqrt(c) r = 1000
     with pytest.raises(ValueError, match="largest sqrt.*is 1000, past the float64 limit"):
         lorentz_cross_attention(q, q, q, cfg)
+
+
+@pytest.mark.filterwarnings("error")  # an overflow or invalid-value warning fails
+def test_config_envelope_gives_finite_output_or_names_float64_limit():
+    # every AttentionConfig field at its extremes, at three input scales
+    rng = np.random.default_rng(0)
+    base = rng.normal(size=(3, 6, 8))
+
+    def bidirectional(q, k, v, cfg):
+        return bidirectional_attention(q, [k[:3], k[3:]], cfg)
+
+    calls = limits = 0
+    for heads, tau_obl, tau_lor, c, alpha, scale in itertools.product(
+            (1, 2, 4), (1e-3, 1.0, 1e3), (1e-3, 0.1, 1e3), (1e-3, 1.0, 1e3),
+            (None, 1e-3, 10.0), (1e-6, 1.0, 1e4)):
+        cfg = AttentionConfig(heads=heads, tau_obl=tau_obl, tau_lor=tau_lor,
+                              curvature=c, alpha=alpha)
+        q, k, v = scale * base
+        for kernel in (*KERNELS, bidirectional):
+            calls += 1
+            try:
+                out = kernel(q, k, v, cfg)
+            except ValueError as exc:
+                assert "float64 limit" in str(exc), (cfg, scale, exc)
+                limits += 1
+                continue
+            for o in out if isinstance(out, tuple) else (out,):
+                assert np.isfinite(o).all(), (cfg, scale)
+    assert calls == 2916 and 0 < limits < calls
 
 
 def test_bidirectional_single_context():

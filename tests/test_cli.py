@@ -75,6 +75,7 @@ def test_descent_writes_trajectories(tmp_path, capsys):
 
 def test_descent_missing_dir(tmp_path, capsys):
     assert cli.main(["descent", "--out-dir", str(tmp_path / "nope")]) == 1
+    assert "does not exist" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

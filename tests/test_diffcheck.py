@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from geoattn.diffcheck import (FDConfig, finite_diff_gradient,
-                               naive_attention_reference)
+from geoattn.diffcheck import finite_diff_gradient, naive_attention_reference
 from geoattn.attention import AttentionConfig
 
 
@@ -19,8 +18,9 @@ def test_constant_function():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="positive"):
-        FDConfig(step=0.0)
+    for step in (0.0, -1e-6, float("nan")):
+        with pytest.raises(ValueError, match="step must be positive"):
+            finite_diff_gradient(lambda x: 0.0, np.array([1.0]), step=step)
 
 
 def test_nonfinite_reported_with_coordinate():
@@ -36,8 +36,8 @@ def test_step_size_tradeoff():
     # coarser step degrades a cubic's gradient; h=1e-6 stays ~1e-10 accurate
     f = lambda x: float(x[0] ** 3)
     x = np.array([1.5])
-    fine = finite_diff_gradient(f, x, FDConfig(step=1e-6))
-    coarse = finite_diff_gradient(f, x, FDConfig(step=1e-2))
+    fine = finite_diff_gradient(f, x, step=1e-6)
+    coarse = finite_diff_gradient(f, x, step=1e-2)
     exact = 3 * 1.5 ** 2
     assert abs(fine[0] - exact) < 1e-8
     assert abs(coarse[0] - exact) > abs(fine[0] - exact)

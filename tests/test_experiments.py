@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -90,6 +91,24 @@ def test_spec_validation():
     for edge_length in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="edge_length"):
             TreeSpec(edge_length=edge_length)
+
+
+@pytest.mark.parametrize("branching, depth, nodes", [
+    (2, 63, 2 ** 64 - 1),                  # wrapped to 0 nodes in int64
+    (3, 40, (3 ** 41 - 1) // 2),           # wrapped to a negative count
+    (10, 19, (10 ** 20 - 1) // 9),         # wrapped to a bogus 8.6e17
+    (2, 30, 2 ** 31 - 1),                  # fits int64, but not n * n * 8 bytes
+])
+def test_spec_rejects_trees_too_large_for_float64_matrix(branching, depth, nodes):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"branching {branching} and depth "
+                                             rf"{depth} has {nodes} nodes"):
+            TreeSpec(branching=branching, depth=depth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16  # the check allocates no array
 
 
 def test_euclidean_stress_grad_matches_fd():

@@ -1,6 +1,6 @@
 """Command-line surface: verify, bench, tree-embed, descent.
 
-Exit codes: 0 success, 1 property or experiment failure, 2 usage error.
+Exit codes: 0 success, 1 failure or an ``error:`` line on stderr, 2 usage error.
 GEOATTN_SEED overrides the default seed.  All file outputs are UTF-8.
 """
 
@@ -215,7 +215,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,9 +4,10 @@ Two kinds: central finite differences (checks analytic distance
 gradients), and a scalar transliteration of both attention algorithms
 (checks the optimized kernels).  The reference deliberately shares no code
 with the optimized paths - plain Python floats, ``math`` calls, and nested
-loops only - so an agreement to 1e-12 is meaningful evidence.  It writes
-its clip floors, 1e-4 (oblique) and 1e-15 (Lorentz), as its own literals
-rather than importing ``oblique.EPS_CLIP`` and ``lorentz.EPS_CLIP``.
+loops only - so an agreement to 1e-12 is meaningful evidence; its scalar
+Lorentz lift and distance also check ``lorentz``'s row code.  It writes its
+clip floors, 1e-4 and 1e-15, and its head check as its own code rather
+than importing ``oblique.EPS_CLIP``, ``lorentz.EPS_CLIP`` or ``attention``.
 """
 
 from __future__ import annotations
@@ -115,6 +116,9 @@ def naive_attention_reference(q, k, v, space: str, cfg) -> np.ndarray:
         raise ValueError(f"reference capped at {_SIZE_CAP} rows, got {n} x {m}")
     if space not in ("oblique", "lorentz"):
         raise ValueError(f"unknown space {space!r}")
+    if len(q[0]) % cfg.heads or len(v[0]) % cfg.heads:
+        raise ValueError(f"feature dims {len(q[0])} and {len(v[0])} are not "
+                         f"divisible by {cfg.heads} heads")
     dq = len(q[0]) // cfg.heads
     dv = len(v[0]) // cfg.heads
     out = [[0.0] * len(v[0]) for _ in range(n)]

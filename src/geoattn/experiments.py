@@ -123,9 +123,7 @@ class DescentRun:
 
     condition_number: float = 100.0
     tol: float = 1e-6
-    step_size: Optional[float] = None  # default 1 / (2 * condition_number)
     seed: int = 0
-    max_iters: int = 100_000
     iters_unconstrained: Optional[int] = None
     iters_oblique: Optional[int] = None
     converged_unconstrained: bool = False
@@ -333,6 +331,9 @@ def embed_tree(spec: TreeSpec, run: EmbeddingRun) -> EmbeddingRun:
     )
 
 
+_DESCENT_MAX_ITERS = 100_000
+
+
 def descent_demo(run: DescentRun) -> DescentRun:
     """Run both descent arms on f(x) = x^T diag(1, kappa) x.
 
@@ -340,14 +341,15 @@ def descent_demo(run: DescentRun) -> DescentRun:
     oblique arm restricts the direction variable to the unit circle and
     descends h(w) = w^T A w via tangent projection + retraction until
     h - lambda_min <= tol (the restricted objective's minimum is
-    lambda_min = 1, not 0).  Non-convergence at the iteration cap is
+    lambda_min = 1, not 0).  Both arms take the step 1 / (2 kappa).
+    Non-convergence at the iteration cap, ``_DESCENT_MAX_ITERS``, is
     flagged, not raised.
     """
     kappa = run.condition_number
     if kappa < 1:
         raise ValueError(f"condition number must be >= 1, got {kappa}")
     a_diag = np.array([1.0, kappa])
-    step = run.step_size if run.step_size is not None else 1.0 / (2.0 * kappa)
+    step = 1.0 / (2.0 * kappa)
     rng = np.random.default_rng(run.seed)
     theta = rng.uniform(0.0, 2.0 * math.pi)
     x0 = 2.0 * np.array([math.cos(theta), math.sin(theta)])
@@ -358,7 +360,7 @@ def descent_demo(run: DescentRun) -> DescentRun:
     x = x0.copy()
     traj = []
     iters = None
-    for it in range(run.max_iters + 1):
+    for it in range(_DESCENT_MAX_ITERS + 1):
         f = float(x @ (a_diag * x))
         traj.append((float(x[0]), float(x[1]), f))
         if f <= run.tol:
@@ -367,14 +369,14 @@ def descent_demo(run: DescentRun) -> DescentRun:
         x = x - step * 2.0 * a_diag * x
     out.trajectory_unconstrained = traj
     out.converged_unconstrained = iters is not None
-    out.iters_unconstrained = iters if iters is not None else run.max_iters
+    out.iters_unconstrained = iters if iters is not None else _DESCENT_MAX_ITERS
 
     # Oblique arm: direction variable on the unit circle.
     w = oblique.project(x0.reshape(2, 1))
     traj = []
     iters = None
     fmin = float(a_diag.min())
-    for it in range(run.max_iters + 1):
+    for it in range(_DESCENT_MAX_ITERS + 1):
         wv = w.inner[:, 0]
         f = float(wv @ (a_diag * wv))
         traj.append((float(wv[0]), float(wv[1]), f))
@@ -386,7 +388,7 @@ def descent_demo(run: DescentRun) -> DescentRun:
         w = oblique.retract(tangent, step)
     out.trajectory_oblique = traj
     out.converged_oblique = iters is not None
-    out.iters_oblique = iters if iters is not None else run.max_iters
+    out.iters_oblique = iters if iters is not None else _DESCENT_MAX_ITERS
     return out
 
 

@@ -18,6 +18,11 @@ Numerical conventions:
 * Geodesic distance clips the arcosh argument to [1 + eps, inf) with
   eps = ``EPS_CLIP`` = 1e-15, a fixed constant, so self-distance is
   arcosh(1 + 1e-15)/sqrt(c) ~ 4.47e-8/sqrt(c) (the clip floor), never NaN.
+* The lift and the distance are each written once, for stacked rows, in
+  :func:`lift_rows` and :func:`pairwise_distance_matrix`.  The point API
+  (:func:`exp_origin`, :func:`geodesic_distance`) is their checked one-row
+  case, so it checks its inputs but is not an independent oracle for them;
+  ``diffcheck``'s scalar loops are.
 * Tangent vectors at the origin are plain 1-D arrays: ``exp_origin`` and
   ``distance_gradient`` take them and ``log_origin`` returns one.
 * Hyperboloid membership is checked with a scale-normalized residual
@@ -43,7 +48,6 @@ __all__ = [
     "LorentzPoint",
     "check_curvature",
     "origin",
-    "lorentz_inner",
     "hyperboloid_residual",
     "exp_origin",
     "log_origin",
@@ -93,13 +97,6 @@ def origin(n: int, c: float) -> LorentzPoint:
     return LorentzPoint(np.zeros(n), 1.0 / math.sqrt(c))
 
 
-def lorentz_inner(x: LorentzPoint, y: LorentzPoint) -> float:
-    """Lorentzian inner product: space dot product minus time product."""
-    if x.dim != y.dim:
-        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    return float(np.dot(x.space, y.space) - x.time * y.time)
-
-
 def hyperboloid_residual(x: LorentzPoint, c: float) -> float:
     """Scale-normalized membership residual |<x,x>_L + 1/c| / max(1, time^2)."""
     c = check_curvature(c)
@@ -137,35 +134,31 @@ def _asinhc(s: float) -> float:
     return math.asinh(s) / s
 
 
-def _check_lift_limit(t_max: float, c: float, what: str) -> None:
-    """Raise ValueError if sqrt(c) r = ``t_max`` lifts past float64.
-
-    A lifted point's squared space norm is sinh^2(sqrt(c) r) / c, which
-    overflows once sqrt(c) r passes asinh(sqrt(c * float_max)), about
-    355.6 + ln(c) / 2.
-    """
+def _lift(v: np.ndarray, c: float, what: str):
+    """Lift the rows of ``v`` at an already checked ``c``; errors name ``what``."""
+    t = math.sqrt(c) * np.sqrt((v * v).sum(axis=1))
+    t_max = t.max(initial=0.0)
     limit = math.asinh(math.sqrt(c) * _SQRT_FLOAT_MAX)
     if t_max > limit:
         raise ValueError(
             f"{what}: largest sqrt(c) * r is {t_max:.6g}, past the float64 "
             f"limit {limit:.6g} at c = {c:g} (r is the scaled row norm)"
         )
+    space = _sinhc(t)[:, None] * v
+    time = np.sqrt(1.0 / c + (space * space).sum(axis=1))
+    return space, time
 
 
 def exp_origin(u, c: float) -> LorentzPoint:
-    """Exponential map at the origin.
+    """Exponential map at the origin: the one-row case of :func:`lift_rows`.
 
     space = sinh(sqrt(c) r) / (sqrt(c) r) * u with r = ||u||; time is
-    recomputed from space.  Past the float64 limit of :func:`lift_rows` it
-    raises the same ValueError.
+    recomputed from space.  Past the float64 limit it raises the same
+    ValueError as :func:`lift_rows`, naming ``exp_origin``.
     """
     c = check_curvature(c)
-    u = as_vector(u, name="tangent")
-    t = math.sqrt(c) * float(np.linalg.norm(u))
-    _check_lift_limit(t, c, "exp_origin")
-    space = _sinhc(t) * u
-    time = math.sqrt(1.0 / c + float(np.dot(space, space)))
-    return LorentzPoint(space, time)
+    space, time = _lift(as_vector(u, name="tangent")[None], c, "exp_origin")
+    return LorentzPoint(space[0], time[0])
 
 
 def log_origin(x: LorentzPoint, c: float) -> np.ndarray:
@@ -182,16 +175,17 @@ def log_origin(x: LorentzPoint, c: float) -> np.ndarray:
 
 
 def geodesic_distance(x: LorentzPoint, y: LorentzPoint, c: float) -> float:
-    """(1/sqrt(c)) arcosh(max(-c <x,y>_L, 1 + EPS_CLIP)).
+    """Geodesic distance, the checked one-row case of the pairwise matrix.
 
-    The clip keeps the arcosh argument strictly >= 1, so coincident points
-    get the floor distance arcosh(1 + eps)/sqrt(c) instead of NaN.
+    Computed by :func:`pairwise_distance_matrix`, clip floor included.
     """
     c = check_curvature(c)
     _require_on_manifold(x, c, "geodesic_distance (first argument)")
     _require_on_manifold(y, c, "geodesic_distance (second argument)")
-    arg = max(-c * lorentz_inner(x, y), 1.0 + EPS_CLIP)
-    return math.acosh(arg) / math.sqrt(c)
+    if x.dim != y.dim:
+        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
+    return float(pairwise_distance_matrix(x.space[None], [x.time],
+                                          y.space[None], [y.time], c)[0, 0])
 
 
 def pairwise_distance_matrix(space_x: np.ndarray, time_x: np.ndarray,
@@ -199,8 +193,10 @@ def pairwise_distance_matrix(space_x: np.ndarray, time_x: np.ndarray,
                              c: float) -> np.ndarray:
     """Pairwise geodesic distances from stacked space/time components.
 
-    The result is a fresh array; every step after the product runs in place
-    on it.
+    D_ij = (1/sqrt(c)) arcosh(max(-c <x_i, y_j>_L, 1 + EPS_CLIP)).  The clip
+    keeps the arcosh argument >= 1, so coincident points get the floor
+    distance arcosh(1 + eps)/sqrt(c) instead of NaN.  The result is a fresh
+    array; every step after the product runs in place on it.
     """
     c = check_curvature(c)
     beta = space_x @ space_y.T
@@ -225,13 +221,7 @@ def lift_rows(m: np.ndarray, c: float, scale: float = 1.0):
     limit raises ValueError instead of producing inf or NaN coordinates.
     """
     c = check_curvature(c)
-    v = np.asarray(m, dtype=np.float64) * scale
-    r = np.sqrt((v * v).sum(axis=1))
-    t = math.sqrt(c) * r
-    _check_lift_limit(t.max(initial=0.0), c, "lift_rows")
-    space = _sinhc(t)[:, None] * v
-    time = np.sqrt(1.0 / c + (space * space).sum(axis=1))
-    return space, time
+    return _lift(np.asarray(m, dtype=np.float64) * scale, c, "lift_rows")
 
 
 def _sinhc_deriv_over_r(r, a: float):

@@ -102,11 +102,8 @@ def project(m) -> ObliqueMatrix:
     dead = norms < 1e-12
     safe = np.where(dead, 1.0, norms)
     out = m / safe
-    if dead.any():
-        out = out.copy()
-        for j in np.flatnonzero(dead):
-            out[:, j] = 0.0
-            out[0, j] = 1.0
+    out[:, dead] = 0.0
+    out[0, dead] = 1.0
     return ObliqueMatrix(out, degenerate=tuple(bool(b) for b in dead))
 
 

@@ -92,7 +92,16 @@ def test_seed_env_override(monkeypatch):
     assert cli._default_seed() == 123
 
 
-def test_value_error_becomes_exit_1(capsys):
+def test_value_error_becomes_exit_1(capsys, monkeypatch):
     assert cli.main(["tree-embed", "--dim", "1", "--depth", "1",
                      "--steps", "1"]) == 1
     assert "error:" in capsys.readouterr().err
+
+    # numpy's failed allocations raise a MemoryError subclass
+    def no_memory(spec):
+        raise MemoryError("Unable to allocate 142. TiB")
+
+    monkeypatch.setattr(cli.experiments, "tree_distance_matrix", no_memory)
+    assert cli.main(["tree-embed", "--depth", "2", "--steps", "1",
+                     "--seeds", "0"]) == 1
+    assert "error: Unable to allocate" in capsys.readouterr().err

@@ -51,6 +51,9 @@ def test_reference_rejects_bad_inputs():
     small = np.ones((2, 2))
     with pytest.raises(ValueError, match="unknown space"):
         naive_attention_reference(small, small, small, "euclidean", cfg)
+    wide = np.ones((4, 8))
+    with pytest.raises(ValueError, match="divisible"):
+        naive_attention_reference(wide, wide, wide, "oblique", AttentionConfig(heads=3))
 
 
 def test_reference_weight_rows_sum_to_one():

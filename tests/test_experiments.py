@@ -10,11 +10,11 @@ import pytest
 
 import geoattn
 from geoattn import experiments, lorentz
-from geoattn.diffcheck import finite_diff_gradient
+from geoattn.diffcheck import _lift_row, _lorentz_dist, finite_diff_gradient
 from geoattn.experiments import (DescentRun, EmbeddingRun, TreeSpec,
                                  descent_demo, embed_tree, export_trajectories,
                                  tree_distance_matrix)
-from geoattn.lorentz import distance_gradient, exp_origin, geodesic_distance
+from geoattn.lorentz import distance_gradient
 
 
 def test_tree_distance_matrix_depth1():
@@ -164,8 +164,9 @@ def test_lorentz_distances_match_scalar_geodesic_distance(c):
     u = rng.normal(scale=0.5, size=(t.shape[0], 2))
     u[0] = 0.0  # the root at the origin
     got = experiments._lorentz_distances(u, t, c).d
-    points = [exp_origin(row, c) for row in u]
-    want = np.array([[geodesic_distance(x, y, c) for y in points] for x in points])
+    # diffcheck's scalar lift and distance share no code with lorentz.py
+    points = [_lift_row(row.tolist(), c, 1.0) for row in u]
+    want = np.array([[_lorentz_dist(x, y, c) for y in points] for x in points])
     off = ~np.eye(len(u), dtype=bool)
     assert np.all(np.abs(got - want)[off] <= 1e-12 * want[off])
     # Self-distances are rounding noise at or just above the clip floor, so

@@ -32,6 +32,15 @@ def test_origin_is_on_manifold():
         assert o.time == 1.0 / math.sqrt(c)
 
 
+def test_lorentz_inner_against_origin():
+    # -<x, o>_L = cosh 1, read back through the distance arcosh(-c <x, o>_L)
+    x = lorentz.LorentzPoint(np.array([SINH_1]), COSH_1)
+    o = lorentz.origin(1, 1.0)
+    assert abs(math.cosh(lorentz.geodesic_distance(x, o, 1.0)) - COSH_1) < 1e-12
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        lorentz.geodesic_distance(x, lorentz.origin(2, 1.0), 1.0)
+
+
 def test_exp_origin_unit_tangent():
     p = lorentz.exp_origin(np.array([1.0, 0.0, 0.0]), 1.0)
     assert abs(p.space[0] - SINH_1) < 1e-12
@@ -267,6 +276,3 @@ def test_off_manifold_rejected():
         lorentz.geodesic_distance(bad, lorentz.origin(2, 1.0), 1.0)
     with pytest.raises(ValueError, match="off the hyperboloid"):
         lorentz.log_origin(bad, 1.0)
-    x = lorentz.LorentzPoint(np.array([SINH_1]), COSH_1)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        lorentz.geodesic_distance(x, lorentz.origin(2, 1.0), 1.0)

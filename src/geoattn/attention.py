@@ -184,6 +184,9 @@ def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],
     v = as_matrix(v, name="v")
     if q.shape[1] != k.shape[1]:
         raise ValueError(f"q/k feature dims differ: {q.shape[1]} vs {k.shape[1]}")
+    if q.shape[1] == 0:
+        raise ValueError("q and k have zero-width features: attention needs at "
+                         "least one feature column to compare rows")
     if k.shape[0] != v.shape[0]:
         raise ValueError(f"k has {k.shape[0]} rows but v has {v.shape[0]}")
     n, m = q.shape[0], k.shape[0]
@@ -302,6 +305,9 @@ def bidirectional_attention(instance, context, cfg: AttentionConfig):
     if instance.shape[1] != context.shape[1]:
         raise ValueError(f"instance/context feature dims differ: "
                          f"{instance.shape[1]} vs {context.shape[1]}")
+    if instance.shape[1] == 0:
+        raise ValueError("instance and context have zero-width features: both "
+                         "directions need at least one feature column")
     for name, side in (("instance", instance), ("context", context)):
         if side.shape[0] == 0:
             raise ValueError(f"{name} has no rows: both directions need at "

@@ -140,12 +140,14 @@ def cmd_tree_embed(args) -> int:
                 "space": space, "curvature": c if c is not None else "",
                 "seed": seed, "distortion": out.final_distortion,
                 "worst_ratio": out.worst_ratio, "stress": out.final_stress,
+                "evaluations": sum(p.evaluations for p in out.phases),
             })
             distortions.append(out.final_distortion)
         label = space if c is None else f"{space}(c={c})"
         print(f"{label:20s} mean distortion over seeds: "
               f"{statistics.fmean(distortions):.4f}")
-    fields = ["space", "curvature", "seed", "distortion", "worst_ratio", "stress"]
+    fields = ["space", "curvature", "seed", "distortion", "worst_ratio", "stress",
+              "evaluations"]
     if args.output:
         _emit(records, fields, args.format, args.output)
     return 0
@@ -194,7 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--branching", type=int, default=2)
     t.add_argument("--depth", type=int, default=5)
     t.add_argument("--dim", type=int, default=2)
-    t.add_argument("--steps", type=int, default=3000)
+    t.add_argument("--steps", type=int, default=3000,
+                   help="cap on descent steps, split over the four expansion "
+                        "phases; a phase stops sooner once its stress stalls")
     t.add_argument("--step-size", type=float, default=0.05)
     t.add_argument("--seeds", default="0,333,777")
     t.add_argument("--curvature", default="1.0",

@@ -16,11 +16,13 @@ Two experiments:
 Both experiments are deterministic given their seed.  In the tree
 embedding each stress evaluation is one vectorized pairwise-distance pass,
 and the gradient at an accepted point reuses that pass instead of computing
-the distances again.  The Lorentz arm takes its lift and distances, clip
-floor included, from lorentz.lift_rows and pairwise_distance_matrix, and
-its gradient in those lifted coordinates is, per pair, 2 err_ij *
-lorentz.distance_gradient(u_i, u_j, c); the tests check it against that
-sum and against finite differences.
+the distances again.  Its step budget is a cap: each expansion phase ends
+once 10 accepted steps in a row have each changed the stress by at most
+1e-12 of its value (``_STALL_STEPS``, ``_STALL_RTOL``).  The Lorentz arm
+takes its lift and distances, clip floor included, from lorentz.lift_rows
+and pairwise_distance_matrix, and its gradient in those lifted coordinates
+is, per pair, 2 err_ij * lorentz.distance_gradient(u_i, u_j, c); the tests
+check it against that sum and against finite differences.
 """
 
 from __future__ import annotations
@@ -86,8 +88,11 @@ class PhaseTrace:
 
     ``evaluations`` counts stress evaluations at trial points, so it equals
     ``accepted + backoffs + gave_up``; the evaluation at the phase's start
-    point is not counted.  ``gave_up`` is 1 when the line search found no
-    descent and ended the phase early, else 0.
+    point is not counted.  ``converged`` is 1 when the stall stop ended the
+    phase (``_STALL_STEPS`` accepted steps in a row changed the stress by at
+    most ``_STALL_RTOL`` relative), and ``gave_up`` is 1 when the line
+    search found no descent; when both are 0 the phase spent its step
+    budget.
     """
 
     lam: float  # scale of the target distances
@@ -95,6 +100,7 @@ class PhaseTrace:
     evaluations: int
     backoffs: int
     gave_up: int
+    converged: int
     start_stress: float
     end_stress: float
     final_step: float
@@ -253,6 +259,12 @@ def _distortion(d: np.ndarray, t: np.ndarray):
 # in crossed-branch local minima.
 _EXPANSION_PHASES = (0.25, 0.5, 0.75, 1.0)
 
+# The stall stop of embed_tree.  On the depth-5 tree (seeds 0-19) these keep
+# the final stress within 2e-11 relative of running every phase to 750
+# steps; a one-step window, or 10 steps at 1e-10, moved it by about 1e-9.
+_STALL_RTOL = 1e-12
+_STALL_STEPS = 10
+
 
 def embed_tree(spec: TreeSpec, run: EmbeddingRun) -> EmbeddingRun:
     """Minimize stress sum_(i<j) (d_space - d_tree)^2 by gradient descent.
@@ -262,6 +274,12 @@ def embed_tree(spec: TreeSpec, run: EmbeddingRun) -> EmbeddingRun:
     progressive-expansion schedule: each phase descends against scaled-down
     target distances, ending at the true targets.  With backtracking
     enabled the stress is non-increasing within a phase.
+
+    ``run.steps`` is a cap, not a count: a phase also ends once
+    ``_STALL_STEPS`` (10) accepted steps in a row have each changed the
+    stress by at most ``_STALL_RTOL`` (1e-12) of its value, and when the
+    line search finds no descent.  A larger change resets the count, so a
+    phase with fewer than ``_STALL_STEPS`` steps never stops this way.
 
     Each stress evaluation is one pairwise-distance pass.  An accepted
     trial point's evaluation is kept and its gradient reuses it, so no
@@ -290,7 +308,7 @@ def embed_tree(spec: TreeSpec, run: EmbeddingRun) -> EmbeddingRun:
         step = run.step_size
         ev = evaluate(x, targets)
         stress = start_stress = ev.stress
-        accepted = evaluations = backoffs = gave_up = 0
+        accepted = evaluations = backoffs = gave_up = converged = stalled = 0
         for _ in range(steps_per_phase):
             if not math.isfinite(stress):
                 raise ValueError(
@@ -317,10 +335,15 @@ def embed_tree(spec: TreeSpec, run: EmbeddingRun) -> EmbeddingRun:
                 if tries == 0:
                     step = min(step * 1.2, run.step_size)
             x = trial
+            change = abs(stress - ev.stress)
+            stalled = stalled + 1 if change <= _STALL_RTOL * stress else 0
             stress = ev.stress
             accepted += 1
+            if stalled == _STALL_STEPS:
+                converged = 1
+                break
         phases.append(PhaseTrace(lam, accepted, evaluations, backoffs, gave_up,
-                                 start_stress, stress, step))
+                                 converged, start_stress, stress, step))
 
     ev = None
     final = evaluate(x, t)

@@ -95,9 +95,13 @@ def project(m) -> ObliqueMatrix:
 
     Columns with norm < 1e-12 cannot be normalized; they are replaced
     by the unit vector e1 and flagged in ``degenerate``.  Attention pipelines
-    must not abort on a single dead feature.
+    must not abort on a single dead feature.  An input with no rows has no
+    unit vector to give and raises ``ValueError``.
     """
     m = as_matrix(m, name="projection input")
+    if m.shape[0] == 0:
+        raise ValueError("projection input has no rows: a zero-width column has "
+                         "no unit vector")
     norms = np.sqrt((m * m).sum(axis=0))
     dead = norms < 1e-12
     safe = np.where(dead, 1.0, norms)

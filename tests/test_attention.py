@@ -365,6 +365,27 @@ def test_empty_key_set_names_its_cause(kernel):
     assert kernel(none, rows, rows, cfg).shape == (0, 4)
 
 
+@pytest.mark.parametrize("kernel", [*KERNELS, bidirectional_attention])
+def test_zero_width_features_name_their_cause(kernel):
+    cfg = AttentionConfig(heads=1)
+    q, k = np.empty((2, 0)), np.empty((3, 0))
+    with np.errstate(all="raise"):
+        if kernel is bidirectional_attention:
+            for ctx in (k, (k, k)):
+                with pytest.raises(ValueError, match="instance and context have "
+                                                     "zero-width features"):
+                    kernel(q, ctx, cfg)
+            return
+        with pytest.raises(ValueError, match="q and k have zero-width features"):
+            kernel(q, k, np.ones((3, 4)), cfg)
+
+
+def test_project_without_rows_names_its_cause():
+    for cols in (0, 3):
+        with pytest.raises(ValueError, match="projection input has no rows"):
+            oblique.project(np.zeros((0, cols)))
+
+
 def _blocked_inputs(seed, n=150, m=2048, d=16):
     """m = 2048 keys make 64-row query blocks: 150 rows are 64 + 64 + 22."""
     assert attention._BLOCK_BYTES // (8 * m) == 64

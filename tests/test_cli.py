@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from geoattn import cli
+from geoattn import cli, experiments
 
 
 def test_verify_all_pass(capsys):
@@ -61,8 +61,23 @@ def test_tree_embed_writes_csv(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "euclidean" in out and "lorentz" in out
     lines = out_file.read_text().splitlines()
-    assert lines[0].startswith("space,curvature,seed")
+    assert lines[0] == "space,curvature,seed,distortion,worst_ratio,stress,evaluations"
     assert len(lines) == 1 + 2 * 2  # two arms x two seeds
+    # Each run's evaluations total its phases' trial-point stress evaluations.
+    run = experiments.embed_tree(experiments.TreeSpec(depth=2),
+                                 experiments.EmbeddingRun(space="euclidean",
+                                                          steps=100, seed=0))
+    assert lines[1].split(",")[-1] == str(sum(p.evaluations for p in run.phases))
+
+
+def test_tree_embed_json_records_evaluations(tmp_path, capsys):
+    out_file = tmp_path / "embed.json"
+    assert cli.main(["tree-embed", "--depth", "2", "--steps", "100", "--seeds", "0",
+                     "--format", "json", "--output", str(out_file)]) == 0
+    records = json.loads(out_file.read_text())
+    assert [r["space"] for r in records] == ["euclidean", "lorentz"]
+    for r in records:
+        assert isinstance(r["evaluations"], int) and 0 < r["evaluations"]
 
 
 def test_descent_writes_trajectories(tmp_path, capsys):

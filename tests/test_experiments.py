@@ -214,7 +214,8 @@ def test_embed_tree_zero_steps_keeps_init():
     assert out.final_distortion > 0.5
     assert len(out.phases) == 4
     for p in out.phases:
-        assert (p.accepted, p.evaluations, p.backoffs, p.gave_up) == (0, 0, 0, 0)
+        assert (p.accepted, p.evaluations, p.backoffs, p.gave_up, p.converged) == \
+            (0, 0, 0, 0, 0)
         assert p.end_stress == p.start_stress
 
 
@@ -244,9 +245,32 @@ def test_embed_tree_phase_trace(space):
     for p in out.phases:
         assert p.evaluations == p.accepted + p.backoffs + p.gave_up
         assert p.accepted + p.gave_up <= 100  # 400 steps over four phases
+        assert p.converged in (0, 1) and p.gave_up in (0, 1)
+        assert not (p.converged and p.gave_up)
+        if p.converged:
+            assert p.accepted < 100
         assert p.end_stress <= p.start_stress
         assert 0.0 < p.final_step <= 0.05
+    assert any(p.converged for p in out.phases)
     assert out.phases[-1].end_stress == out.final_stress
+    # Nine steps per phase are fewer than the stall stop needs.
+    assert experiments._STALL_STEPS > 9
+    short = embed_tree(spec, EmbeddingRun(space=space, steps=36, seed=4))
+    assert [p.converged for p in short.phases] == [0, 0, 0, 0]
+    assert [p.accepted + p.gave_up for p in short.phases] == [9, 9, 9, 9]
+
+
+@pytest.mark.parametrize("space", ["euclidean", "lorentz"])
+def test_embed_tree_stall_stop_is_a_fixed_point(space):
+    # On the depth-5 tree at seed 0 every phase stalls well inside a budget
+    # of 750 steps, so doubling the budget changes nothing, to the bit.
+    spec = TreeSpec(depth=5)
+    a = embed_tree(spec, EmbeddingRun(space=space, steps=3000, seed=0))
+    b = embed_tree(spec, EmbeddingRun(space=space, steps=6000, seed=0))
+    assert [p.converged for p in a.phases] == [1, 1, 1, 1]
+    assert a.phases == b.phases
+    assert (a.final_stress, a.final_distortion, a.worst_ratio) == \
+        (b.final_stress, b.final_distortion, b.worst_ratio)
 
 
 def test_embed_tree_phase_trace_gave_up(monkeypatch):
@@ -258,7 +282,8 @@ def test_embed_tree_phase_trace_gave_up(monkeypatch):
     out = embed_tree(TreeSpec(depth=2),
                      EmbeddingRun(space="euclidean", steps=40, seed=0))
     for p in out.phases:
-        assert (p.accepted, p.backoffs, p.gave_up, p.evaluations) == (0, 40, 1, 41)
+        assert (p.accepted, p.backoffs, p.gave_up, p.evaluations, p.converged) == \
+            (0, 40, 1, 41, 0)
         assert p.end_stress == p.start_stress
 
 

@@ -2,12 +2,12 @@
 
 Submodules:
 
-* ``linalg``: dense float64 helpers (BLAS matmul, stable softmax).
+* ``linalg``: dense float64 helpers (BLAS matmul, row softmax for ``verify``).
 * ``oblique``: product-of-spheres manifold: projection, geodesic distance,
   tangent projection, retraction.
 * ``lorentz``: hyperboloid model: exp/log maps at the origin, geodesic
   distance.
-* ``attention``: the two geodesic attention kernels and bidirectional wiring.
+* ``attention``: every kernel and the bidirectional wiring, on one skeleton.
 * ``diffcheck``: finite differences and the scalar reference kernels.
 * ``experiments``: tree-embedding distortion and constrained-descent demos.
 * ``cli`` / ``verify``: command-line surface and the runtime property suite.

@@ -1,39 +1,25 @@
 """Geodesic attention kernels.
 
-Two mechanisms:
+* Oblique attention: queries and keys are row-normalized onto the unit
+  sphere and scored by negated arccos distances; values stay Euclidean.
+* Lorentz cross attention: queries and keys are lifted through the
+  exponential map at the hyperboloid origin, and weights are
+  softmax(exp(-D/tau)).  The double exponential is deliberate: it is not
+  the same function as softmax(-D/tau), and it is what is implemented.
+* Bidirectional wiring: the Lorentz kernel from instance to context rows
+  (oac) and back (cao, mean-pooled over a two-slice context), sharing one
+  lift of each side and one distance pass per head.
 
-* Oblique self attention - queries and keys are row-normalized onto the
-  unit sphere (single-column oblique points), attention scores are the
-  negated pairwise arccos distances, values stay Euclidean (v = x).
-* Lorentz cross attention - queries and keys are lifted through the
-  exponential map at the hyperboloid origin, scores come from hyperbolic
-  geodesic distances, and weights are softmax(exp(-D/tau)).  The double
-  exponential is deliberate: softmax(exp(-D/tau)) is NOT the same function
-  as softmax(-D/tau), and the former is what is implemented here.
-
-Both kernels split the value/output stream across heads; geodesic
-distances are computed per head on the head-sliced q/k, with each head's
-query and key slice projected (oblique) or lifted (lorentz) once.  The
-bidirectional wiring runs the Lorentz kernel in both directions:
-object-aware context (instance as Q, context as K/V) and context-aware
-object (context as Q, instance as K/V), with the latter mean-pooled when a
-two-slice context is supplied.  Geodesic distance is symmetric, so both
-directions share one lift of each side and one distance pass per head:
-cao's scores are the transpose of oac's, and its softmax runs over the
-columns of oac's score matrix.
-
-All three kernels, the Euclidean baseline included, share one per-head
-skeleton that evaluates query rows in blocks.  Each kernel supplies two
-functions: one that prepares a head's query or key slice (projection,
-lift, or nothing) once per head, and one that returns a fresh rows x m
-score block for a block of prepared query rows against all prepared keys.
-Softmax is row-local, so blocking is exact.  A block holds about
-``_BLOCK_BYTES`` (1 MiB) of scores, so a head's score temporaries are
-O(rows * m) whatever the number of queries.  Score blocks are consumed in
-place: the temperature, exp and mask steps overwrite that block rather
-than copying it.  Inputs (q, k, v and the mask) are never written.
-``bidirectional_attention`` is not blocked: its reverse direction
-normalizes over full columns of the score matrix.
+Every kernel, the Euclidean baseline included, runs in one skeleton,
+``_multihead``: per head it prepares the query and key slices once and
+scores query rows in blocks of about ``_BLOCK_BYTES`` (1 MiB), so score
+temporaries are O(rows * m) whatever n is.  One stage, ``_softmax_value``,
+exps a block in place after a shift and divides ``E @ v`` by the row sums
+of E, on rows x dv entries rather than rows x m.  The shift is a bound on
+the scores where one is known (Lorentz scores lie in (0, 1], oblique ones
+under the clip floor), else the row max.  With a constant shift E serves
+column sums too, so cao accumulates over blocks and is divided at the
+end.  Inputs (q, k, v and the mask) are never written.
 """
 
 from __future__ import annotations
@@ -46,7 +32,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import lorentz, oblique
-from .linalg import as_matrix, matmul, softmax_rows
+# softmax_rows is not called here.  It stays bound because perfbench's
+# ``linalg.softmax_rows`` probe wraps ``geoattn.attention.softmax_rows``.
+from .linalg import as_matrix, matmul, softmax_rows  # noqa: F401
 
 __all__ = [
     "AttentionConfig",
@@ -63,6 +51,11 @@ EmbedFn = Callable[[np.ndarray, Optional[np.ndarray]], np.ndarray]
 
 # Target size of one query block's score array; see _multihead.
 _BLOCK_BYTES = 1 << 20
+
+# exp(-_EXP_SPAN) is a normal float64, so no row underflows under a shift
+# within this span of its max.  Lorentz scores lie in (0, 1]: no shift.
+_EXP_SPAN = 700.0
+_LORENTZ_SHIFT = 0.0
 
 
 @dataclass(frozen=True)
@@ -164,47 +157,76 @@ def _check_mask(mask, shape, rows: int) -> Optional[np.ndarray]:
     return mask
 
 
+def _softmax_value(scores: np.ndarray, vh: np.ndarray,
+                   shift: Optional[float]) -> np.ndarray:
+    """softmax_rows(scores) @ vh as (E @ vh) / rowsum(E), E = exp(scores - shift).
+
+    E overwrites ``scores``.  ``shift`` is None for each row's max, or a
+    constant at or above every score and within ``_EXP_SPAN`` of each row's.
+    """
+    if shift is None:
+        scores -= scores.max(axis=1, keepdims=True)
+    elif shift:
+        scores -= shift
+    np.exp(scores, out=scores)
+    out = matmul(scores, vh)
+    out /= scores.sum(axis=1, keepdims=True)
+    return out
+
+
 def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],
                prepare: Callable[[np.ndarray], tuple],
-               block_scores: Callable[..., np.ndarray]) -> np.ndarray:
+               block_scores: Callable[..., np.ndarray],
+               shift: Optional[float] = None, reverse: Optional[np.ndarray] = None,
+               names: tuple = ("q", "k")) -> np.ndarray:
     """Validation, head split, mask, softmax and value product of every kernel.
 
     Per head, ``prepare(xh)`` runs once on the query slice and once on the
-    key slice and returns a tuple of row-aligned arrays (the projected or
-    lifted rows).  Query rows are then taken in blocks of
-    ``max(1, _BLOCK_BYTES // (8 * m))`` rows: ``block_scores(*query_block,
-    *keys)`` returns that block's rows x m pre-softmax scores as a fresh
-    array, the block's mask rows are added into it in place, and its
-    softmax and value product are written into the output.  Softmax is
-    row-local, so blocking is exact; the per-head score temporaries are
-    O(rows * m), about ``_BLOCK_BYTES`` each, whatever n is.
+    key slice and returns a tuple of row-aligned arrays.  Query rows are
+    taken in blocks of ``max(1, _BLOCK_BYTES // (8 * m))``:
+    ``block_scores(*query_block, *keys)`` returns a fresh rows x m score
+    array, the block's mask rows are added in place, and ``_softmax_value``
+    with ``shift`` (the row max under a mask) gives its output rows.
+
+    ``names`` name q and k in errors.  Given ``reverse`` (m x d_q zeros),
+    a constant shift and no mask, each block's E also adds ``E.T @ q_block``
+    to the head's slice of it and ``E.sum(0)`` to column sums that divide
+    it at the end: the key-to-query attention with q as values.
     """
-    q = as_matrix(q, name="q")
-    k = as_matrix(k, name="k")
-    v = as_matrix(v, name="v")
+    qn, kn = names
+    q, k, v = as_matrix(q, name=qn), as_matrix(k, name=kn), as_matrix(v, name="v")
     if q.shape[1] != k.shape[1]:
-        raise ValueError(f"q/k feature dims differ: {q.shape[1]} vs {k.shape[1]}")
+        raise ValueError(f"{qn}/{kn} feature dims differ: {q.shape[1]} vs {k.shape[1]}")
     if q.shape[1] == 0:
-        raise ValueError("q and k have zero-width features: attention needs at "
-                         "least one feature column to compare rows")
+        raise ValueError(f"{qn} and {kn} have zero-width features: attention needs "
+                         "at least one feature column to compare rows")
     if k.shape[0] != v.shape[0]:
         raise ValueError(f"k has {k.shape[0]} rows but v has {v.shape[0]}")
     n, m = q.shape[0], k.shape[0]
     if m == 0:
-        raise ValueError("k has no rows: attention needs at least one key")
+        raise ValueError(f"{kn} has no rows: attention needs at least one key")
     rows = max(1, _BLOCK_BYTES // (8 * m))
     mask = _check_mask(mask, (n, m), rows)
+    if mask is not None:
+        shift = None
     out = np.empty((n, v.shape[1]))
-    for qh, kh, vh, oh in zip(_head_slices(q, cfg.heads), _head_slices(k, cfg.heads),
-                              _head_slices(v, cfg.heads), _head_slices(out, cfg.heads)):
+    rev = _head_slices(reverse, cfg.heads) if reverse is not None else [None] * cfg.heads
+    for (qh, kh, vh, oh), rh in zip(zip(*(_head_slices(a, cfg.heads)
+                                          for a in (q, k, v, out))), rev):
         qp, kp = prepare(qh), prepare(kh)
+        colsum = np.zeros(m)
         for start in range(0, n, rows):
             blk = slice(start, start + rows)
             scores = block_scores(*(a[blk] for a in qp), *kp)
             if mask is not None:
                 scores += mask[blk]
-            oh[blk] = matmul(softmax_rows(scores), vh)
+            oh[blk] = _softmax_value(scores, vh, shift)
+            if rh is not None:
+                colsum += scores.sum(axis=0)
+                rh += matmul(scores.T, qh[blk])
             del scores  # free this block's rows x m arrays before the next one
+        if rh is not None:
+            rh /= colsum[:, None]
     return out
 
 
@@ -222,8 +244,12 @@ def oblique_attention(q, k, v, cfg: AttentionConfig,
         # d / -tau is -d / tau exactly: negation commutes with rounding.
         return np.divide(d, -cfg.tau_obl, out=d)
 
+    # Distances lie in [floor, pi - floor]: scores are at most -floor / tau,
+    # and each row's max is within (pi - floor) / tau of that.
+    floor = math.acos(1.0 - oblique.EPS_CLIP)
+    shift = -floor / cfg.tau_obl if (math.pi - floor) / cfg.tau_obl < _EXP_SPAN else None
     return _multihead(q, k, v, cfg, mask,
-                      lambda xh: (oblique.project(xh.T).inner.T,), block_scores)
+                      lambda xh: (oblique.project(xh.T).inner.T,), block_scores, shift)
 
 
 def oblique_self_attention(x, pos, emb: Optional[EmbedFn],
@@ -242,19 +268,13 @@ def oblique_self_attention(x, pos, emb: Optional[EmbedFn],
 
 
 def _lorentz_lift(cfg: AttentionConfig, xh):
-    """One head's q or k slice lifted onto the hyperboloid as (space, time).
-
-    The tangent scale is alpha, default 1/sqrt(head_dim).
-    """
+    """One head's q or k slice lifted as (space, time), scaled by alpha."""
     alpha = cfg.alpha if cfg.alpha is not None else 1.0 / math.sqrt(xh.shape[1])
     return lorentz.lift_rows(xh, cfg.curvature, scale=alpha)
 
 
 def _lorentz_scores(cfg: AttentionConfig, sq, tq, sk, tk) -> np.ndarray:
-    """Lorentz scores exp(-D / tau_lor) of lifted rows as a fresh n x m array.
-
-    The distance matrix is consumed in place.
-    """
+    """exp(-D / tau_lor) of lifted rows, computed in place on a fresh D."""
     d = lorentz.pairwise_distance_matrix(sq, tq, sk, tk, cfg.curvature)
     # d / -tau is -d / tau exactly: negation commutes with rounding.
     np.divide(d, -cfg.tau_lor, out=d)
@@ -271,7 +291,7 @@ def lorentz_cross_attention(q, k, v, cfg: AttentionConfig,
     exponential, exactly as specified.  Values are never lifted.
     """
     return _multihead(q, k, v, cfg, mask, partial(_lorentz_lift, cfg),
-                      partial(_lorentz_scores, cfg))
+                      partial(_lorentz_scores, cfg), _LORENTZ_SHIFT)
 
 
 def bidirectional_attention(instance, context, cfg: AttentionConfig):
@@ -280,18 +300,15 @@ def bidirectional_attention(instance, context, cfg: AttentionConfig):
     oac (object-aware context) attends from instance rows to context rows;
     cao (context-aware object) attends from context rows to instance rows.
     ``context`` may be a single matrix or a sequence of two equally-shaped
-    slices; in the two-slice case oac uses the stacked slices as keys and
-    values, and cao is computed per slice and mean-pooled over the slice
-    axis.
+    slices; then oac uses the stacked slices as keys and values, and cao
+    is computed per slice and mean-pooled over the slice axis.
 
-    Both directions share one distance pass per head.  Geodesic distance
-    is symmetric, so cao's score matrix is the transpose of oac's: each
-    head lifts the instance slice and the (stacked) context slice once,
-    builds one n x m score matrix S = exp(-D / tau_lor), and takes
-    oac = softmax_rows(S) @ context and cao = softmax_rows(S.T) @ instance,
-    i.e. cao's softmax runs over the columns of S.  The results equal
-    separate ``lorentz_cross_attention`` calls per direction up to the
-    summation order of the column softmax and the value product.
+    Per head, blocks of instance rows are scored against all context rows
+    in one distance pass.  The scores lie in (0, 1], so E = exp(S) needs
+    no shift and serves both directions: oac = (E @ context) / rowsum(E)
+    per block, and cao = (sum of E.T @ instance) / (sum of colsum(E)).
+    This equals separate ``lorentz_cross_attention`` calls per direction
+    up to the summation order of those sums.
     """
     instance = as_matrix(instance, name="instance")
     pooled = isinstance(context, (list, tuple))
@@ -302,28 +319,16 @@ def bidirectional_attention(instance, context, cfg: AttentionConfig):
         context = np.concatenate(slices, axis=0)
     else:
         context = as_matrix(context, name="context")
-    if instance.shape[1] != context.shape[1]:
-        raise ValueError(f"instance/context feature dims differ: "
-                         f"{instance.shape[1]} vs {context.shape[1]}")
-    if instance.shape[1] == 0:
-        raise ValueError("instance and context have zero-width features: both "
-                         "directions need at least one feature column")
-    for name, side in (("instance", instance), ("context", context)):
-        if side.shape[0] == 0:
-            raise ValueError(f"{name} has no rows: both directions need at "
-                             f"least one instance row and one context row")
-    n_cao = context.shape[0] // 2 if pooled else context.shape[0]
-    oac = np.empty(instance.shape)
-    cao = np.empty((n_cao, instance.shape[1]))
-    for inst_h, ctx_h, oac_h, cao_h in zip(
-            _head_slices(instance, cfg.heads), _head_slices(context, cfg.heads),
-            _head_slices(oac, cfg.heads), _head_slices(cao, cfg.heads)):
-        scores = _lorentz_scores(cfg, *_lorentz_lift(cfg, inst_h),
-                                 *_lorentz_lift(cfg, ctx_h))
-        oac_h[:] = matmul(softmax_rows(scores), ctx_h)
-        out = matmul(softmax_rows(scores.T), inst_h)
-        del scores  # free this head's n x m arrays before the next distance pass
-        cao_h[:] = (out[:n_cao] + out[n_cao:]) / 2.0 if pooled else out
+    if instance.shape[0] == 0:
+        raise ValueError("instance has no rows: both directions need at least "
+                         "one instance row and one context row")
+    cao = np.zeros((context.shape[0], instance.shape[1]))
+    oac = _multihead(instance, context, context, cfg, None, partial(_lorentz_lift, cfg),
+                     partial(_lorentz_scores, cfg), _LORENTZ_SHIFT, cao,
+                     ("instance", "context"))
+    if pooled:
+        half = context.shape[0] // 2
+        cao = (cao[:half] + cao[half:]) / 2.0
     return oac, cao
 
 

@@ -5,6 +5,8 @@ All functions are pure and operate on 2-D numpy arrays of float64.
 library's, so each entry is within the standard forward error bound
 gamma_k * (|A| @ |B|) of the exact product (gamma_k = k u / (1 - k u),
 u = 2^-53, k the inner dimension), not bit-identical to a scalar loop.
+The kernels take their softmax in ``attention._softmax_value``;
+``softmax_rows`` serves ``verify`` and the tests.
 """
 
 from __future__ import annotations
@@ -19,38 +21,31 @@ __all__ = [
 ]
 
 
+def _as_finite(data, ndim: int, name: str) -> np.ndarray:
+    a = np.asarray(data, dtype=np.float64)
+    if a.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} contains NaN or Inf entries")
+    return a
+
+
 def as_matrix(data, name: str = "matrix") -> np.ndarray:
     """Validate user input as a finite 2-D float64 array."""
-    m = np.asarray(data, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError(f"{name} contains NaN or Inf entries")
-    return m
+    return _as_finite(data, 2, name)
 
 
 def as_vector(data, name: str = "vector") -> np.ndarray:
     """Validate user input as a finite 1-D float64 array."""
-    v = np.asarray(data, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError(f"{name} contains NaN or Inf entries")
-    return v
+    return _as_finite(data, 1, name)
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product ``a @ b`` through BLAS, after a shape check.
-
-    The summation order is the BLAS library's, so results agree with a
-    scalar triple loop to rounding error, not bit for bit.
-    """
+    """Matrix product ``a @ b`` through BLAS, after a shape check."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"matmul size mismatch: {a.shape} x {b.shape}"
-        )
+        raise ValueError(f"matmul size mismatch: {a.shape} x {b.shape}")
     return a @ b
 
 

@@ -11,7 +11,6 @@ from geoattn.attention import (AttentionConfig, bidirectional_attention,
                                lorentz_cross_attention, oblique_attention,
                                oblique_self_attention)
 from geoattn.diffcheck import naive_attention_reference
-from geoattn.linalg import softmax_rows
 
 KERNELS = [oblique_attention, lorentz_cross_attention, euclidean_attention]
 
@@ -182,6 +181,23 @@ def test_mask_minus_inf_drops_a_key(kernel):
     assert np.abs(out - dropped).max() < 1e-12
 
 
+def _checked_stage(monkeypatch, inputs):
+    """Wrap the softmax-value stage; each call records that it may write
+    only its own score block: the block shares no memory with ``inputs``
+    and the values it reads are left as they were."""
+    stage, calls = attention._softmax_value, []
+
+    def checked(scores, vh, shift):
+        owned = not any(np.shares_memory(scores, a) for a in inputs)
+        vh_before = vh.copy()
+        out = stage(scores, vh, shift)
+        calls.append(owned and np.array_equal(vh, vh_before))
+        return out
+
+    monkeypatch.setattr(attention, "_softmax_value", checked)
+    return calls
+
+
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_kernels_write_no_input(kernel, monkeypatch):
     rng = np.random.default_rng(54)
@@ -189,19 +205,11 @@ def test_kernels_write_no_input(kernel, monkeypatch):
     mask = rng.normal(size=(5, 5))
     mask[0, 1] = -math.inf
     before = [a.copy() for a in (q, k, v, mask)]
-    pure = []
-
-    def checked_softmax(m):
-        m_before = m.copy()
-        out = softmax_rows(m)
-        pure.append(np.array_equal(m, m_before))
-        return out
-
-    monkeypatch.setattr(attention, "softmax_rows", checked_softmax)
+    pure = _checked_stage(monkeypatch, (q, k, v, mask))
     cfg = AttentionConfig(heads=2)
     kernel(q, k, v, cfg, mask=mask)
     kernel(q, q, q, cfg)  # q is k is v, as in self attention
-    assert pure == [True] * 4
+    assert pure == [True] * 4  # once per head per block
     for got, want in zip((q, k, v, mask), before):
         assert np.array_equal(got, want)
 
@@ -273,20 +281,12 @@ def test_bidirectional_writes_no_input(monkeypatch):
     inst = rng.normal(size=(5, 4))
     s0, s1, ctx = rng.normal(size=(3, 6, 4))
     before = [a.copy() for a in (inst, s0, s1, ctx)]
-    pure = []
-
-    def checked_softmax(m):
-        m_before = m.copy()
-        out = softmax_rows(m)
-        pure.append(np.array_equal(m, m_before))
-        return out
-
-    monkeypatch.setattr(attention, "softmax_rows", checked_softmax)
+    pure = _checked_stage(monkeypatch, (inst, s0, s1, ctx))
     cfg = AttentionConfig(heads=2)
     bidirectional_attention(inst, (s0, s1), cfg)
     bidirectional_attention(inst, ctx, cfg)
     bidirectional_attention(inst, inst, cfg)  # instance as its own context
-    assert pure == [True] * 12
+    assert pure == [True] * 6  # once per head per block, for both directions
     for got, want in zip((inst, s0, s1, ctx), before):
         assert np.array_equal(got, want)
 
@@ -340,6 +340,27 @@ def test_bidirectional_one_distance_pass_per_head(two_slice, monkeypatch):
     cfg = AttentionConfig(heads=4)
     bidirectional_attention(inst, context, cfg)
     assert counts == {"distance_calls": 4, "lifted_rows": 4 * (9 + n_ctx)}
+
+
+@pytest.mark.parametrize("two_slice", [False, True])
+def test_bidirectional_blocks_match_per_direction_calls(two_slice, monkeypatch):
+    # 32 context rows and 64-row blocks: 300 instance rows are 4 x 64 + 44
+    monkeypatch.setattr(attention, "_BLOCK_BYTES", 8 * 32 * 64)
+    blocks = _checked_stage(monkeypatch, ())
+    rng = np.random.default_rng(65)
+    inst = rng.normal(size=(300, 16))
+    s0, s1 = rng.normal(size=(2, 16, 16))
+    stacked = np.vstack([s0, s1])
+    cfg = AttentionConfig(heads=4)
+    oac, cao = bidirectional_attention(inst, (s0, s1) if two_slice else stacked, cfg)
+    assert len(blocks) == 4 * 5
+    assert np.abs(oac - lorentz_cross_attention(inst, stacked, stacked, cfg)).max() <= 1e-12
+    if two_slice:
+        want = (lorentz_cross_attention(s0, inst, inst, cfg)
+                + lorentz_cross_attention(s1, inst, inst, cfg)) / 2.0
+    else:
+        want = lorentz_cross_attention(stacked, inst, inst, cfg)
+    assert np.abs(cao - want).max() <= 1e-12
 
 
 def test_shape_validation():
@@ -490,3 +511,62 @@ def test_masked_peak_memory_is_independent_of_query_count():
             tracemalloc.stop()
         extra.append(peak - out.nbytes)
     assert abs(extra[1] - extra[0]) < 1 << 20, extra
+
+
+def test_bidirectional_peak_memory_is_independent_of_instance_rows():
+    # The lifted instance rows are O(n * d / heads), under 0.5 MiB apart
+    # here; an n x m score matrix per head would be 6 MiB apart.
+    rng = np.random.default_rng(76)
+    ctx = tuple(rng.normal(size=(2, 32, 16)))
+    cfg = AttentionConfig(heads=4)
+    extra = []
+    for n in (4096, 16384):
+        inst = rng.normal(size=(n, 16))
+        tracemalloc.start()
+        try:
+            oac, cao = bidirectional_attention(inst, ctx, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra.append(peak - oac.nbytes - cao.nbytes)
+    assert abs(extra[1] - extra[0]) < 1 << 20, extra
+
+
+# The oblique kernel shifts by its score bound only while
+# (pi - floor) / tau_obl < 700: on either side of that temperature and far
+# below it, and at Lorentz's extreme temperatures, every row stays finite.
+_FLOOR = math.acos(1.0 - oblique.EPS_CLIP)
+_TAU_EDGE = (math.pi - _FLOOR) / 700.0
+
+
+@pytest.mark.filterwarnings("error")  # an overflow or invalid-value warning fails
+@pytest.mark.parametrize("space, tau", [
+    ("oblique", _TAU_EDGE * 1.001), ("oblique", _TAU_EDGE * 0.999), ("oblique", 1e-3),
+    ("lorentz", 1e-3), ("lorentz", 1e3)])
+def test_score_bound_shift_keeps_every_row(space, tau):
+    rng = np.random.default_rng(77)
+    # Per head, every key lies within 0.005 rad of u: query row 0 (-u)
+    # meets only clipped distances pi - floor, the smallest possible row
+    # max, and row 1 (u) the largest.
+    u = rng.normal(size=(2, 4))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    k = np.repeat(u, 8, axis=0) + 0.001 * rng.normal(size=(16, 4))
+    k = k.reshape(2, 8, 4).transpose(1, 0, 2).reshape(8, 8)
+    q = np.vstack([-u.reshape(1, 8), u.reshape(1, 8), rng.normal(size=(4, 8))])
+    v = rng.normal(size=(8, 8))
+    key_sets = [rng.normal(size=(8, 8))]
+    if space == "oblique":
+        cfg = AttentionConfig(heads=2, tau_obl=tau)
+        kernel = oblique_attention
+        key_sets.append(k)
+    else:
+        # Lorentz exps lie in (1, e] at any temperature.  The clustered keys
+        # are left out: row 1's near-coincident pairs meet the cancellation
+        # in arccosh(-c <x, y>_L), not the shift.
+        cfg = AttentionConfig(heads=2, tau_lor=tau)
+        kernel = lorentz_cross_attention
+    for keys in key_sets:
+        out = kernel(q, keys, v, cfg)
+        assert np.isfinite(out).all()
+        ref = naive_attention_reference(q, keys, v, space, cfg)
+        assert np.abs(out - ref).max() <= 1e-12

@@ -211,10 +211,9 @@ def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],
         shift = None
     out = np.empty((n, v.shape[1]))
     rev = _head_slices(reverse, cfg.heads) if reverse is not None else [None] * cfg.heads
-    for (qh, kh, vh, oh), rh in zip(zip(*(_head_slices(a, cfg.heads)
-                                          for a in (q, k, v, out))), rev):
+    for qh, kh, vh, oh, rh in zip(*(_head_slices(a, cfg.heads) for a in (q, k, v, out)), rev):
         qp, kp = prepare(qh), prepare(kh)
-        colsum = np.zeros(m)
+        colsum = np.zeros(m) if rh is not None else None
         for start in range(0, n, rows):
             blk = slice(start, start + rows)
             scores = block_scores(*(a[blk] for a in qp), *kp)

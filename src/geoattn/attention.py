@@ -162,7 +162,7 @@ def _softmax_value(scores: np.ndarray, vh: np.ndarray,
     """softmax_rows(scores) @ vh as (E @ vh) / rowsum(E), E = exp(scores - shift).
 
     E overwrites ``scores``.  ``shift`` is None for each row's max, or a
-    constant at or above every score and within ``_EXP_SPAN`` of each row's.
+    constant at or above every score and within ``_EXP_SPAN`` of every row's max.
     """
     if shift is None:
         scores -= scores.max(axis=1, keepdims=True)

@@ -7,19 +7,20 @@
   softmax(exp(-D/tau)).  The double exponential is deliberate: it is not
   the same function as softmax(-D/tau), and it is what is implemented.
 * Bidirectional wiring: the Lorentz kernel from instance to context rows
-  (oac) and back (cao, mean-pooled over a two-slice context), sharing one
-  lift of each side and one distance pass per head.
+  (oac) and back (cao, mean-pooled over a two-slice context), sharing
+  each block's lift and distance pass.
 
 Every kernel, the Euclidean baseline included, runs in one skeleton,
-``_multihead``: per head it prepares the query and key slices once and
-scores query rows in blocks of about ``_BLOCK_BYTES`` (1 MiB), so score
-temporaries are O(rows * m) whatever n is.  One stage, ``_softmax_value``,
-exps a block in place after a shift and divides ``E @ v`` by the row sums
-of E, on rows x dv entries rather than rows x m.  The shift is a bound on
-the scores where one is known (Lorentz scores lie in (0, 1], oblique ones
-under the clip floor), else the row max.  With a constant shift E serves
-column sums too, so cao accumulates over blocks and is divided at the
-end.  Inputs (q, k, v and the mask) are never written.
+``_multihead``: per head it prepares the key slice once and scores query
+rows in blocks of about ``_BLOCK_BYTES`` (1 MiB), each block prepared
+where it is scored, so apart from its inputs and its n x dv output a
+kernel holds O(rows * m + m * d) memory whatever n is.  One stage,
+``_softmax_value``, exps a block in place after a shift and divides
+``E @ v`` by the row sums of E, on rows x dv entries rather than rows x m.
+The shift is a bound on the scores where one is known (Lorentz scores lie
+in (0, 1], oblique ones under the clip floor), else the row max.  With a
+constant shift E serves column sums too, so cao accumulates over blocks
+and is divided at the end.  Inputs (q, k, v and the mask) are never written.
 """
 
 from __future__ import annotations
@@ -181,12 +182,13 @@ def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],
                names: tuple = ("q", "k")) -> np.ndarray:
     """Validation, head split, mask, softmax and value product of every kernel.
 
-    Per head, ``prepare(xh)`` runs once on the query slice and once on the
-    key slice and returns a tuple of row-aligned arrays.  Query rows are
-    taken in blocks of ``max(1, _BLOCK_BYTES // (8 * m))``:
-    ``block_scores(*query_block, *keys)`` returns a fresh rows x m score
-    array, the block's mask rows are added in place, and ``_softmax_value``
-    with ``shift`` (the row max under a mask) gives its output rows.
+    ``prepare(xh)`` returns a tuple of arrays aligned with the rows of xh,
+    each row prepared on its own.  Per head it runs once on the key slice
+    and once per block of ``max(1, _BLOCK_BYTES // (8 * m))`` query rows,
+    never on all n: ``block_scores(*prepare(query_block), *keys)`` returns
+    a fresh rows x m score array, the block's mask rows are added in place,
+    and ``_softmax_value`` with ``shift`` (the row max under a mask) gives
+    its output rows.
 
     ``names`` name q and k in errors.  Given ``reverse`` (m x d_q zeros),
     a constant shift and no mask, each block's E also adds ``E.T @ q_block``
@@ -212,11 +214,11 @@ def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],
     out = np.empty((n, v.shape[1]))
     rev = _head_slices(reverse, cfg.heads) if reverse is not None else [None] * cfg.heads
     for qh, kh, vh, oh, rh in zip(*(_head_slices(a, cfg.heads) for a in (q, k, v, out)), rev):
-        qp, kp = prepare(qh), prepare(kh)
+        kp = prepare(kh)
         colsum = np.zeros(m) if rh is not None else None
         for start in range(0, n, rows):
             blk = slice(start, start + rows)
-            scores = block_scores(*(a[blk] for a in qp), *kp)
+            scores = block_scores(*prepare(qh[blk]), *kp)
             if mask is not None:
                 scores += mask[blk]
             oh[blk] = _softmax_value(scores, vh, shift)
@@ -302,10 +304,12 @@ def bidirectional_attention(instance, context, cfg: AttentionConfig):
     slices; then oac uses the stacked slices as keys and values, and cao
     is computed per slice and mean-pooled over the slice axis.
 
-    Per head, blocks of instance rows are scored against all context rows
-    in one distance pass.  The scores lie in (0, 1], so E = exp(S) needs
-    no shift and serves both directions: oac = (E @ context) / rowsum(E)
-    per block, and cao = (sum of E.T @ instance) / (sum of colsum(E)).
+    Per head, each block of instance rows is lifted and scored against all
+    context rows in one distance pass, so memory apart from the inputs and
+    outputs is O(rows * m + m * d) whatever the instance count.  The scores
+    lie in (0, 1], so E = exp(S) needs no shift and serves both directions:
+    oac = (E @ context) / rowsum(E) per block, and cao = (sum of
+    E.T @ instance) / (sum of colsum(E)).
     This equals separate ``lorentz_cross_attention`` calls per direction
     up to the summation order of those sums.
     """

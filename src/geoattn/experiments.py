@@ -357,6 +357,22 @@ def embed_tree(spec: TreeSpec, run: EmbeddingRun) -> EmbeddingRun:
 _DESCENT_MAX_ITERS = 100_000
 
 
+def _descend(start, value, update, floor: float, tol: float):
+    """Record ``value(p)`` = (x, y, f) from p = ``start`` on, stopping once
+    f - floor <= tol and else stepping p = ``update(p)``.
+
+    Returns the trajectory, the iteration count and whether it converged
+    before ``_DESCENT_MAX_ITERS`` (the count it reports when not).
+    """
+    p, traj = start, []
+    for it in range(_DESCENT_MAX_ITERS + 1):
+        traj.append(value(p))
+        if traj[-1][2] - floor <= tol:
+            return traj, it, True
+        p = update(p)
+    return traj, _DESCENT_MAX_ITERS, False
+
+
 def descent_demo(run: DescentRun) -> DescentRun:
     """Run both descent arms on f(x) = x^T diag(1, kappa) x.
 
@@ -377,42 +393,21 @@ def descent_demo(run: DescentRun) -> DescentRun:
     theta = rng.uniform(0.0, 2.0 * math.pi)
     x0 = 2.0 * np.array([math.cos(theta), math.sin(theta)])
 
-    out = dataclasses.replace(run)
+    def value(xy):
+        return float(xy[0]), float(xy[1]), float(xy @ (a_diag * xy))
 
-    # Unconstrained arm.
-    x = x0.copy()
-    traj = []
-    iters = None
-    for it in range(_DESCENT_MAX_ITERS + 1):
-        f = float(x @ (a_diag * x))
-        traj.append((float(x[0]), float(x[1]), f))
-        if f <= run.tol:
-            iters = it
-            break
-        x = x - step * 2.0 * a_diag * x
-    out.trajectory_unconstrained = traj
-    out.converged_unconstrained = iters is not None
-    out.iters_unconstrained = iters if iters is not None else _DESCENT_MAX_ITERS
+    def circle_step(w):
+        grad = (2.0 * a_diag * w.inner[:, 0]).reshape(2, 1)
+        return oblique.retract(oblique.tangent_project(w, -grad), step)
 
-    # Oblique arm: direction variable on the unit circle.
-    w = oblique.project(x0.reshape(2, 1))
-    traj = []
-    iters = None
-    fmin = float(a_diag.min())
-    for it in range(_DESCENT_MAX_ITERS + 1):
-        wv = w.inner[:, 0]
-        f = float(wv @ (a_diag * wv))
-        traj.append((float(wv[0]), float(wv[1]), f))
-        if f - fmin <= run.tol:
-            iters = it
-            break
-        grad = (2.0 * a_diag * wv).reshape(2, 1)
-        tangent = oblique.tangent_project(w, -grad)
-        w = oblique.retract(tangent, step)
-    out.trajectory_oblique = traj
-    out.converged_oblique = iters is not None
-    out.iters_oblique = iters if iters is not None else _DESCENT_MAX_ITERS
-    return out
+    plane = _descend(x0, value, lambda x: x - step * 2.0 * a_diag * x, 0.0, run.tol)
+    # The direction variable on the unit circle.
+    circle = _descend(oblique.project(x0.reshape(2, 1)), lambda w: value(w.inner[:, 0]),
+                      circle_step, float(a_diag.min()), run.tol)
+    return dataclasses.replace(
+        run, trajectory_unconstrained=plane[0], iters_unconstrained=plane[1],
+        converged_unconstrained=plane[2], trajectory_oblique=circle[0],
+        iters_oblique=circle[1], converged_oblique=circle[2])
 
 
 def export_trajectories(run: DescentRun, out_dir) -> list:

@@ -16,7 +16,8 @@ from typing import Callable
 import numpy as np
 
 from . import diffcheck, experiments, lorentz, oblique
-from .attention import AttentionConfig, lorentz_cross_attention, oblique_attention
+from .attention import (AttentionConfig, _softmax_value, lorentz_cross_attention,
+                        oblique_attention)
 from .linalg import matmul, softmax_rows
 
 __all__ = ["PropertyResult", "run_properties", "ALL_PROPERTIES"]
@@ -218,16 +219,10 @@ def _prop_gradients_match_fd(rng, cfg):
 
 
 def _prop_attention_row_sums(rng, cfg):
-    q, k = rng.normal(size=(10, 8)), rng.normal(size=(12, 8))
-    d_obl = oblique.pairwise_distances(_unit_rows(rng, 10, 8),
-                                       _unit_rows(rng, 12, 8))
-    w_obl = softmax_rows(-d_obl / cfg.tau_obl)
-    sq, tq = lorentz.lift_rows(q, cfg.curvature, 0.5)
-    sk, tk = lorentz.lift_rows(k, cfg.curvature, 0.5)
-    d_lor = lorentz.pairwise_distance_matrix(sq, tq, sk, tk, cfg.curvature)
-    w_lor = softmax_rows(np.exp(-d_lor / cfg.tau_lor))
-    err = max(float(np.abs(w_obl.sum(axis=1) - 1.0).max()),
-              float(np.abs(w_lor.sum(axis=1) - 1.0).max()))
+    # With all-ones values every output entry is one row's weight sum.
+    q, k, ones = rng.normal(size=(10, 8)), rng.normal(size=(12, 8)), np.ones((12, 8))
+    err = max(float(np.abs(kernel(q, k, ones, cfg) - 1.0).max())
+              for kernel in (oblique_attention, lorentz_cross_attention))
     return err, 1e-12
 
 
@@ -261,16 +256,21 @@ def _prop_clip_safety(rng, cfg):
 
 
 def _prop_weight_monotonicity(rng, cfg):
+    # The kernels' softmax stage with identity values returns the weights.
+    # Oblique scores go under their clip-floor bound and the row max (None),
+    # Lorentz scores under their bound 0.
     d = np.abs(rng.normal(size=(5, 6))) + 0.1
+    obl, lor = (lambda x: -x / cfg.tau_obl), (lambda x: np.exp(-x / cfg.tau_lor))
+    cases = ((obl, -math.acos(1.0 - oblique.EPS_CLIP) / cfg.tau_obl), (obl, None),
+             (lor, 0.0))
     worst = 0.0
     for bump in (0.01, 0.1, 1.0):
         d2 = d.copy()
         d2[2, 3] += bump
-        w1 = softmax_rows(-d / cfg.tau_obl)
-        w2 = softmax_rows(-d2 / cfg.tau_obl)
-        a1 = softmax_rows(np.exp(-d / cfg.tau_lor))
-        a2 = softmax_rows(np.exp(-d2 / cfg.tau_lor))
-        worst = max(worst, float(w2[2, 3] - w1[2, 3]), float(a2[2, 3] - a1[2, 3]))
+        for score, shift in cases:
+            w1 = _softmax_value(score(d), np.eye(6), shift)
+            w2 = _softmax_value(score(d2), np.eye(6), shift)
+            worst = max(worst, float(w2[2, 3] - w1[2, 3]))
     return worst, 0.0
 
 

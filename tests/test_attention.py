@@ -446,13 +446,19 @@ def test_mask_check_names_first_bad_row_across_blocks(bad_rows, message):
 
 
 def test_query_blocks_prepare_keys_once_per_head(monkeypatch):
-    counts = {"lifted_rows": 0, "distance_calls": 0, "pairs": 0, "projections": 0}
+    # Query rows are prepared block by block and keys once per head, so
+    # every row is lifted or projected once and m-row calls count heads.
+    q, k, v = _blocked_inputs(72)
+    (n, m), heads = (q.shape[0], k.shape[0]), 4
+    counts = {"lifted_rows": 0, "key_lifts": 0, "distance_calls": 0, "pairs": 0,
+              "projected_rows": 0, "key_projections": 0}
     lift_rows, distances = lorentz.lift_rows, lorentz.pairwise_distance_matrix
     project = oblique.project
 
-    def counted_lift(m, *args, **kwargs):
-        counts["lifted_rows"] += m.shape[0]
-        return lift_rows(m, *args, **kwargs)
+    def counted_lift(x, *args, **kwargs):
+        counts["lifted_rows"] += x.shape[0]
+        counts["key_lifts"] += x.shape[0] == m
+        return lift_rows(x, *args, **kwargs)
 
     def counted_distances(*args, **kwargs):
         d = distances(*args, **kwargs)
@@ -460,76 +466,49 @@ def test_query_blocks_prepare_keys_once_per_head(monkeypatch):
         counts["pairs"] += d.size
         return d
 
-    def counted_project(*args, **kwargs):
-        counts["projections"] += 1
-        return project(*args, **kwargs)
+    def counted_project(x, *args, **kwargs):
+        # The kernel projects each head's slice transposed: rows are columns.
+        counts["projected_rows"] += x.shape[1]
+        counts["key_projections"] += x.shape[1] == m
+        return project(x, *args, **kwargs)
 
     monkeypatch.setattr(lorentz, "lift_rows", counted_lift)
     monkeypatch.setattr(lorentz, "pairwise_distance_matrix", counted_distances)
     monkeypatch.setattr(oblique, "project", counted_project)
-    q, k, v = _blocked_inputs(72)
-    (n, m), heads = (q.shape[0], k.shape[0]), 4
     cfg = AttentionConfig(heads=heads)
     lorentz_cross_attention(q, k, v, cfg)
     oblique_attention(q, k, v, cfg)
-    assert counts == {"lifted_rows": heads * (n + m), "distance_calls": heads * 3,
-                      "pairs": heads * n * m, "projections": 2 * heads}
+    assert counts == {"lifted_rows": heads * (n + m), "key_lifts": heads,
+                      "distance_calls": heads * 3, "pairs": heads * n * m,
+                      "projected_rows": heads * (n + m), "key_projections": heads}
 
 
-def test_lorentz_peak_memory_is_independent_of_query_count():
+@pytest.mark.parametrize("case", ["euclidean", "oblique", "lorentz", "masked", "bidirectional"])
+def test_peak_memory_is_independent_of_query_count(case):
+    # 256 keys make 512-row query blocks, so both counts are whole blocks.
+    # Preparing a head's whole query slice (or checking the whole mask)
+    # would put about 2 MiB between them here.
     rng = np.random.default_rng(73)
-    m, d = 1024, 64
+    m, d = 256, 64
     k, v = rng.normal(size=(2, m, d))
     cfg = AttentionConfig(heads=4)
+    kernel = {"euclidean": euclidean_attention, "oblique": oblique_attention}.get(
+        case, lorentz_cross_attention)
     extra = []
-    for n in (1024, 4096):
+    for n in (1024, 8192):
         q = rng.normal(size=(n, d))
+        mask = np.zeros((n, m)) if case == "masked" else None
         tracemalloc.start()
         try:
-            out = lorentz_cross_attention(q, k, v, cfg)
+            if case == "bidirectional":
+                outs = bidirectional_attention(q, (k[:m // 2], k[m // 2:]), cfg)
+            else:
+                outs = (kernel(q, k, v, cfg, mask=mask),)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        extra.append(peak - out.nbytes)
-    assert abs(extra[1] - extra[0]) < 1 << 20, extra
-
-
-def test_masked_peak_memory_is_independent_of_query_count():
-    rng = np.random.default_rng(75)
-    m, d = 1024, 64
-    k, v = rng.normal(size=(2, m, d))
-    cfg = AttentionConfig(heads=4)
-    extra = []
-    for n in (1024, 4096):
-        q = rng.normal(size=(n, d))
-        mask = np.zeros((n, m))
-        tracemalloc.start()
-        try:
-            out = lorentz_cross_attention(q, k, v, cfg, mask=mask)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        extra.append(peak - out.nbytes)
-    assert abs(extra[1] - extra[0]) < 1 << 20, extra
-
-
-def test_bidirectional_peak_memory_is_independent_of_instance_rows():
-    # The lifted instance rows are O(n * d / heads), under 0.5 MiB apart
-    # here; an n x m score matrix per head would be 6 MiB apart.
-    rng = np.random.default_rng(76)
-    ctx = tuple(rng.normal(size=(2, 32, 16)))
-    cfg = AttentionConfig(heads=4)
-    extra = []
-    for n in (4096, 16384):
-        inst = rng.normal(size=(n, 16))
-        tracemalloc.start()
-        try:
-            oac, cao = bidirectional_attention(inst, ctx, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        extra.append(peak - oac.nbytes - cao.nbytes)
-    assert abs(extra[1] - extra[0]) < 1 << 20, extra
+        extra.append(peak - sum(o.nbytes for o in outs))
+    assert abs(extra[1] - extra[0]) < 1 << 18, extra
 
 
 # The oblique kernel shifts by its score bound only while

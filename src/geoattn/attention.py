@@ -13,8 +13,9 @@
 Every kernel, the Euclidean baseline included, runs in one skeleton,
 ``_multihead``: per head it prepares the key slice once and scores query
 rows in blocks of about ``_BLOCK_BYTES`` (1 MiB), each block prepared
-where it is scored, so apart from its inputs and its n x dv output a
-kernel holds O(rows * m + m * d) memory whatever n is.  One stage,
+where it is scored and written into one score buffer that every block of
+the call reuses, so apart from its inputs and its n x dv output a kernel
+holds O(rows * m + m * d) memory whatever n is.  One stage,
 ``_softmax_value``, exps a block in place after a shift and divides
 ``E @ v`` by the row sums of E, on rows x dv entries rather than rows x m.
 The shift is a bound on the scores where one is known (Lorentz scores lie
@@ -177,18 +178,19 @@ def _softmax_value(scores: np.ndarray, vh: np.ndarray,
 
 def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],
                prepare: Callable[[np.ndarray], tuple],
-               block_scores: Callable[..., np.ndarray],
+               block_scores: Callable[..., None],
                shift: Optional[float] = None, reverse: Optional[np.ndarray] = None,
                names: tuple = ("q", "k")) -> np.ndarray:
     """Validation, head split, mask, softmax and value product of every kernel.
 
     ``prepare(xh)`` returns a tuple of arrays aligned with the rows of xh,
     each row prepared on its own.  Per head it runs once on the key slice
-    and once per block of ``max(1, _BLOCK_BYTES // (8 * m))`` query rows,
-    never on all n: ``block_scores(*prepare(query_block), *keys)`` returns
-    a fresh rows x m score array, the block's mask rows are added in place,
-    and ``_softmax_value`` with ``shift`` (the row max under a mask) gives
-    its output rows.
+    and once per block of ``rows = max(1, _BLOCK_BYTES // (8 * m))`` query
+    rows, never on all n.  One ``min(rows, n) x m`` score buffer serves
+    every block of the call: ``block_scores(out, *prepare(query_block),
+    *keys)`` writes a block of r rows into ``out``, the buffer's first r
+    rows, the block's mask rows are added in place, and ``_softmax_value``
+    with ``shift`` (the row max under a mask) gives its output rows.
 
     ``names`` name q and k in errors.  Given ``reverse`` (m x d_q zeros),
     a constant shift and no mask, each block's E also adds ``E.T @ q_block``
@@ -212,22 +214,25 @@ def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],
     if mask is not None:
         shift = None
     out = np.empty((n, v.shape[1]))
+    buf = np.empty((min(rows, n), m))
     rev = _head_slices(reverse, cfg.heads) if reverse is not None else [None] * cfg.heads
     for qh, kh, vh, oh, rh in zip(*(_head_slices(a, cfg.heads) for a in (q, k, v, out)), rev):
         kp = prepare(kh)
         colsum = np.zeros(m) if rh is not None else None
         for start in range(0, n, rows):
             blk = slice(start, start + rows)
-            scores = block_scores(*prepare(qh[blk]), *kp)
+            qb = qh[blk]
+            scores = buf[:qb.shape[0]]
+            block_scores(scores, *prepare(qb), *kp)
             if mask is not None:
                 scores += mask[blk]
             oh[blk] = _softmax_value(scores, vh, shift)
             if rh is not None:
                 colsum += scores.sum(axis=0)
-                rh += matmul(scores.T, qh[blk])
-            del scores  # free this block's rows x m arrays before the next one
+                rh += matmul(scores.T, qb)
         if rh is not None:
             rh /= colsum[:, None]
+        del kp  # free this head's keys before the next head prepares its own
     return out
 
 
@@ -240,10 +245,10 @@ def oblique_attention(q, k, v, cfg: AttentionConfig,
     = weights @ v_head.  tau_obl = 1 reproduces plain softmax(-D).
     """
 
-    def block_scores(qn, kn):
-        d = oblique.pairwise_distances(qn, kn)
+    def block_scores(out, qn, kn):
+        oblique.pairwise_distances(qn, kn, out=out)
         # d / -tau is -d / tau exactly: negation commutes with rounding.
-        return np.divide(d, -cfg.tau_obl, out=d)
+        np.divide(out, -cfg.tau_obl, out=out)
 
     # Distances lie in [floor, pi - floor]: scores are at most -floor / tau,
     # and each row's max is within (pi - floor) / tau of that.
@@ -274,12 +279,12 @@ def _lorentz_lift(cfg: AttentionConfig, xh):
     return lorentz.lift_rows(xh, cfg.curvature, scale=alpha)
 
 
-def _lorentz_scores(cfg: AttentionConfig, sq, tq, sk, tk) -> np.ndarray:
-    """exp(-D / tau_lor) of lifted rows, computed in place on a fresh D."""
-    d = lorentz.pairwise_distance_matrix(sq, tq, sk, tk, cfg.curvature)
+def _lorentz_scores(cfg: AttentionConfig, out, sq, tq, sk, tk) -> None:
+    """exp(-D / tau_lor) of lifted rows, written into ``out``."""
+    lorentz.pairwise_distance_matrix(sq, tq, sk, tk, cfg.curvature, out=out)
     # d / -tau is -d / tau exactly: negation commutes with rounding.
-    np.divide(d, -cfg.tau_lor, out=d)
-    return np.exp(d, out=d)
+    np.divide(out, -cfg.tau_lor, out=out)
+    np.exp(out, out=out)
 
 
 def lorentz_cross_attention(q, k, v, cfg: AttentionConfig,
@@ -339,9 +344,8 @@ def euclidean_attention(q, k, v, cfg: AttentionConfig,
                         mask: Optional[np.ndarray] = None) -> np.ndarray:
     """Plain scaled dot-product attention, the benchmark baseline."""
 
-    def block_scores(qb, kh):
-        scores = qb @ kh.T
-        scores /= math.sqrt(qb.shape[1])
-        return scores
+    def block_scores(out, qb, kh):
+        np.matmul(qb, kh.T, out=out)
+        out /= math.sqrt(qb.shape[1])
 
     return _multihead(q, k, v, cfg, mask, lambda xh: (xh,), block_scores)

@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -190,18 +191,25 @@ def geodesic_distance(x: LorentzPoint, y: LorentzPoint, c: float) -> float:
 
 def pairwise_distance_matrix(space_x: np.ndarray, time_x: np.ndarray,
                              space_y: np.ndarray, time_y: np.ndarray,
-                             c: float) -> np.ndarray:
+                             c: float, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Pairwise geodesic distances from stacked space/time components.
 
     D_ij = (1/sqrt(c)) arcosh(max(-c <x_i, y_j>_L, 1 + EPS_CLIP)).  The clip
     keeps the arcosh argument >= 1, so coincident points get the floor
-    distance arcosh(1 + eps)/sqrt(c) instead of NaN.  The result is a fresh
-    array; every step after the product runs in place on it.
+    distance arcosh(1 + eps)/sqrt(c) instead of NaN.
+
+    -c <x, y>_L is one product of augmented rows: [c s_x | c t_x] @
+    [-s_y | t_y].T.  It is written into ``out`` (n x m, numpy-style) or a
+    fresh array, and the clip, arcosh and scale run in place on it.
     """
     c = check_curvature(c)
-    beta = space_x @ space_y.T
-    beta -= np.outer(time_x, time_y)
-    beta *= -c
+    x = np.empty((space_x.shape[0], space_x.shape[1] + 1))
+    np.multiply(space_x, c, out=x[:, :-1])
+    np.multiply(time_x, c, out=x[:, -1])
+    y = np.empty((space_y.shape[0], space_y.shape[1] + 1))
+    np.negative(space_y, out=y[:, :-1])
+    y[:, -1] = time_y
+    beta = np.matmul(x, y.T, out=out)
     np.maximum(beta, 1.0 + EPS_CLIP, out=beta)
     np.arccosh(beta, out=beta)
     beta /= math.sqrt(c)

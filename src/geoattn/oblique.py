@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -37,7 +38,7 @@ EPS_CLIP = 1e-4
 
 # Column norms this close to 1 count as on-manifold.
 _NORM_TOL = 1e-12
-# |w_i . delta_i| below this counts as tangent.
+# |w_i . delta_i| / max(1, |delta_i|) below this counts as tangent.
 _TANGENT_TOL = 1e-10
 
 
@@ -82,10 +83,14 @@ class ObliqueTangent:
             raise ValueError(
                 f"tangent shape {d.shape} does not match base {self.base.shape}"
             )
-        dots = (self.base.inner * d).sum(axis=0)
-        if np.abs(dots).max(initial=0.0) > _TANGENT_TOL:
+        # The rounding left by tangent_project grows with |g_i|, so the dot
+        # product is judged relative to the column's norm once it passes 1.
+        dots = np.abs((self.base.inner * d).sum(axis=0))
+        dots /= np.maximum(1.0, np.sqrt((d * d).sum(axis=0)))
+        if dots.max(initial=0.0) > _TANGENT_TOL:
             raise ValueError(
-                f"delta is not tangent (max |w_i . d_i| = {np.abs(dots).max():.3e})"
+                f"delta is not tangent (max |w_i . d_i| / max(1, |d_i|) = "
+                f"{dots.max():.3e})"
             )
         object.__setattr__(self, "delta", d)
 
@@ -128,12 +133,13 @@ def geodesic_distance(q: ObliqueMatrix, k: ObliqueMatrix) -> float:
     return float(np.sqrt((np.arccos(dots) ** 2).sum()))
 
 
-def pairwise_distances(q_rows, k_rows) -> np.ndarray:
+def pairwise_distances(q_rows, k_rows, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Pairwise arccos distances between unit-norm rows.
 
     Each row is a single-column oblique point, so D_ij = arccos(clip(q_i . k_j)).
-    All entries land in [arccos(1 - eps), arccos(-1 + eps)].  The result is
-    a fresh array; clip and arccos run in place on it.
+    All entries land in [arccos(1 - eps), arccos(-1 + eps)].  The product
+    q @ k.T is written into ``out`` (n x m, numpy-style) or a fresh array,
+    and clip and arccos run in place on it.
     """
     q = as_matrix(q_rows, name="q rows")
     k = as_matrix(k_rows, name="k rows")
@@ -141,7 +147,7 @@ def pairwise_distances(q_rows, k_rows) -> np.ndarray:
         raise ValueError(
             f"feature dim mismatch: q has {q.shape[1]}, k has {k.shape[1]}"
         )
-    d = q @ k.T
+    d = np.matmul(q, k.T, out=out)
     return np.arccos(_clip(d, out=d), out=d)
 
 

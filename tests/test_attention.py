@@ -363,6 +363,34 @@ def test_bidirectional_blocks_match_per_direction_calls(two_slice, monkeypatch):
     assert np.abs(cao - want).max() <= 1e-12
 
 
+@pytest.mark.parametrize("case", ["euclidean", "oblique", "lorentz", "masked", "bidirectional"])
+def test_score_blocks_share_one_buffer(case, monkeypatch):
+    # 32 keys and 8-row blocks: 20 query rows are 8 + 8 + 4 per head
+    monkeypatch.setattr(attention, "_BLOCK_BYTES", 8 * 32 * 8)
+    stage, blocks = attention._softmax_value, []
+
+    def recorded(scores, vh, shift):
+        blocks.append(scores)
+        return stage(scores, vh, shift)
+
+    monkeypatch.setattr(attention, "_softmax_value", recorded)
+    rng = np.random.default_rng(66)
+    q = rng.normal(size=(20, 8))
+    k, v = rng.normal(size=(2, 32, 8))
+    cfg = AttentionConfig(heads=2)
+    if case == "bidirectional":
+        bidirectional_attention(q, (k[:16], k[16:]), cfg)
+    else:
+        kernel = {"euclidean": euclidean_attention, "oblique": oblique_attention}.get(
+            case, lorentz_cross_attention)
+        mask = rng.normal(size=(20, 32)) if case == "masked" else None
+        if mask is not None:
+            mask[:, 1] = -math.inf
+        kernel(q, k, v, cfg, mask=mask)
+    assert [b.shape for b in blocks] == [(8, 32), (8, 32), (4, 32)] * 2
+    assert all(np.shares_memory(b, blocks[0]) for b in blocks)
+
+
 def test_shape_validation():
     cfg = AttentionConfig(heads=1)
     with pytest.raises(ValueError, match="feature dims differ"):

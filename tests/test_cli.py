@@ -88,6 +88,21 @@ def test_descent_writes_trajectories(tmp_path, capsys):
     assert (tmp_path / "descent_oblique.csv").exists()
 
 
+def test_descent_at_large_condition_number_writes_both_arms(tmp_path, capsys):
+    # Exit 1 is by design here: the unconstrained arm stops at its
+    # iteration cap (converged=False).  The oblique arm converges, and no
+    # error line is printed.
+    assert cli.main(["descent", "--condition-number", "1e6",
+                     "--out-dir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "error:" not in captured.err
+    assert "unconstrained iterations: 100000 (converged=False)" in captured.out
+    assert "oblique iterations:" in captured.out
+    assert "(converged=True)" in captured.out
+    assert (tmp_path / "descent_unconstrained.csv").exists()
+    assert (tmp_path / "descent_oblique.csv").exists()
+
+
 def test_descent_missing_dir(tmp_path, capsys):
     assert cli.main(["descent", "--out-dir", str(tmp_path / "nope")]) == 1
     assert "does not exist" in capsys.readouterr().err

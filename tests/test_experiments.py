@@ -306,6 +306,15 @@ def test_descent_demo_condition_one():
         descent_demo(DescentRun(condition_number=0.5))
 
 
+@pytest.mark.parametrize("kappa", [1e6, 1e7])
+def test_descent_demo_oblique_arm_at_large_condition_number(kappa):
+    # the circle arm's gradient has norm about 2 kappa; its tangent
+    # projection must still pass the tangency check
+    run = descent_demo(DescentRun(seed=0, condition_number=kappa))
+    assert run.converged_oblique
+    assert run.trajectory_oblique[-1][2] - 1.0 <= run.tol
+
+
 def test_export_trajectories(tmp_path):
     run = descent_demo(DescentRun(seed=3))
     paths = export_trajectories(run, tmp_path)

@@ -137,9 +137,10 @@ def _scalar(p):
     return p.space.tolist(), p.time
 
 
-def test_pairwise_matches_scalar_loop():
+@pytest.mark.parametrize("c", [1e-3, 1.0, 30.0])
+def test_pairwise_matches_scalar_loop(c):
+    # the augmented rows carry the factor c, so every curvature is checked
     rng = np.random.default_rng(5)
-    c = 1.0
     xs = [_rand_point(rng, 3, c) for _ in range(64)]
     d = lorentz.pairwise_distance_matrix(*_stacked(xs), *_stacked(xs), c)
     for i in range(0, 64, 7):
@@ -149,11 +150,20 @@ def test_pairwise_matches_scalar_loop():
                 # which the arcosh magnifies to its square root (ROADMAP
                 # item 4), so the self-distance is bounded, not compared
                 noise = 8.0 * np.finfo(float).eps * c * xs[i].time ** 2
-                assert np.arccosh(1.0 + 1e-15) <= d[i, i]
+                assert np.arccosh(1.0 + 1e-15) / math.sqrt(c) <= d[i, i]
                 assert d[i, i] <= np.arccosh(1.0 + max(noise, 1e-15)) / math.sqrt(c)
             else:
                 want = diffcheck._lorentz_dist(_scalar(xs[i]), _scalar(xs[j]), c)
                 assert abs(d[i, j] - want) < 1e-12
+
+
+def test_pairwise_writes_into_out():
+    rng = np.random.default_rng(8)
+    x = _stacked([_rand_point(rng, 4, 2.0) for _ in range(5)])
+    y = _stacked([_rand_point(rng, 4, 2.0) for _ in range(3)])
+    out = np.empty((5, 3))
+    assert lorentz.pairwise_distance_matrix(*x, *y, 2.0, out=out) is out
+    assert np.array_equal(out, lorentz.pairwise_distance_matrix(*x, *y, 2.0))
 
 
 def test_pairwise_singleton_clip_floor():

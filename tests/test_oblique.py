@@ -103,6 +103,14 @@ def test_pairwise_matches_double_loop():
             assert abs(d[i, j] - math.acos(dot)) < 1e-12
 
 
+def test_pairwise_writes_into_out():
+    rng = np.random.default_rng(9)
+    q, k = _unit_rows(rng, 6, 4), _unit_rows(rng, 3, 4)
+    out = np.empty((6, 3))
+    assert oblique.pairwise_distances(q, k, out=out) is out
+    assert np.array_equal(out, oblique.pairwise_distances(q, k))
+
+
 def test_pairwise_triangle_inequality():
     rng = np.random.default_rng(7)
     for _ in range(1000):
@@ -139,6 +147,10 @@ def test_tangent_validation():
     w = oblique.ObliqueMatrix(np.eye(2))
     with pytest.raises(ValueError, match="not tangent"):
         oblique.ObliqueTangent(w, np.eye(2))
+    # a unit-norm delta off tangency by 1e-6 still fails the relative check
+    off = np.array([[1e-6, 1.0], [math.sqrt(1.0 - 1e-12), 0.0]])
+    with pytest.raises(ValueError, match="not tangent"):
+        oblique.ObliqueTangent(w, off)
     with pytest.raises(ValueError, match="shape mismatch"):
         oblique.tangent_project(w, np.zeros((3, 3)))
 

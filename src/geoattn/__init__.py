@@ -2,12 +2,13 @@
 
 Submodules:
 
-* ``linalg``: dense float64 helpers (BLAS matmul, row softmax for ``verify``).
+* ``linalg``: input validation into finite float64 arrays.
 * ``oblique``: product-of-spheres manifold: projection, geodesic distance,
   tangent projection, retraction.
 * ``lorentz``: hyperboloid model: exp/log maps at the origin, geodesic
   distance.
-* ``attention``: every kernel and the bidirectional wiring, on one skeleton.
+* ``attention``: every kernel and the bidirectional wiring, on one skeleton
+  whose ``softmax_rows`` stage is the package's only softmax.
 * ``diffcheck``: finite differences and the scalar reference kernels.
 * ``experiments``: tree-embedding distortion and constrained-descent demos.
 * ``cli`` / ``verify``: command-line surface and the runtime property suite.

@@ -16,8 +16,9 @@ rows in blocks of about ``_BLOCK_BYTES`` (1 MiB), each block prepared
 where it is scored and written into one score buffer that every block of
 the call reuses, so apart from its inputs and its n x dv output a kernel
 holds O(rows * m + m * d) memory whatever n is.  One stage,
-``_softmax_value``, exps a block in place after a shift and divides
-``E @ v`` by the row sums of E, on rows x dv entries rather than rows x m.
+``softmax_rows``, the package's only softmax, exps a block in place after
+a shift and divides ``E @ v`` (numpy's ``matmul``, a module global that a
+tracer can wrap) by the row sums of E, on rows x dv entries, not rows x m.
 The shift is a bound on the scores where one is known (Lorentz scores lie
 in (0, 1], oblique ones under the clip floor), else the row max.  With a
 constant shift E serves column sums too, so cao accumulates over blocks
@@ -32,11 +33,10 @@ from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
+from numpy import matmul
 
 from . import lorentz, oblique
-# softmax_rows is not called here.  It stays bound because perfbench's
-# ``linalg.softmax_rows`` probe wraps ``geoattn.attention.softmax_rows``.
-from .linalg import as_matrix, matmul, softmax_rows  # noqa: F401
+from .linalg import as_matrix
 
 __all__ = [
     "AttentionConfig",
@@ -159,12 +159,14 @@ def _check_mask(mask, shape, rows: int) -> Optional[np.ndarray]:
     return mask
 
 
-def _softmax_value(scores: np.ndarray, vh: np.ndarray,
-                   shift: Optional[float]) -> np.ndarray:
-    """softmax_rows(scores) @ vh as (E @ vh) / rowsum(E), E = exp(scores - shift).
+def softmax_rows(scores: np.ndarray, vh: np.ndarray,
+                 shift: Optional[float]) -> np.ndarray:
+    """Row softmax of ``scores`` times ``vh``, as (E @ vh) / rowsum(E).
 
-    E overwrites ``scores``.  ``shift`` is None for each row's max, or a
-    constant at or above every score and within ``_EXP_SPAN`` of every row's max.
+    E = exp(scores - shift) overwrites ``scores``, which holds E on return;
+    with ``vh`` the identity the result is the softmax weights themselves.
+    ``shift`` is None for each row's max, or a constant at or above every
+    score and within ``_EXP_SPAN`` of every row's max.
     """
     if shift is None:
         scores -= scores.max(axis=1, keepdims=True)
@@ -189,7 +191,7 @@ def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],
     rows, never on all n.  One ``min(rows, n) x m`` score buffer serves
     every block of the call: ``block_scores(out, *prepare(query_block),
     *keys)`` writes a block of r rows into ``out``, the buffer's first r
-    rows, the block's mask rows are added in place, and ``_softmax_value``
+    rows, the block's mask rows are added in place, and ``softmax_rows``
     with ``shift`` (the row max under a mask) gives its output rows.
 
     ``names`` name q and k in errors.  Given ``reverse`` (m x d_q zeros),
@@ -226,7 +228,7 @@ def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],
             block_scores(scores, *prepare(qb), *kp)
             if mask is not None:
                 scores += mask[blk]
-            oh[blk] = _softmax_value(scores, vh, shift)
+            oh[blk] = softmax_rows(scores, vh, shift)
             if rh is not None:
                 colsum += scores.sum(axis=0)
                 rh += matmul(scores.T, qb)

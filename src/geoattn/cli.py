@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import statistics
 import sys
@@ -16,7 +15,7 @@ import time
 
 import numpy as np
 
-from . import experiments
+from . import experiments, lorentz
 from .attention import (AttentionConfig, euclidean_attention,
                         lorentz_cross_attention, oblique_attention)
 from .verify import run_properties
@@ -31,7 +30,10 @@ def _default_seed() -> int:
 
 
 def _parse_seeds(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t.strip()]
+    seeds = [int(t) for t in text.split(",") if t.strip()]
+    if not seeds:
+        raise ValueError(f"--seeds names no seed, got {text!r}")
+    return seeds
 
 
 def cmd_verify(args) -> int:
@@ -49,17 +51,9 @@ def cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
-def _percentile(sorted_vals, q):
-    if len(sorted_vals) == 1:
-        return sorted_vals[0]
-    idx = q * (len(sorted_vals) - 1)
-    lo = int(math.floor(idx))
-    hi = min(lo + 1, len(sorted_vals) - 1)
-    frac = idx - lo
-    return sorted_vals[lo] * (1 - frac) + sorted_vals[hi] * frac
-
-
 def cmd_bench(args) -> int:
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be at least 1, got {args.repeats}")
     if args.n * args.m > _SIZE_GUARD:
         print(f"n*m = {args.n * args.m} exceeds the {_SIZE_GUARD} guard",
               file=sys.stderr)
@@ -84,13 +78,12 @@ def cmd_bench(args) -> int:
             t0 = time.perf_counter_ns()
             fn()
             times.append(time.perf_counter_ns() - t0)
-        times.sort()
         records.append({
             "kernel": name, "n": args.n, "m": args.m, "d": args.d,
             "heads": args.heads, "space": space,
             "mean_ns": statistics.fmean(times),
-            "p50_ns": _percentile(times, 0.50),
-            "p95_ns": _percentile(times, 0.95),
+            "p50_ns": np.percentile(times, 50),
+            "p95_ns": np.percentile(times, 95),
             "repeats": args.repeats,
         })
     _emit(records, _BENCH_FIELDS, args.format, args.output,
@@ -125,7 +118,7 @@ def _fmt_value(v):
 def cmd_tree_embed(args) -> int:
     spec = experiments.TreeSpec(branching=args.branching, depth=args.depth)
     seeds = _parse_seeds(args.seeds)
-    curvatures = [float(t) for t in args.curvature.split(",")]
+    curvatures = [lorentz.check_curvature(t) for t in args.curvature.split(",")]
     arms = [("euclidean", None)] + [("lorentz", c) for c in curvatures]
     records = []
     for space, c in arms:

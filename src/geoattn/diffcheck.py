@@ -1,13 +1,14 @@
 """Independent numerical oracles.
 
 Two kinds: central finite differences (checks analytic distance
-gradients), and a scalar transliteration of both attention algorithms
-(checks the optimized kernels).  The reference deliberately shares no code
-with the optimized paths - plain Python floats, ``math`` calls, and nested
-loops only - so an agreement to 1e-12 is meaningful evidence; its scalar
-Lorentz lift and distance also check ``lorentz``'s row code.  It writes its
-clip floors, 1e-4 and 1e-15, and its head check as its own code rather
-than importing ``oblique.EPS_CLIP``, ``lorentz.EPS_CLIP`` or ``attention``.
+gradients), and a scalar transliteration of the oblique, Lorentz and
+Euclidean attention kernels (checks the optimized ones).  The reference
+deliberately shares no code with the optimized paths - plain Python
+floats, ``math`` calls, and nested loops only - so an agreement to 1e-12
+is meaningful evidence; its scalar Lorentz lift and distance also check
+``lorentz``'s row code.  It writes its clip floors, 1e-4 and 1e-15, and
+its head check as its own code rather than importing ``oblique.EPS_CLIP``,
+``lorentz.EPS_CLIP`` or ``attention``.
 """
 
 from __future__ import annotations
@@ -102,11 +103,11 @@ def _lorentz_dist(p, q, c):
 
 
 def naive_attention_reference(q, k, v, space: str, cfg) -> np.ndarray:
-    """Scalar ground truth for both attention kernels.
+    """Scalar ground truth for the three attention kernels.
 
-    ``space`` selects the geometry ("oblique" or "lorentz"); ``cfg`` is an
-    AttentionConfig.  Triple-nested scalar loops, per head, small sizes
-    only (n, m <= 256).
+    ``space`` selects the geometry: "oblique", "lorentz", or "euclidean"
+    for scaled dot products; ``cfg`` is an AttentionConfig.  Triple-nested
+    scalar loops, per head, small sizes only (n, m <= 256).
     """
     q = [list(map(float, row)) for row in np.asarray(q, dtype=np.float64)]
     k = [list(map(float, row)) for row in np.asarray(k, dtype=np.float64)]
@@ -114,7 +115,7 @@ def naive_attention_reference(q, k, v, space: str, cfg) -> np.ndarray:
     n, m = len(q), len(k)
     if n > _SIZE_CAP or m > _SIZE_CAP:
         raise ValueError(f"reference capped at {_SIZE_CAP} rows, got {n} x {m}")
-    if space not in ("oblique", "lorentz"):
+    if space not in ("oblique", "lorentz", "euclidean"):
         raise ValueError(f"unknown space {space!r}")
     if len(q[0]) % cfg.heads or len(v[0]) % cfg.heads:
         raise ValueError(f"feature dims {len(q[0])} and {len(v[0])} are not "
@@ -131,6 +132,13 @@ def naive_attention_reference(q, k, v, space: str, cfg) -> np.ndarray:
             kn = _oblique_rows(kh)
             scores = [
                 [-_oblique_dist(qn[i], kn[j]) / cfg.tau_obl
+                 for j in range(m)]
+                for i in range(n)
+            ]
+        elif space == "euclidean":
+            scale = math.sqrt(dq)
+            scores = [
+                [sum(x * y for x, y in zip(qh[i], kh[j])) / scale
                  for j in range(m)]
                 for i in range(n)
             ]

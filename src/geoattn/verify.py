@@ -16,9 +16,8 @@ from typing import Callable
 import numpy as np
 
 from . import diffcheck, experiments, lorentz, oblique
-from .attention import (AttentionConfig, _softmax_value, lorentz_cross_attention,
-                        oblique_attention)
-from .linalg import matmul, softmax_rows
+from .attention import (AttentionConfig, lorentz_cross_attention, oblique_attention,
+                        softmax_rows)
 
 __all__ = ["PropertyResult", "run_properties", "ALL_PROPERTIES"]
 
@@ -34,29 +33,6 @@ class PropertyResult:
 def _unit_rows(rng, n, d):
     m = rng.normal(size=(n, d))
     return m / np.linalg.norm(m, axis=1, keepdims=True)
-
-
-def _prop_matmul_associativity(rng, cfg):
-    worst = 0.0
-    for _ in range(20):
-        a, b, c = (rng.normal(size=(6, 6)) for _ in range(3))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        denom = max(np.abs(left).max(), 1.0)
-        worst = max(worst, float(np.abs(left - right).max() / denom))
-    return worst, 1e-10
-
-
-def _prop_softmax_row_sums(rng, cfg):
-    m = rng.uniform(-700, 700, size=(50, 40))
-    sums = softmax_rows(m).sum(axis=1)
-    return float(np.abs(sums - 1.0).max()), 1e-12
-
-
-def _prop_softmax_shift_invariance(rng, cfg):
-    m = rng.normal(size=(30, 20))
-    shift = rng.normal(size=(30, 1))
-    return float(np.abs(softmax_rows(m + shift) - softmax_rows(m)).max()), 1e-12
 
 
 def _prop_project_idempotent(rng, cfg):
@@ -218,6 +194,30 @@ def _prop_gradients_match_fd(rng, cfg):
     return worst, 1e-5
 
 
+def _weights(scores, shift=None):
+    """The kernels' softmax stage with identity values: the weights of a copy."""
+    return softmax_rows(scores.copy(), np.eye(scores.shape[1]), shift)
+
+
+def _prop_softmax_row_sums(rng, cfg):
+    sums = _weights(rng.uniform(-700, 700, size=(50, 40))).sum(axis=1)
+    return float(np.abs(sums - 1.0).max()), 1e-12
+
+
+def _prop_softmax_shift_invariance(rng, cfg):
+    # Per-row shifts leave the weights alone, and so does each kernel's
+    # constant bound in place of the row max: oblique scores lie in
+    # [-(pi - floor), -floor] / tau_obl, Lorentz scores in (0, 1].
+    m = rng.normal(size=(30, 20))
+    floor = math.acos(1.0 - oblique.EPS_CLIP)
+    obl = -rng.uniform(floor, math.pi - floor, size=(30, 20)) / cfg.tau_obl
+    lor = 1.0 - rng.uniform(size=(30, 20))
+    pairs = ((_weights(m + rng.normal(size=(30, 1))), _weights(m)),
+             (_weights(obl, -floor / cfg.tau_obl), _weights(obl)),
+             (_weights(lor, 0.0), _weights(lor)))
+    return max(float(np.abs(a - b).max()) for a, b in pairs), 1e-12
+
+
 def _prop_attention_row_sums(rng, cfg):
     # With all-ones values every output entry is one row's weight sum.
     q, k, ones = rng.normal(size=(10, 8)), rng.normal(size=(12, 8)), np.ones((12, 8))
@@ -256,7 +256,6 @@ def _prop_clip_safety(rng, cfg):
 
 
 def _prop_weight_monotonicity(rng, cfg):
-    # The kernels' softmax stage with identity values returns the weights.
     # Oblique scores go under their clip-floor bound and the row max (None),
     # Lorentz scores under their bound 0.
     d = np.abs(rng.normal(size=(5, 6))) + 0.1
@@ -268,8 +267,8 @@ def _prop_weight_monotonicity(rng, cfg):
         d2 = d.copy()
         d2[2, 3] += bump
         for score, shift in cases:
-            w1 = _softmax_value(score(d), np.eye(6), shift)
-            w2 = _softmax_value(score(d2), np.eye(6), shift)
+            w1 = _weights(score(d), shift)
+            w2 = _weights(score(d2), shift)
             worst = max(worst, float(w2[2, 3] - w1[2, 3]))
     return worst, 0.0
 
@@ -302,9 +301,6 @@ def _prop_descent_strict_decrease(rng, cfg):
 
 
 ALL_PROPERTIES: dict[str, Callable] = {
-    "linalg.matmul_associativity": _prop_matmul_associativity,
-    "linalg.softmax_row_sums": _prop_softmax_row_sums,
-    "linalg.softmax_shift_invariance": _prop_softmax_shift_invariance,
     "oblique.project_idempotent": _prop_project_idempotent,
     "oblique.project_scale_invariance": _prop_project_scale_invariance,
     "oblique.distance_symmetry": _prop_oblique_symmetry,
@@ -318,6 +314,8 @@ ALL_PROPERTIES: dict[str, Callable] = {
     "lorentz.curvature_scaling": _prop_lorentz_curvature_scaling,
     "lorentz.clip_floor": _prop_lorentz_clip_floor,
     "gradients.finite_difference_agreement": _prop_gradients_match_fd,
+    "attention.softmax_row_sums": _prop_softmax_row_sums,
+    "attention.softmax_shift_invariance": _prop_softmax_shift_invariance,
     "attention.weight_row_sums": _prop_attention_row_sums,
     "attention.kernel_oracle_equivalence": _prop_kernel_oracle_equivalence,
     "attention.clip_safety": _prop_clip_safety,

@@ -15,8 +15,7 @@ import pytest
 
 from geoattn import cli, diffcheck, experiments, lorentz, oblique
 from geoattn.attention import (AttentionConfig, lorentz_cross_attention,
-                               oblique_attention)
-from geoattn.linalg import softmax_rows
+                               oblique_attention, softmax_rows)
 
 
 def _report(num, name, ok, detail):
@@ -185,16 +184,18 @@ def test_criterion_08_attention_algebra():
         perm_err = max(perm_err,
                        float(np.abs(kernel(q[pq], k, v, cfg) - base[pq]).max()),
                        float(np.abs(kernel(q, k[pkv], v[pkv], cfg) - base).max()))
-    # monotonicity: growing one distance must never grow its weight
+    # monotonicity: growing one distance must never grow its weight; the
+    # kernels' softmax stage with identity values and the row max gives weights
     d = np.abs(rng.normal(size=(5, 6))) + 0.1
+    eye = np.eye(6)
     mono_ok = True
     for bump in (1e-3, 0.1, 1.0):
         d2 = d.copy()
         d2[1, 4] += bump
-        w_obl = softmax_rows(-d / cfg.tau_obl)[1, 4]
-        w_obl2 = softmax_rows(-d2 / cfg.tau_obl)[1, 4]
-        w_lor = softmax_rows(np.exp(-d / cfg.tau_lor))[1, 4]
-        w_lor2 = softmax_rows(np.exp(-d2 / cfg.tau_lor))[1, 4]
+        w_obl = softmax_rows(-d / cfg.tau_obl, eye, None)[1, 4]
+        w_obl2 = softmax_rows(-d2 / cfg.tau_obl, eye, None)[1, 4]
+        w_lor = softmax_rows(np.exp(-d / cfg.tau_lor), eye, None)[1, 4]
+        w_lor2 = softmax_rows(np.exp(-d2 / cfg.tau_lor), eye, None)[1, 4]
         mono_ok &= w_obl2 < w_obl and w_lor2 < w_lor
     ok = row_err < 1e-12 and perm_err < 1e-12 and mono_ok
     _report(8, "attention algebra", ok,

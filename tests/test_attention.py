@@ -80,6 +80,18 @@ def test_lorentz_matches_naive_reference(heads):
     assert np.abs(got - want).max() < 1e-12
 
 
+@pytest.mark.parametrize("heads", [1, 4])
+def test_euclidean_matches_naive_reference(heads):
+    rng = np.random.default_rng(40 + heads)
+    q = rng.normal(size=(16, 8))
+    k = rng.normal(size=(12, 8))
+    v = rng.normal(size=(12, 8))
+    cfg = AttentionConfig(heads=heads)
+    got = euclidean_attention(q, k, v, cfg)
+    want = naive_attention_reference(q, k, v, "euclidean", cfg)
+    assert np.abs(got - want).max() < 1e-12
+
+
 def test_lorentz_two_point_example():
     # one feature, antipodal tangents at unit radius: geodesic distances
     # are (clip floor, 1.0), giving row weights softmax(e^0, e^-1)
@@ -185,7 +197,7 @@ def _checked_stage(monkeypatch, inputs):
     """Wrap the softmax-value stage; each call records that it may write
     only its own score block: the block shares no memory with ``inputs``
     and the values it reads are left as they were."""
-    stage, calls = attention._softmax_value, []
+    stage, calls = attention.softmax_rows, []
 
     def checked(scores, vh, shift):
         owned = not any(np.shares_memory(scores, a) for a in inputs)
@@ -194,7 +206,7 @@ def _checked_stage(monkeypatch, inputs):
         calls.append(owned and np.array_equal(vh, vh_before))
         return out
 
-    monkeypatch.setattr(attention, "_softmax_value", checked)
+    monkeypatch.setattr(attention, "softmax_rows", checked)
     return calls
 
 
@@ -367,13 +379,13 @@ def test_bidirectional_blocks_match_per_direction_calls(two_slice, monkeypatch):
 def test_score_blocks_share_one_buffer(case, monkeypatch):
     # 32 keys and 8-row blocks: 20 query rows are 8 + 8 + 4 per head
     monkeypatch.setattr(attention, "_BLOCK_BYTES", 8 * 32 * 8)
-    stage, blocks = attention._softmax_value, []
+    stage, blocks = attention.softmax_rows, []
 
     def recorded(scores, vh, shift):
         blocks.append(scores)
         return stage(scores, vh, shift)
 
-    monkeypatch.setattr(attention, "_softmax_value", recorded)
+    monkeypatch.setattr(attention, "softmax_rows", recorded)
     rng = np.random.default_rng(66)
     q = rng.normal(size=(20, 8))
     k, v = rng.normal(size=(2, 32, 8))

@@ -54,6 +54,26 @@ def test_bench_size_guard(capsys):
     assert "guard" in capsys.readouterr().err
 
 
+def test_bench_rejects_zero_repeats(capsys):
+    assert cli.main(["bench", "--n", "4", "--m", "4", "--d", "4",
+                     "--repeats", "0"]) == 1
+    assert "error: --repeats must be at least 1, got 0" in capsys.readouterr().err
+
+
+def test_tree_embed_rejects_empty_seed_list(capsys):
+    assert cli.main(["tree-embed", "--depth", "1", "--seeds", ","]) == 1
+    assert "error: --seeds names no seed" in capsys.readouterr().err
+
+
+def test_tree_embed_checks_curvatures_before_any_arm(capsys):
+    assert cli.main(["tree-embed", "--depth", "2", "--steps", "100", "--seeds", "0",
+                     "--curvature", "1.0,0"]) == 1
+    captured = capsys.readouterr()
+    assert "mean distortion" not in captured.out
+    assert "error: curvature must satisfy" in captured.err
+    assert "got 0.0" in captured.err
+
+
 def test_tree_embed_writes_csv(tmp_path, capsys):
     out_file = tmp_path / "embed.csv"
     assert cli.main(["tree-embed", "--depth", "2", "--steps", "100",

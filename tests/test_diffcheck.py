@@ -50,7 +50,7 @@ def test_reference_rejects_bad_inputs():
         naive_attention_reference(big, big, big, "oblique", cfg)
     small = np.ones((2, 2))
     with pytest.raises(ValueError, match="unknown space"):
-        naive_attention_reference(small, small, small, "euclidean", cfg)
+        naive_attention_reference(small, small, small, "spherical", cfg)
     wide = np.ones((4, 8))
     with pytest.raises(ValueError, match="divisible"):
         naive_attention_reference(wide, wide, wide, "oblique", AttentionConfig(heads=3))
@@ -63,6 +63,6 @@ def test_reference_weight_rows_sum_to_one():
     k = rng.normal(size=(6, 4))
     ones = np.ones((6, 4))
     cfg = AttentionConfig(heads=2)
-    for space in ("oblique", "lorentz"):
+    for space in ("oblique", "lorentz", "euclidean"):
         out = naive_attention_reference(q, k, ones, space, cfg)
         assert np.abs(out - 1.0).max() < 1e-12

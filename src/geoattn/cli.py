@@ -29,8 +29,21 @@ def _default_seed() -> int:
     return int(os.environ.get("GEOATTN_SEED", "0"))
 
 
+def _parse_items(flag: str, text: str, parse, kind: str, skip_blank: bool = False):
+    """Parse a comma-separated flag value; a bad item's error names the flag."""
+    values = []
+    for t in text.split(","):
+        if skip_blank and not t.strip():
+            continue
+        try:
+            values.append(parse(t))
+        except ValueError:
+            raise ValueError(f"{flag} item {t!r} is not {kind}, got {text!r}") from None
+    return values
+
+
 def _parse_seeds(text: str) -> list[int]:
-    seeds = [int(t) for t in text.split(",") if t.strip()]
+    seeds = _parse_items("--seeds", text, int, "an integer", skip_blank=True)
     if not seeds:
         raise ValueError(f"--seeds names no seed, got {text!r}")
     return seeds
@@ -118,7 +131,8 @@ def _fmt_value(v):
 def cmd_tree_embed(args) -> int:
     spec = experiments.TreeSpec(branching=args.branching, depth=args.depth)
     seeds = _parse_seeds(args.seeds)
-    curvatures = [lorentz.check_curvature(t) for t in args.curvature.split(",")]
+    curvatures = [lorentz.check_curvature(c) for c in
+                  _parse_items("--curvature", args.curvature, float, "a number")]
     arms = [("euclidean", None)] + [("lorentz", c) for c in curvatures]
     records = []
     for space, c in arms:

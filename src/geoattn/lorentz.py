@@ -8,7 +8,9 @@ elsewhere are out of scope.
 Numerical conventions:
 
 * The sinc-like factor sinh(t)/t is evaluated by its Taylor series for
-  small t, avoiding 0/0.
+  t < 1e-4, avoiding 0/0.  The series and its per-entry selection run only
+  for arrays that hold such an entry; otherwise the closed form is used
+  directly, with the same result.
 * The log map uses the identity arcosh(sqrt(1 + s^2)) = asinh(s) with
   s = sqrt(c) * ||x_space||, which is accurate near the origin where the
   printed arcosh/sqrt form loses digits.  Under this curvature-normalized
@@ -118,9 +120,14 @@ def _sinhc(t):
     """sinh(t)/t elementwise, by its Taylor series below t = 1e-4 (no 0/0).
 
     Accepts a scalar or an array of nonnegative t; a scalar gives a scalar.
+    The series and the per-entry selection run only when some entry is
+    below the switch; otherwise the closed form is returned directly, the
+    same values the selection would pick.
     """
     t = np.asarray(t, dtype=np.float64)
     small = t < 1e-4
+    if not small.any():
+        return (np.sinh(t) / t)[()]
     t2 = t * t
     safe_t = np.where(small, 1.0, t)
     return np.where(small, 1.0 + t2 / 6.0 + t2 * t2 / 120.0,
@@ -136,8 +143,13 @@ def _asinhc(s: float) -> float:
 
 
 def _lift(v: np.ndarray, c: float, what: str):
-    """Lift the rows of ``v`` at an already checked ``c``; errors name ``what``."""
-    t = math.sqrt(c) * np.sqrt((v * v).sum(axis=1))
+    """Lift the rows of ``v`` at an already checked ``c``; errors name ``what``.
+
+    ``_lift`` owns ``v``: the space part is written into it in place and
+    returned, so callers pass a fresh float64 array, never their input.
+    Row norms come from ``einsum``, so no other n x d array is made.
+    """
+    t = math.sqrt(c) * np.sqrt(np.einsum("ij,ij->i", v, v))
     t_max = t.max(initial=0.0)
     limit = math.asinh(math.sqrt(c) * _SQRT_FLOAT_MAX)
     if t_max > limit:
@@ -145,8 +157,8 @@ def _lift(v: np.ndarray, c: float, what: str):
             f"{what}: largest sqrt(c) * r is {t_max:.6g}, past the float64 "
             f"limit {limit:.6g} at c = {c:g} (r is the scaled row norm)"
         )
-    space = _sinhc(t)[:, None] * v
-    time = np.sqrt(1.0 / c + (space * space).sum(axis=1))
+    space = np.multiply(v, _sinhc(t)[:, None], out=v)
+    time = np.sqrt(1.0 / c + np.einsum("ij,ij->i", space, space))
     return space, time
 
 
@@ -158,7 +170,7 @@ def exp_origin(u, c: float) -> LorentzPoint:
     ValueError as :func:`lift_rows`, naming ``exp_origin``.
     """
     c = check_curvature(c)
-    space, time = _lift(as_vector(u, name="tangent")[None], c, "exp_origin")
+    space, time = _lift(as_vector(u, name="tangent")[None].copy(), c, "exp_origin")
     return LorentzPoint(space[0], time[0])
 
 
@@ -200,7 +212,8 @@ def pairwise_distance_matrix(space_x: np.ndarray, time_x: np.ndarray,
 
     -c <x, y>_L is one product of augmented rows: [c s_x | c t_x] @
     [-s_y | t_y].T.  It is written into ``out`` (n x m, numpy-style) or a
-    fresh array, and the clip, arcosh and scale run in place on it.
+    fresh array, and the clip, arcosh and scale run in place on it; at
+    c = 1 the scale is exact and skipped.
     """
     c = check_curvature(c)
     x = np.empty((space_x.shape[0], space_x.shape[1] + 1))
@@ -212,7 +225,8 @@ def pairwise_distance_matrix(space_x: np.ndarray, time_x: np.ndarray,
     beta = np.matmul(x, y.T, out=out)
     np.maximum(beta, 1.0 + EPS_CLIP, out=beta)
     np.arccosh(beta, out=beta)
-    beta /= math.sqrt(c)
+    if c != 1.0:
+        beta /= math.sqrt(c)
     return beta
 
 
@@ -227,6 +241,9 @@ def lift_rows(m: np.ndarray, c: float, scale: float = 1.0):
     which overflows float64 once sqrt(c) r passes
     asinh(sqrt(c * float_max)), about 355.6 + ln(c) / 2.  A row past that
     limit raises ValueError instead of producing inf or NaN coordinates.
+
+    ``m`` is never written: the lift runs in place on the scaled copy
+    ``m * scale``, which becomes the returned space part.
     """
     c = check_curvature(c)
     return _lift(np.asarray(m, dtype=np.float64) * scale, c, "lift_rows")
@@ -241,6 +258,8 @@ def _sinhc_deriv_over_r(r, a: float):
     r = np.asarray(r, dtype=np.float64)
     t = a * r
     small = t < 1e-4
+    if not small.any():
+        return ((t * np.cosh(t) - np.sinh(t)) / r ** 3)[()]
     safe_r = np.where(small, 1.0, r)
     safe_t = a * safe_r
     return np.where(small, a ** 3 * (1.0 / 3.0 + t * t / 30.0),

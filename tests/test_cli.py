@@ -65,6 +65,19 @@ def test_tree_embed_rejects_empty_seed_list(capsys):
     assert "error: --seeds names no seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seeds", "a", "--seeds item 'a' is not an integer, got 'a'"),
+    ("--seeds", "0,1.5", "--seeds item '1.5' is not an integer, got '0,1.5'"),
+    ("--curvature", ",", "--curvature item '' is not a number, got ','"),
+    ("--curvature", "1.0,x", "--curvature item 'x' is not a number, got '1.0,x'"),
+])
+def test_tree_embed_names_flag_and_item_of_malformed_list(capsys, flag, value, message):
+    assert cli.main(["tree-embed", "--depth", "1", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert "mean distortion" not in captured.out
+    assert f"error: {message}" in captured.err
+
+
 def test_tree_embed_checks_curvatures_before_any_arm(capsys):
     assert cli.main(["tree-embed", "--depth", "2", "--steps", "100", "--seeds", "0",
                      "--curvature", "1.0,0"]) == 1

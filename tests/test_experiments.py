@@ -321,7 +321,8 @@ def test_export_trajectories(tmp_path):
     assert len(paths) == 2
     for path, traj in zip(paths, (run.trajectory_unconstrained,
                                   run.trajectory_oblique)):
-        lines = open(path, encoding="utf-8").read().splitlines()
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().splitlines()
         assert lines[0] == "iter,x,y,f"
         assert len(lines) == 1 + len(traj)
         first = lines[1].split(",")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,33 @@ def test_lift_rows_matches_exp_origin():
         assert abs(time[i] - p_time) < 1e-12
 
 
+@pytest.mark.parametrize("scale", [1.0, 0.3])
+def test_lift_writes_no_input(scale):
+    # the lift runs in place on its own copy, never on the caller's rows
+    rng = np.random.default_rng(8)
+    m = rng.normal(size=(6, 3))
+    u = rng.normal(size=3)
+    m_before, u_before = m.copy(), u.copy()
+    space, _ = lorentz.lift_rows(m, 2.0, scale=scale)
+    p = lorentz.exp_origin(u, 2.0)
+    assert not np.shares_memory(space, m) and not np.shares_memory(p.space, u)
+    assert np.array_equal(m, m_before) and np.array_equal(u, u_before)
+
+
+def test_lift_rows_peak_memory_is_one_array():
+    # the scaled copy becomes the space part; row norms come without an
+    # n x d square, so the peak stays near one n x d array
+    n, d = 1024, 64
+    m = np.random.default_rng(9).normal(size=(n, d))
+    tracemalloc.start()
+    try:
+        lorentz.lift_rows(m, 1.0, scale=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * d * 8, peak / (n * d * 8)
+
+
 def _sinhc_loop(t):
     if t < 1e-4:
         return 1.0 + t * t / 6.0 + t ** 4 / 120.0
@@ -202,19 +230,23 @@ def _sinhc_deriv_over_r_loop(r, a):
 
 @pytest.mark.parametrize("a", [0.7, 1.0, 1.3])
 def test_sinhc_helpers_array_form_matches_per_element_loop(a):
-    # zero, both sides of the Taylor switch at 1e-4, and large arguments
-    ts = np.array([0.0, 0.99e-4, 1.01e-4, 1.0, 10.0, 300.0])
-    sc = lorentz._sinhc(ts)
-    g = lorentz._sinhc_deriv_over_r(ts / a, a)
-    # the array form picks each element's branch as a scalar call does
-    assert np.array_equal(sc, [lorentz._sinhc(float(t)) for t in ts])
-    assert np.array_equal(g, [lorentz._sinhc_deriv_over_r(float(t) / a, a) for t in ts])
-    for t, got_sc, got_g in zip(ts, sc, g):
-        assert abs(got_sc / _sinhc_loop(t) - 1.0) <= 1e-15
-        # above the switch t cosh t - sinh t ~ t^3 / 3 cancels: one ulp of
-        # sinh(t) moves it by about 3 u / t^2 relative
-        tol = 1e-15 * max(1.0, 3.0 / t ** 2) if t >= 1e-4 else 1e-15
-        assert abs(got_g / _sinhc_deriv_over_r_loop(t / a, a) - 1.0) <= tol
+    # zero, both sides of the Taylor switch at 1e-4, and large arguments;
+    # then entries all at or above the switch, which take the closed form
+    # without the per-entry selection
+    for ts in (np.array([0.0, 0.99e-4, 1.01e-4, 1.0, 10.0, 300.0]),
+               np.array([1e-4, 1.01e-4, 1.0, 10.0, 300.0])):
+        sc = lorentz._sinhc(ts)
+        g = lorentz._sinhc_deriv_over_r(ts / a, a)
+        # the array form picks each element's branch as a scalar call does
+        assert np.array_equal(sc, [lorentz._sinhc(float(t)) for t in ts])
+        assert np.array_equal(g, [lorentz._sinhc_deriv_over_r(float(t) / a, a)
+                                  for t in ts])
+        for t, got_sc, got_g in zip(ts, sc, g):
+            assert abs(got_sc / _sinhc_loop(t) - 1.0) <= 1e-15
+            # above the switch t cosh t - sinh t ~ t^3 / 3 cancels: one ulp of
+            # sinh(t) moves it by about 3 u / t^2 relative
+            tol = 1e-15 * max(1.0, 3.0 / t ** 2) if t >= 1e-4 else 1e-15
+            assert abs(got_g / _sinhc_deriv_over_r_loop(t / a, a) - 1.0) <= tol
 
 
 def test_lift_rows_keeps_finite_output_below_float64_limit():

@@ -1,7 +1,9 @@
 """Geodesic attention kernels.
 
 * Oblique attention: queries and keys are row-normalized onto the unit
-  sphere and scored by negated arccos distances; values stay Euclidean.
+  sphere by ``oblique._unit_rows``, the row function whose checked column
+  case is ``oblique.project``, and scored by negated arccos distances;
+  values stay Euclidean.
 * Lorentz cross attention: queries and keys are lifted through the
   exponential map at the hyperboloid origin, and weights are
   softmax(exp(-D/tau)).  The double exponential is deliberate: it is not
@@ -257,7 +259,7 @@ def oblique_attention(q, k, v, cfg: AttentionConfig,
     floor = math.acos(1.0 - oblique.EPS_CLIP)
     shift = -floor / cfg.tau_obl if (math.pi - floor) / cfg.tau_obl < _EXP_SPAN else None
     return _multihead(q, k, v, cfg, mask,
-                      lambda xh: (oblique.project(xh.T).inner.T,), block_scores, shift)
+                      lambda xh: oblique._unit_rows(xh)[:1], block_scores, shift)
 
 
 def oblique_self_attention(x, pos, emb: Optional[EmbedFn],

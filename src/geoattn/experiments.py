@@ -289,6 +289,10 @@ def embed_tree(spec: TreeSpec, run: EmbeddingRun) -> EmbeddingRun:
     """
     if run.dim < 2:
         raise ValueError(f"embedding dim must be >= 2, got {run.dim}")
+    if not (math.isfinite(run.step_size) and run.step_size > 0):
+        raise ValueError(f"step_size must be finite and > 0, got {run.step_size}")
+    if run.steps < 0:
+        raise ValueError(f"steps must be >= 0, got {run.steps}")
     if run.space not in ("euclidean", "lorentz"):
         raise ValueError(f"unknown space {run.space!r}")
     if run.space == "euclidean":
@@ -385,8 +389,10 @@ def descent_demo(run: DescentRun) -> DescentRun:
     flagged, not raised.
     """
     kappa = run.condition_number
-    if kappa < 1:
-        raise ValueError(f"condition number must be >= 1, got {kappa}")
+    if not (math.isfinite(kappa) and kappa >= 1):
+        raise ValueError(f"condition number must be finite and >= 1, got {kappa}")
+    if not run.tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {run.tol}")
     a_diag = np.array([1.0, kappa])
     step = 1.0 / (2.0 * kappa)
     rng = np.random.default_rng(run.seed)

@@ -19,7 +19,7 @@ Numerical conventions:
   trusted from input arithmetic.
 * Geodesic distance clips the arcosh argument to [1 + eps, inf) with
   eps = ``EPS_CLIP`` = 1e-15, a fixed constant, so self-distance is
-  arcosh(1 + 1e-15)/sqrt(c) ~ 4.47e-8/sqrt(c) (the clip floor), never NaN.
+  arcosh(1 + 1e-15)/sqrt(c) ~ 4.712e-8/sqrt(c) (the clip floor), never NaN.
 * The lift and the distance are each written once, for stacked rows, in
   :func:`lift_rows` and :func:`pairwise_distance_matrix`.  The point API
   (:func:`exp_origin`, :func:`geodesic_distance`) is their checked one-row

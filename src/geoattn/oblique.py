@@ -10,6 +10,11 @@ Dot products feeding arccos are clipped to [-1 + eps, 1 - eps] with
 eps = ``EPS_CLIP`` = 1e-4, a fixed constant.  A deliberate consequence: the
 self-distance of a point is arccos(1 - eps) ~ 0.014142 rather than 0.  This
 clip floor is documented and tested, not hidden.
+
+Rows are normalized once, in the private ``_unit_rows``, which returns the
+unit rows and a bool mask of dead rows (set to e1).  The attention kernels
+call it directly; :func:`project` is its checked column case and builds
+the validated :class:`ObliqueMatrix`.
 """
 
 from __future__ import annotations
@@ -95,25 +100,36 @@ class ObliqueTangent:
         object.__setattr__(self, "delta", d)
 
 
+def _unit_rows(v):
+    """Each row of ``v`` scaled to unit norm, and the bool mask of dead rows.
+
+    A row with norm < 1e-12 is dead: it cannot be normalized and becomes
+    e1.  ``v`` must have at least one column and is never written.
+    """
+    norms = np.sqrt((v * v).sum(axis=1))
+    dead = norms < 1e-12
+    out = v / np.where(dead, 1.0, norms)[:, None]
+    out[dead] = 0.0
+    out[dead, 0] = 1.0
+    return out, dead
+
+
 def project(m) -> ObliqueMatrix:
     """Normalize each column to unit norm.
 
     Columns with norm < 1e-12 cannot be normalized; they are replaced
     by the unit vector e1 and flagged in ``degenerate``.  Attention pipelines
     must not abort on a single dead feature.  An input with no rows has no
-    unit vector to give and raises ``ValueError``.
+    unit vector to give and raises ``ValueError``.  This is the checked
+    column case of the kernels' row function: the columns of ``m`` are
+    its rows.
     """
     m = as_matrix(m, name="projection input")
     if m.shape[0] == 0:
         raise ValueError("projection input has no rows: a zero-width column has "
                          "no unit vector")
-    norms = np.sqrt((m * m).sum(axis=0))
-    dead = norms < 1e-12
-    safe = np.where(dead, 1.0, norms)
-    out = m / safe
-    out[:, dead] = 0.0
-    out[0, dead] = 1.0
-    return ObliqueMatrix(out, degenerate=tuple(bool(b) for b in dead))
+    out, dead = _unit_rows(m.T)
+    return ObliqueMatrix(out.T, degenerate=tuple(dead.tolist()))
 
 
 def _clip(t, out=None):

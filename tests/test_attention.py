@@ -493,7 +493,7 @@ def test_query_blocks_prepare_keys_once_per_head(monkeypatch):
     counts = {"lifted_rows": 0, "key_lifts": 0, "distance_calls": 0, "pairs": 0,
               "projected_rows": 0, "key_projections": 0}
     lift_rows, distances = lorentz.lift_rows, lorentz.pairwise_distance_matrix
-    project = oblique.project
+    unit_rows = oblique._unit_rows
 
     def counted_lift(x, *args, **kwargs):
         counts["lifted_rows"] += x.shape[0]
@@ -506,15 +506,17 @@ def test_query_blocks_prepare_keys_once_per_head(monkeypatch):
         counts["pairs"] += d.size
         return d
 
-    def counted_project(x, *args, **kwargs):
-        # The kernel projects each head's slice transposed: rows are columns.
-        counts["projected_rows"] += x.shape[1]
-        counts["key_projections"] += x.shape[1] == m
-        return project(x, *args, **kwargs)
+    def counted_unit_rows(x):
+        counts["projected_rows"] += x.shape[0]
+        counts["key_projections"] += x.shape[0] == m
+        return unit_rows(x)
 
     monkeypatch.setattr(lorentz, "lift_rows", counted_lift)
     monkeypatch.setattr(lorentz, "pairwise_distance_matrix", counted_distances)
-    monkeypatch.setattr(oblique, "project", counted_project)
+    monkeypatch.setattr(oblique, "_unit_rows", counted_unit_rows)
+    # The kernel normalizes rows directly: it calls neither of these.
+    monkeypatch.setattr(oblique, "project", None)
+    monkeypatch.setattr(oblique, "ObliqueMatrix", None)
     cfg = AttentionConfig(heads=heads)
     lorentz_cross_attention(q, k, v, cfg)
     oblique_attention(q, k, v, cfg)

@@ -87,6 +87,14 @@ def test_tree_embed_checks_curvatures_before_any_arm(capsys):
     assert "got 0.0" in captured.err
 
 
+def test_tree_embed_rejects_nan_step_size(capsys):
+    assert cli.main(["tree-embed", "--depth", "2", "--seeds", "0",
+                     "--step-size", "nan"]) == 1
+    captured = capsys.readouterr()
+    assert "mean distortion" not in captured.out
+    assert "error: step_size must be finite and > 0, got nan" in captured.err
+
+
 def test_tree_embed_writes_csv(tmp_path, capsys):
     out_file = tmp_path / "embed.csv"
     assert cli.main(["tree-embed", "--depth", "2", "--steps", "100",

@@ -227,6 +227,11 @@ def test_embed_tree_validation():
         embed_tree(spec, EmbeddingRun(space="poincare"))
     with pytest.raises(ValueError, match="curvature"):
         embed_tree(spec, EmbeddingRun(space="lorentz", curvature=0.0))
+    for step_size in (math.nan, math.inf, -0.05, 0.0):
+        with pytest.raises(ValueError, match="step_size must be finite and > 0"):
+            embed_tree(spec, EmbeddingRun(space="euclidean", step_size=step_size))
+    with pytest.raises(ValueError, match="steps must be >= 0, got -4"):
+        embed_tree(spec, EmbeddingRun(steps=-4))
 
 
 def test_embed_tree_reduces_stress():
@@ -302,8 +307,12 @@ def test_descent_demo_condition_one():
     run = descent_demo(DescentRun(condition_number=1.0, seed=0))
     # isotropic landscape: the oblique start already sits at the minimum
     assert run.iters_oblique == 0
-    with pytest.raises(ValueError, match="condition number"):
-        descent_demo(DescentRun(condition_number=0.5))
+    for kappa in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="condition number must be finite and >= 1"):
+            descent_demo(DescentRun(condition_number=kappa))
+    for tol in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            descent_demo(DescentRun(tol=tol))
 
 
 @pytest.mark.parametrize("kappa", [1e6, 1e7])

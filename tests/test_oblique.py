@@ -45,6 +45,16 @@ def test_project_zero_column_policy():
     assert out.degenerate == (True, False)
     assert np.allclose(out.inner[:, 0], [1.0, 0.0])
     assert np.allclose(out.inner[:, 1], [0.6, 0.8])
+    # project is the checked column case of the kernels' row function,
+    # which leaves its input as it was.
+    m = np.random.default_rng(5).normal(size=(6, 9))
+    m[:, 3] = 0.0
+    before = m.copy()
+    rows, dead = oblique._unit_rows(m.T)
+    assert m.tobytes() == before.tobytes()
+    out = oblique.project(m)
+    assert out.inner.tobytes() == rows.T.tobytes()
+    assert out.degenerate == tuple(dead) == (False,) * 3 + (True,) + (False,) * 5
 
 
 def test_oblique_matrix_rejects_non_unit():

@@ -13,18 +13,24 @@
   each block's lift and distance pass.
 
 Every kernel, the Euclidean baseline included, runs in one skeleton,
-``_multihead``: per head it prepares the key slice once and scores query
-rows in blocks of about ``_BLOCK_BYTES`` (1 MiB), each block prepared
-where it is scored and written into one score buffer that every block of
-the call reuses, so apart from its inputs and its n x dv output a kernel
-holds O(rows * m + m * d) memory whatever n is.  One stage,
-``softmax_rows``, the package's only softmax, exps a block in place after
-a shift and divides ``E @ v`` (numpy's ``matmul``, a module global that a
-tracer can wrap) by the row sums of E, on rows x dv entries, not rows x m.
-The shift is a bound on the scores where one is known (Lorentz scores lie
-in (0, 1], oblique ones under the clip floor), else the row max.  With a
-constant shift E serves column sums too, so cao accumulates over blocks
-and is divided at the end.  Inputs (q, k, v and the mask) are never written.
+``_multihead``: per head it prepares the key slice once, in the form the
+kernel's score product consumes, and scores query rows in blocks of about
+``_BLOCK_BYTES`` (1 MiB), each block prepared where it is scored and
+written into one score buffer that every block of the call reuses, so
+apart from its inputs and its n x dv output a kernel holds
+O(rows * m + m * d) memory whatever n is.  One stage, ``softmax_rows``,
+the package's only softmax, exps a block in place after a shift and
+divides ``E @ v`` (numpy's ``matmul``, a module global that a tracer can
+wrap) by the row sums of E, on rows x dv entries, not rows x m.
+No kernel spends a pass over the scores on the shift where a bound is
+known: Lorentz scores lie in (0, 1] and oblique ones under -floor/tau_obl
+< 0, so both use shift 0 (oblique while its scores span less than
+``_EXP_SPAN``), and the Euclidean product already subtracts each row's
+Cauchy-Schwarz bound, its keys carrying the scale 1/sqrt(d) and the
+bound's key factor as an extra column.  Otherwise (a mask, too wide a
+span) the shift is the row max.  With a constant shift E serves column
+sums too, so cao accumulates over blocks and is divided at the end.
+Inputs (q, k, v and the mask) are never written.
 """
 
 from __future__ import annotations
@@ -57,9 +63,8 @@ EmbedFn = Callable[[np.ndarray, Optional[np.ndarray]], np.ndarray]
 _BLOCK_BYTES = 1 << 20
 
 # exp(-_EXP_SPAN) is a normal float64, so no row underflows under a shift
-# within this span of its max.  Lorentz scores lie in (0, 1]: no shift.
+# within this span of its max.
 _EXP_SPAN = 700.0
-_LORENTZ_SHIFT = 0.0
 
 
 @dataclass(frozen=True)
@@ -181,20 +186,23 @@ def softmax_rows(scores: np.ndarray, vh: np.ndarray,
 
 
 def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],
+               prepare_keys: Callable[[np.ndarray], tuple],
                prepare: Callable[[np.ndarray], tuple],
-               block_scores: Callable[..., None],
-               shift: Optional[float] = None, reverse: Optional[np.ndarray] = None,
+               block_scores: Callable[..., None], shift: Optional[float],
+               reverse: Optional[np.ndarray] = None,
                names: tuple = ("q", "k")) -> np.ndarray:
     """Validation, head split, mask, softmax and value product of every kernel.
 
-    ``prepare(xh)`` returns a tuple of arrays aligned with the rows of xh,
-    each row prepared on its own.  Per head it runs once on the key slice
-    and once per block of ``rows = max(1, _BLOCK_BYTES // (8 * m))`` query
-    rows, never on all n.  One ``min(rows, n) x m`` score buffer serves
-    every block of the call: ``block_scores(out, *prepare(query_block),
-    *keys)`` writes a block of r rows into ``out``, the buffer's first r
-    rows, the block's mask rows are added in place, and ``softmax_rows``
-    with ``shift`` (the row max under a mask) gives its output rows.
+    Per head, ``prepare_keys(kh)`` runs once on the key slice and returns
+    the key arguments of ``block_scores``, already in the form its product
+    consumes.  ``prepare(xh)`` returns a tuple of arrays aligned with the
+    rows of xh, each row prepared on its own; it runs once per block of
+    ``rows = max(1, _BLOCK_BYTES // (8 * m))`` query rows, never on all n.
+    One ``min(rows, n) x m`` score buffer serves every block of the call:
+    ``block_scores(out, *prepare(query_block), *keys)`` writes a block of
+    r rows into ``out``, the buffer's first r rows, the block's mask rows
+    are added in place, and ``softmax_rows`` with ``shift`` (the row max
+    under a mask) gives its output rows.
 
     ``names`` name q and k in errors.  Given ``reverse`` (m x d_q zeros),
     a constant shift and no mask, each block's E also adds ``E.T @ q_block``
@@ -221,7 +229,7 @@ def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],
     buf = np.empty((min(rows, n), m))
     rev = _head_slices(reverse, cfg.heads) if reverse is not None else [None] * cfg.heads
     for qh, kh, vh, oh, rh in zip(*(_head_slices(a, cfg.heads) for a in (q, k, v, out)), rev):
-        kp = prepare(kh)
+        kp = prepare_keys(kh)
         colsum = np.zeros(m) if rh is not None else None
         for start in range(0, n, rows):
             blk = slice(start, start + rows)
@@ -254,12 +262,15 @@ def oblique_attention(q, k, v, cfg: AttentionConfig,
         # d / -tau is -d / tau exactly: negation commutes with rounding.
         np.divide(out, -cfg.tau_obl, out=out)
 
-    # Distances lie in [floor, pi - floor]: scores are at most -floor / tau,
-    # and each row's max is within (pi - floor) / tau of that.
+    # Distances lie in [floor, pi - floor]: scores are at most -floor / tau
+    # < 0, and each row's max is at least -(pi - floor) / tau.
     floor = math.acos(1.0 - oblique.EPS_CLIP)
-    shift = -floor / cfg.tau_obl if (math.pi - floor) / cfg.tau_obl < _EXP_SPAN else None
-    return _multihead(q, k, v, cfg, mask,
-                      lambda xh: oblique._unit_rows(xh)[:1], block_scores, shift)
+    shift = 0.0 if (math.pi - floor) / cfg.tau_obl < _EXP_SPAN else None
+
+    def unit_rows(xh):
+        return oblique._unit_rows(xh)[:1]
+
+    return _multihead(q, k, v, cfg, mask, unit_rows, unit_rows, block_scores, shift)
 
 
 def oblique_self_attention(x, pos, emb: Optional[EmbedFn],
@@ -277,15 +288,24 @@ def oblique_self_attention(x, pos, emb: Optional[EmbedFn],
     return oblique_attention(qk, qk, x, cfg, mask=mask)
 
 
+def _lorentz_alpha(cfg: AttentionConfig, xh) -> float:
+    """The tangent scale: cfg.alpha, or 1/sqrt(head_dim) when it is None."""
+    return cfg.alpha if cfg.alpha is not None else 1.0 / math.sqrt(xh.shape[1])
+
+
 def _lorentz_lift(cfg: AttentionConfig, xh):
-    """One head's q or k slice lifted as (space, time), scaled by alpha."""
-    alpha = cfg.alpha if cfg.alpha is not None else 1.0 / math.sqrt(xh.shape[1])
-    return lorentz.lift_rows(xh, cfg.curvature, scale=alpha)
+    """One head's query block lifted as (space, time), scaled by alpha."""
+    return lorentz.lift_rows(xh, cfg.curvature, scale=_lorentz_alpha(cfg, xh))
 
 
-def _lorentz_scores(cfg: AttentionConfig, out, sq, tq, sk, tk) -> None:
+def _lorentz_keys(cfg: AttentionConfig, kh):
+    """One head's key slice lifted once, packed as [-s | t] for the product."""
+    return (lorentz._lift_keys(kh, cfg.curvature, _lorentz_alpha(cfg, kh)),)
+
+
+def _lorentz_scores(cfg: AttentionConfig, out, sq, tq, keys) -> None:
     """exp(-D / tau_lor) of lifted rows, written into ``out``."""
-    lorentz.pairwise_distance_matrix(sq, tq, sk, tk, cfg.curvature, out=out)
+    lorentz._distances(sq, tq, keys, cfg.curvature, out=out)
     # d / -tau is -d / tau exactly: negation commutes with rounding.
     np.divide(out, -cfg.tau_lor, out=out)
     np.exp(out, out=out)
@@ -300,8 +320,9 @@ def lorentz_cross_attention(q, k, v, cfg: AttentionConfig,
     distance matrix, and A = softmax(exp(-D / tau_lor)) - the double
     exponential, exactly as specified.  Values are never lifted.
     """
-    return _multihead(q, k, v, cfg, mask, partial(_lorentz_lift, cfg),
-                      partial(_lorentz_scores, cfg), _LORENTZ_SHIFT)
+    # Scores lie in (0, 1]: exp needs no shift.
+    return _multihead(q, k, v, cfg, mask, partial(_lorentz_keys, cfg),
+                      partial(_lorentz_lift, cfg), partial(_lorentz_scores, cfg), 0.0)
 
 
 def bidirectional_attention(instance, context, cfg: AttentionConfig):
@@ -335,9 +356,9 @@ def bidirectional_attention(instance, context, cfg: AttentionConfig):
         raise ValueError("instance has no rows: both directions need at least "
                          "one instance row and one context row")
     cao = np.zeros((context.shape[0], instance.shape[1]))
-    oac = _multihead(instance, context, context, cfg, None, partial(_lorentz_lift, cfg),
-                     partial(_lorentz_scores, cfg), _LORENTZ_SHIFT, cao,
-                     ("instance", "context"))
+    oac = _multihead(instance, context, context, cfg, None, partial(_lorentz_keys, cfg),
+                     partial(_lorentz_lift, cfg), partial(_lorentz_scores, cfg), 0.0,
+                     cao, ("instance", "context"))
     if pooled:
         half = context.shape[0] // 2
         cao = (cao[:half] + cao[half:]) / 2.0
@@ -346,10 +367,35 @@ def bidirectional_attention(instance, context, cfg: AttentionConfig):
 
 def euclidean_attention(q, k, v, cfg: AttentionConfig,
                         mask: Optional[np.ndarray] = None) -> np.ndarray:
-    """Plain scaled dot-product attention, the benchmark baseline."""
+    """Plain scaled dot-product attention, the benchmark baseline.
 
-    def block_scores(out, qb, kh):
-        np.matmul(qb, kh.T, out=out)
-        out /= math.sqrt(qb.shape[1])
+    Per head the keys are packed once as [k / sqrt(d) | -K] with
+    K = max_j |k_j| / sqrt(d), so one product of a query block packed as
+    [q | |q_i|] gives q.k / sqrt(d) - B_i.  B_i = |q_i| K bounds every
+    score of row i (Cauchy-Schwarz), so each row lies in [-2 B_i, 0] and
+    the softmax needs no shift while 2 B_i is within ``_EXP_SPAN``.  A
+    block with a wider row, or a norm that overflows, takes the plain
+    product and its row max instead.
+    """
 
-    return _multihead(q, k, v, cfg, mask, lambda xh: (xh,), block_scores)
+    def prepare_keys(kh):
+        keys = np.empty((kh.shape[0], kh.shape[1] + 1))
+        scaled = np.divide(kh, math.sqrt(kh.shape[1]), out=keys[:, :-1])
+        bound = math.sqrt(np.einsum("ij,ij->i", scaled, scaled).max())
+        keys[:, -1] = -bound
+        return keys, bound
+
+    def block_scores(out, qb, keys, bound):
+        norms = np.sqrt(np.einsum("ij,ij->i", qb, qb))
+        # Python floats: an inf or NaN product fails the test without a warning.
+        if 2.0 * float(norms.max()) * bound <= _EXP_SPAN:
+            packed = np.empty((qb.shape[0], qb.shape[1] + 1))
+            packed[:, :-1] = qb
+            packed[:, -1] = norms
+            np.matmul(packed, keys.T, out=out)
+        else:
+            np.matmul(qb, keys[:, :-1].T, out=out)
+            out -= out.max(axis=1, keepdims=True)
+
+    return _multihead(q, k, v, cfg, mask, prepare_keys, lambda xh: (xh,),
+                      block_scores, 0.0)

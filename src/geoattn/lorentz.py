@@ -21,7 +21,10 @@ Numerical conventions:
   eps = ``EPS_CLIP`` = 1e-15, a fixed constant, so self-distance is
   arcosh(1 + 1e-15)/sqrt(c) ~ 4.712e-8/sqrt(c) (the clip floor), never NaN.
 * The lift and the distance are each written once, for stacked rows, in
-  :func:`lift_rows` and :func:`pairwise_distance_matrix`.  The point API
+  ``_lift`` and ``_distances``; :func:`lift_rows` and
+  :func:`pairwise_distance_matrix` are their checked wrappers, and the
+  attention kernels lift each head's keys once, by ``_lift_keys``, into
+  the packed layout ``_distances`` takes.  The point API
   (:func:`exp_origin`, :func:`geodesic_distance`) is their checked one-row
   case, so it checks its inputs but is not an independent oracle for them;
   ``diffcheck``'s scalar loops are.
@@ -212,17 +215,30 @@ def pairwise_distance_matrix(space_x: np.ndarray, time_x: np.ndarray,
 
     -c <x, y>_L is one product of augmented rows: [c s_x | c t_x] @
     [-s_y | t_y].T.  It is written into ``out`` (n x m, numpy-style) or a
-    fresh array, and the clip, arcosh and scale run in place on it; at
-    c = 1 the scale is exact and skipped.
+    fresh array, and the clip, arcosh and scale run in place on it, all in
+    :func:`_distances`; this checked wrapper packs the keys for it.
     """
     c = check_curvature(c)
+    keys = np.empty((space_y.shape[0], space_y.shape[1] + 1))
+    np.negative(space_y, out=keys[:, :-1])
+    keys[:, -1] = time_y
+    return _distances(space_x, time_x, keys, c, out)
+
+
+def _distances(space_x, time_x, keys: np.ndarray, c: float,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Distances from lifted rows to keys packed as [-s_y | t_y], unchecked.
+
+    arcosh(max([c s_x | c t_x] @ keys.T, 1 + EPS_CLIP)) / sqrt(c), the
+    product written into ``out`` or a fresh array and the rest in place on
+    it; at c = 1 the scale is exact and skipped.  The one Lorentz distance
+    formula: :func:`pairwise_distance_matrix` packs its keys and calls it,
+    and the attention kernels call it with keys from :func:`_lift_keys`.
+    """
     x = np.empty((space_x.shape[0], space_x.shape[1] + 1))
     np.multiply(space_x, c, out=x[:, :-1])
     np.multiply(time_x, c, out=x[:, -1])
-    y = np.empty((space_y.shape[0], space_y.shape[1] + 1))
-    np.negative(space_y, out=y[:, :-1])
-    y[:, -1] = time_y
-    beta = np.matmul(x, y.T, out=out)
+    beta = np.matmul(x, keys.T, out=out)
     np.maximum(beta, 1.0 + EPS_CLIP, out=beta)
     np.arccosh(beta, out=beta)
     if c != 1.0:
@@ -247,6 +263,19 @@ def lift_rows(m: np.ndarray, c: float, scale: float = 1.0):
     """
     c = check_curvature(c)
     return _lift(np.asarray(m, dtype=np.float64) * scale, c, "lift_rows")
+
+
+def _lift_keys(m: np.ndarray, c: float, scale: float) -> np.ndarray:
+    """Rows of ``m`` lifted straight into the [-s | t] keys of :func:`_distances`.
+
+    The lift's factor depends on row norms only, so lifting ``m * -scale``
+    in place in a column view of the (rows, d + 1) result gives -s, and no
+    separate rows x d space array is made.  ``c`` is already checked; past
+    the float64 limit it raises the ValueError of :func:`lift_rows`.
+    """
+    keys = np.empty((m.shape[0], m.shape[1] + 1))
+    _, keys[:, -1] = _lift(np.multiply(m, -scale, out=keys[:, :-1]), c, "lift_rows")
+    return keys
 
 
 def _sinhc_deriv_over_r(r, a: float):

@@ -204,17 +204,29 @@ def _prop_softmax_row_sums(rng, cfg):
     return float(np.abs(sums - 1.0).max()), 1e-12
 
 
+def _euclidean_scores(rng):
+    """Scaled dot products of random rows, minus each row's Cauchy-Schwarz
+    bound |q_i| max_j |k_j| / sqrt(d): the scores the Euclidean kernel
+    hands the softmax with shift 0."""
+    q, k = rng.normal(size=(30, 8)), rng.normal(size=(20, 8))
+    bound = np.linalg.norm(q, axis=1, keepdims=True) * np.linalg.norm(k, axis=1).max()
+    return (q @ k.T - bound) / math.sqrt(8)
+
+
 def _prop_softmax_shift_invariance(rng, cfg):
-    # Per-row shifts leave the weights alone, and so does each kernel's
-    # constant bound in place of the row max: oblique scores lie in
-    # [-(pi - floor), -floor] / tau_obl, Lorentz scores in (0, 1].
+    # Per-row shifts leave the weights alone, and so do the kernels' bounds
+    # in place of the row max: shift 0 on oblique scores, which lie in
+    # [-(pi - floor), -floor] / tau_obl, and on Lorentz scores in (0, 1],
+    # and the Euclidean row bound subtracted in the product.
     m = rng.normal(size=(30, 20))
     floor = math.acos(1.0 - oblique.EPS_CLIP)
     obl = -rng.uniform(floor, math.pi - floor, size=(30, 20)) / cfg.tau_obl
     lor = 1.0 - rng.uniform(size=(30, 20))
+    euc = _euclidean_scores(rng)
     pairs = ((_weights(m + rng.normal(size=(30, 1))), _weights(m)),
-             (_weights(obl, -floor / cfg.tau_obl), _weights(obl)),
-             (_weights(lor, 0.0), _weights(lor)))
+             (_weights(obl, 0.0), _weights(obl)),
+             (_weights(lor, 0.0), _weights(lor)),
+             (_weights(euc, 0.0), _weights(euc)))
     return max(float(np.abs(a - b).max()) for a, b in pairs), 1e-12
 
 
@@ -256,12 +268,14 @@ def _prop_clip_safety(rng, cfg):
 
 
 def _prop_weight_monotonicity(rng, cfg):
-    # Oblique scores go under their clip-floor bound and the row max (None),
-    # Lorentz scores under their bound 0.
+    # Oblique scores go under shift 0 and the row max (None), Lorentz scores
+    # under shift 0, and Euclidean scores, lowered by the bump from their
+    # row bound, under shift 0 and the row max.
     d = np.abs(rng.normal(size=(5, 6))) + 0.1
+    euc = _euclidean_scores(rng)[:5, :6]
     obl, lor = (lambda x: -x / cfg.tau_obl), (lambda x: np.exp(-x / cfg.tau_lor))
-    cases = ((obl, -math.acos(1.0 - oblique.EPS_CLIP) / cfg.tau_obl), (obl, None),
-             (lor, 0.0))
+    cases = ((obl, 0.0), (obl, None), (lor, 0.0),
+             (lambda x: euc - x, 0.0), (lambda x: euc - x, None))
     worst = 0.0
     for bump in (0.01, 0.1, 1.0):
         d2 = d.copy()

@@ -332,19 +332,21 @@ def test_bidirectional_matches_per_direction_calls(alpha):
 
 @pytest.mark.parametrize("two_slice", [False, True])
 def test_bidirectional_one_distance_pass_per_head(two_slice, monkeypatch):
+    # Query blocks (lift_rows) and packed keys (_lift_keys) both lift
+    # through lorentz._lift, and every distance pass is lorentz._distances.
     counts = {"distance_calls": 0, "lifted_rows": 0}
-    lift_rows, distances = lorentz.lift_rows, lorentz.pairwise_distance_matrix
+    lift, distances = lorentz._lift, lorentz._distances
 
     def counted_lift(m, *args, **kwargs):
         counts["lifted_rows"] += m.shape[0]
-        return lift_rows(m, *args, **kwargs)
+        return lift(m, *args, **kwargs)
 
     def counted_distances(*args, **kwargs):
         counts["distance_calls"] += 1
         return distances(*args, **kwargs)
 
-    monkeypatch.setattr(lorentz, "lift_rows", counted_lift)
-    monkeypatch.setattr(lorentz, "pairwise_distance_matrix", counted_distances)
+    monkeypatch.setattr(lorentz, "_lift", counted_lift)
+    monkeypatch.setattr(lorentz, "_distances", counted_distances)
     rng = np.random.default_rng(64)
     inst = rng.normal(size=(9, 8))
     context = tuple(rng.normal(size=(2, 3, 8))) if two_slice else rng.normal(size=(5, 8))
@@ -492,13 +494,13 @@ def test_query_blocks_prepare_keys_once_per_head(monkeypatch):
     (n, m), heads = (q.shape[0], k.shape[0]), 4
     counts = {"lifted_rows": 0, "key_lifts": 0, "distance_calls": 0, "pairs": 0,
               "projected_rows": 0, "key_projections": 0}
-    lift_rows, distances = lorentz.lift_rows, lorentz.pairwise_distance_matrix
+    lift, distances = lorentz._lift, lorentz._distances
     unit_rows = oblique._unit_rows
 
     def counted_lift(x, *args, **kwargs):
         counts["lifted_rows"] += x.shape[0]
         counts["key_lifts"] += x.shape[0] == m
-        return lift_rows(x, *args, **kwargs)
+        return lift(x, *args, **kwargs)
 
     def counted_distances(*args, **kwargs):
         d = distances(*args, **kwargs)
@@ -511,12 +513,14 @@ def test_query_blocks_prepare_keys_once_per_head(monkeypatch):
         counts["key_projections"] += x.shape[0] == m
         return unit_rows(x)
 
-    monkeypatch.setattr(lorentz, "lift_rows", counted_lift)
-    monkeypatch.setattr(lorentz, "pairwise_distance_matrix", counted_distances)
+    monkeypatch.setattr(lorentz, "_lift", counted_lift)
+    monkeypatch.setattr(lorentz, "_distances", counted_distances)
     monkeypatch.setattr(oblique, "_unit_rows", counted_unit_rows)
-    # The kernel normalizes rows directly: it calls neither of these.
+    # The kernels normalize rows and lift keys into their packed layout
+    # directly: they call none of these checked wrappers.
     monkeypatch.setattr(oblique, "project", None)
     monkeypatch.setattr(oblique, "ObliqueMatrix", None)
+    monkeypatch.setattr(lorentz, "pairwise_distance_matrix", None)
     cfg = AttentionConfig(heads=heads)
     lorentz_cross_attention(q, k, v, cfg)
     oblique_attention(q, k, v, cfg)
@@ -556,15 +560,23 @@ def test_peak_memory_is_independent_of_query_count(case):
 # The oblique kernel shifts by its score bound only while
 # (pi - floor) / tau_obl < 700: on either side of that temperature and far
 # below it, and at Lorentz's extreme temperatures, every row stays finite.
+# The Euclidean kernel subtracts each row's bound B_i in its product while
+# every 2 B_i of the block is within 700: at default scale, with rows 0 and
+# 1 scaled past that (row 0's max is then about 2 B_0 below B_0, so the
+# bound would underflow it), and with 1e160 queries against 1e-160 keys,
+# whose squared norms overflow.
 _FLOOR = math.acos(1.0 - oblique.EPS_CLIP)
 _TAU_EDGE = (math.pi - _FLOOR) / 700.0
+_EUCLIDEAN_SCALES = {"bound": (1.0, 1.0, 1.0), "wide rows": (1e3, 1.0, 1.0),
+                     "overflowing norms": (1e160, 1e160, 1e-160)}
 
 
 @pytest.mark.filterwarnings("error")  # an overflow or invalid-value warning fails
-@pytest.mark.parametrize("space, tau", [
+@pytest.mark.parametrize("space, setting", [
     ("oblique", _TAU_EDGE * 1.001), ("oblique", _TAU_EDGE * 0.999), ("oblique", 1e-3),
-    ("lorentz", 1e-3), ("lorentz", 1e3)])
-def test_score_bound_shift_keeps_every_row(space, tau):
+    ("lorentz", 1e-3), ("lorentz", 1e3),
+    *(("euclidean", case) for case in _EUCLIDEAN_SCALES)])
+def test_score_bound_shift_keeps_every_row(space, setting):
     rng = np.random.default_rng(77)
     # Per head, every key lies within 0.005 rad of u: query row 0 (-u)
     # meets only clipped distances pi - floor, the smallest possible row
@@ -577,15 +589,22 @@ def test_score_bound_shift_keeps_every_row(space, tau):
     v = rng.normal(size=(8, 8))
     key_sets = [rng.normal(size=(8, 8))]
     if space == "oblique":
-        cfg = AttentionConfig(heads=2, tau_obl=tau)
+        cfg = AttentionConfig(heads=2, tau_obl=setting)
         kernel = oblique_attention
         key_sets.append(k)
-    else:
+    elif space == "lorentz":
         # Lorentz exps lie in (1, e] at any temperature.  The clustered keys
         # are left out: row 1's near-coincident pairs meet the cancellation
         # in arccosh(-c <x, y>_L), not the shift.
-        cfg = AttentionConfig(heads=2, tau_lor=tau)
+        cfg = AttentionConfig(heads=2, tau_lor=setting)
         kernel = lorentz_cross_attention
+    else:
+        cfg = AttentionConfig(heads=2)
+        kernel = euclidean_attention
+        first_rows, other_rows, key_scale = _EUCLIDEAN_SCALES[setting]
+        q[:2] *= first_rows
+        q[2:] *= other_rows
+        key_sets = [key_scale * keys for keys in (*key_sets, k)]
     for keys in key_sets:
         out = kernel(q, keys, v, cfg)
         assert np.isfinite(out).all()

@@ -305,7 +305,8 @@ def _lorentz_keys(cfg: AttentionConfig, kh):
 
 def _lorentz_scores(cfg: AttentionConfig, out, sq, tq, keys) -> None:
     """exp(-D / tau_lor) of lifted rows, written into ``out``."""
-    lorentz._distances(sq, tq, keys, cfg.curvature, out=out)
+    lorentz._distances(lorentz._queries(sq, tq, cfg.curvature), keys, cfg.curvature,
+                       out=out)
     # d / -tau is -d / tau exactly: negation commutes with rounding.
     np.divide(out, -cfg.tau_lor, out=out)
     np.exp(out, out=out)

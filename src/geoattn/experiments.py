@@ -19,10 +19,12 @@ and the gradient at an accepted point reuses that pass instead of computing
 the distances again.  Its step budget is a cap: each expansion phase ends
 once 10 accepted steps in a row have each changed the stress by at most
 1e-12 of its value (``_STALL_STEPS``, ``_STALL_RTOL``).  The Lorentz arm
-takes its lift and distances, clip floor included, from lorentz.lift_rows
-and pairwise_distance_matrix, and its gradient in those lifted coordinates
-is, per pair, 2 err_ij * lorentz.distance_gradient(u_i, u_j, c); the tests
-check it against that sum and against finite differences.
+lifts each point once, by lorentz._lift, into the packed keys of
+lorentz._distances, which gives its distances, clip floor included; its
+gradient in those lifted coordinates reuses the lift's row factors and is,
+per pair, 2 err_ij * lorentz.distance_gradient(u_i, u_j, c); the tests
+check it against that sum and against finite differences.  A trial point
+past the lift's float64 limit counts as a rejected trial.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import lorentz, oblique
-from .lorentz import _sinhc, _sinhc_deriv_over_r, check_curvature
+from .lorentz import _sinhc_deriv_over_r, check_curvature
 
 __all__ = [
     "TreeSpec",
@@ -165,31 +167,35 @@ def tree_distance_matrix(spec: TreeSpec) -> np.ndarray:
 class _StressEval(NamedTuple):
     """One stress evaluation: the stress and what its gradient reuses.
 
-    ``parts`` is (c, space, time): the curvature and the rows lifted by
-    :func:`lorentz.lift_rows` for the Lorentz space, None for Euclidean.
+    ``parts`` is (c, keys, t, sc) for the Lorentz space: the curvature, the
+    rows lifted by :func:`lorentz._lift` and packed as [-s | t], and their
+    lift factors t = sqrt(c) r and sc = sinh(t) / t.  None for Euclidean.
     """
 
     stress: float
-    d: np.ndarray    # pairwise distances
-    err: np.ndarray  # d - targets, zero diagonal
+    d: Optional[np.ndarray]    # pairwise distances
+    err: Optional[np.ndarray]  # d - targets, zero diagonal
     parts: Optional[tuple] = None
 
 
 def _stress_eval(d, targets, parts=None) -> _StressEval:
     err = d - targets
-    np.fill_diagonal(err, 0.0)
-    stress = 0.5 * float((err * err).sum())  # each unordered pair once
+    flat = err.reshape(-1)
+    flat[::len(err) + 1] = 0.0  # the diagonal
+    stress = 0.5 * float(np.dot(flat, flat))  # each unordered pair once
     return _StressEval(stress, d, err, parts)
 
 
 def _euclidean_distances(x, targets) -> _StressEval:
     """Stress of ``x`` against ``targets`` from one distance pass.
 
-    The n x n squared distances are summed one coordinate column at a time.
+    The n x n squared distances are summed one coordinate column at a time,
+    each column's differences written into the same buffer.
     """
     d = np.zeros((len(x), len(x)))
+    dk = np.empty_like(d)
     for k in range(x.shape[1]):
-        dk = x[:, k, None] - x[None, :, k]
+        np.subtract(x[:, k, None], x[None, :, k], out=dk)
         dk *= dk
         d += dk
     np.sqrt(d, out=d)
@@ -199,50 +205,69 @@ def _euclidean_distances(x, targets) -> _StressEval:
 def _euclidean_stress_grad(x, ev: _StressEval) -> np.ndarray:
     """Stress gradient at ``x`` from its evaluation ``ev``.
 
-    grad_i = sum_j coef_ij (x_i - x_j).  coef is exactly symmetric and the
-    difference column exactly antisymmetric, so summing over i (axis 0) and
-    negating adds the same terms in the same order as summing over j.
+    grad_i = sum_j coef_ij (x_i - x_j) = x_i rowsum(coef)_i - (coef @ x)_i
+    with coef = 2 err / d, and 0 at coincident points: one row sum and one
+    product, doubled at the end (exactly).
     """
-    # coef = 2 err / d, and 0 at coincident points (doubling is exact)
     coef = np.zeros_like(ev.d)
     np.divide(ev.err, ev.d, out=coef, where=ev.d > 1e-12)
-    coef *= 2.0
-    grad = np.empty_like(x)
-    for k in range(x.shape[1]):
-        dk = x[:, k, None] - x[None, :, k]
-        dk *= coef
-        grad[:, k] = dk.sum(axis=0)
-    np.negative(grad, out=grad)
+    grad = x * coef.sum(axis=1)[:, None]
+    grad -= coef @ x
+    grad *= 2.0
     return grad
 
 
 def _lorentz_distances(u, targets, c) -> _StressEval:
-    """Stress of ``u``'s rows, lifted by :func:`lorentz.lift_rows`, against
-    ``targets`` from one :func:`lorentz.pairwise_distance_matrix` pass."""
-    space, time = lorentz.lift_rows(u, c)
-    d = lorentz.pairwise_distance_matrix(space, time, space, time, c)
-    return _stress_eval(d, targets, (c, space, time))
+    """Stress of ``u``'s rows, lifted onto the hyperboloid, against ``targets``.
+
+    The rows are lifted once by :func:`lorentz._lift`, straight into the
+    [-s | t] keys of :func:`lorentz._distances`; its queries [c s | c t]
+    are those keys times [-c ... -c | c], the same bits since negation is
+    exact.  A point past the lift's float64 limit has infinite stress, so
+    the line search backs off from it.
+    """
+    keys = np.empty((u.shape[0], u.shape[1] + 1))
+    try:
+        keys[:, -1], t, sc = lorentz._lift(np.negative(u, out=keys[:, :-1]), c,
+                                           "embed_tree")[1:]
+    except ValueError:
+        return _StressEval(math.inf, None, None)
+    queries = np.multiply(keys, -c)
+    np.negative(queries[:, -1], out=queries[:, -1])
+    d = lorentz._distances(queries, keys, c)
+    return _stress_eval(d, targets, (c, keys, t, sc))
 
 
 def _lorentz_stress_grad(u, ev: _StressEval) -> np.ndarray:
     """Stress gradient at ``u`` from its evaluation ``ev``.
 
     Per pair this is 2 err_ij times lorentz.distance_gradient(u_i, u_j, c),
-    taken in lifted coordinates: with a = sqrt(c), space_i = sc_i u_i
-    (sc = sinh(a r)/(a r)) and g = (d/dr sinh(a r)/r) / r, the gradient in
-    u_i of cosh(a D_ij) = c (time_i time_j - space_i . space_j) is
-    (a^3 sc_i time_j - a g_i (u_i . space_j)) u_i - a^2 sc_i space_j.
+    taken in lifted coordinates with the lift's own factors: with
+    a = sqrt(c), t = a r, sc = sinh(t)/t, space_i = sc_i u_i and
+    h = (t cosh t - sinh t) / t^3, the gradient in u_i of
+    cosh(a D_ij) = c (time_i time_j - space_i . space_j) is
+    (a^3 sc_i time_j - a^4 h_i (u_i . space_j)) u_i - a^2 sc_i space_j.
+    With w = err / sinh(a D) and [-P_s | P_t] = w @ keys, one product,
+    the gradient is 2 ((a^2 sc P_t + a^3 h (u . P_s)) u + a sc P_s); at
+    c = 1 no power of a is applied.
     """
-    c, space, time = ev.parts
+    c, keys, t, sc = ev.parts
     a = math.sqrt(c)
-    # dD/d(cosh(a D)) = 1 / (a sinh(a D)); zero out the (clipped) diagonal.
-    w = 2.0 * ev.err / (a * np.sinh(a * ev.d))
-    np.fill_diagonal(w, 0.0)
-    r = np.sqrt((u * u).sum(axis=1))
-    sc, g = _sinhc(a * r), _sinhc_deriv_over_r(r, a)
-    p = w @ space
-    coef_ui = a ** 3 * sc * (w @ time) - a * g * (u * p).sum(axis=1)
-    return coef_ui[:, None] * u - (a * a * sc)[:, None] * p
+    # dD/d(cosh(a D)) = 1 / (a sinh(a D)); the diagonal's err, so its w, is 0.
+    w = np.sinh(ev.d if c == 1.0 else a * ev.d)
+    np.divide(ev.err, w, out=w)
+    p = w @ keys
+    ps, pt = p[:, :-1], p[:, -1]
+    # h(t) is the derivative helper at a = 1.
+    g = _sinhc_deriv_over_r(t, 1.0) * np.einsum("ij,ij->i", u, ps)
+    if c != 1.0:
+        g *= a ** 3
+        sc = a * sc
+        pt = a * pt
+    grad = (sc * pt + g)[:, None] * u
+    grad += sc[:, None] * ps
+    grad *= 2.0
+    return grad
 
 
 def _distortion(d: np.ndarray, t: np.ndarray):
@@ -310,6 +335,7 @@ def embed_tree(spec: TreeSpec, run: EmbeddingRun) -> EmbeddingRun:
     for lam in _EXPANSION_PHASES:
         targets = lam * t
         step = run.step_size
+        ev = None  # keep one evaluation alive, not two
         ev = evaluate(x, targets)
         stress = start_stress = ev.stress
         accepted = evaluations = backoffs = gave_up = converged = stalled = 0
@@ -324,8 +350,10 @@ def embed_tree(spec: TreeSpec, run: EmbeddingRun) -> EmbeddingRun:
             ev = evaluate(trial, targets)
             evaluations += 1
             if run.backtracking:
+                # A NaN or infinite trial stress (a Lorentz trial past the
+                # lift's float64 limit) is rejected like a higher one.
                 tries = 0
-                while ev.stress > stress and tries < 40:
+                while not ev.stress <= stress and tries < 40:
                     step *= 0.5
                     trial = x - step * grad
                     ev = None
@@ -333,11 +361,15 @@ def embed_tree(spec: TreeSpec, run: EmbeddingRun) -> EmbeddingRun:
                     tries += 1
                 evaluations += tries
                 backoffs += tries
-                if ev.stress > stress:
+                if not ev.stress <= stress:
                     gave_up = 1
                     break  # no descent direction progress left
                 if tries == 0:
                     step = min(step * 1.2, run.step_size)
+            elif not math.isfinite(ev.stress):
+                raise ValueError(
+                    "stress diverged to NaN/Inf; try a smaller step_size"
+                )
             x = trial
             change = abs(stress - ev.stress)
             stalled = stalled + 1 if change <= _STALL_RTOL * stress else 0

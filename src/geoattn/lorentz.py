@@ -24,10 +24,13 @@ Numerical conventions:
   ``_lift`` and ``_distances``; :func:`lift_rows` and
   :func:`pairwise_distance_matrix` are their checked wrappers, and the
   attention kernels lift each head's keys once, by ``_lift_keys``, into
-  the packed layout ``_distances`` takes.  The point API
-  (:func:`exp_origin`, :func:`geodesic_distance`) is their checked one-row
-  case, so it checks its inputs but is not an independent oracle for them;
-  ``diffcheck``'s scalar loops are.
+  the packed layout ``_distances`` takes, and pack their query blocks by
+  ``_queries``.  ``_lift`` also returns its
+  row factors sqrt(c) r and sinh(sqrt(c) r) / (sqrt(c) r), which the tree
+  embedding's stress gradient reuses instead of computing them again.
+  The point API (:func:`exp_origin`, :func:`geodesic_distance`) is their
+  checked one-row case, so it checks its inputs but is not an independent
+  oracle for them; ``diffcheck``'s scalar loops are.
 * Tangent vectors at the origin are plain 1-D arrays: ``exp_origin`` and
   ``distance_gradient`` take them and ``log_origin`` returns one.
 * Hyperboloid membership is checked with a scale-normalized residual
@@ -151,6 +154,9 @@ def _lift(v: np.ndarray, c: float, what: str):
     ``_lift`` owns ``v``: the space part is written into it in place and
     returned, so callers pass a fresh float64 array, never their input.
     Row norms come from ``einsum``, so no other n x d array is made.
+    Returns (space, time, t, sc): the lifted rows and their factors
+    t = sqrt(c) * r and sc = sinh(t) / t, for callers that differentiate
+    the lift.
     """
     t = math.sqrt(c) * np.sqrt(np.einsum("ij,ij->i", v, v))
     t_max = t.max(initial=0.0)
@@ -160,9 +166,10 @@ def _lift(v: np.ndarray, c: float, what: str):
             f"{what}: largest sqrt(c) * r is {t_max:.6g}, past the float64 "
             f"limit {limit:.6g} at c = {c:g} (r is the scaled row norm)"
         )
-    space = np.multiply(v, _sinhc(t)[:, None], out=v)
+    sc = _sinhc(t)
+    space = np.multiply(v, sc[:, None], out=v)
     time = np.sqrt(1.0 / c + np.einsum("ij,ij->i", space, space))
-    return space, time
+    return space, time, t, sc
 
 
 def exp_origin(u, c: float) -> LorentzPoint:
@@ -173,7 +180,7 @@ def exp_origin(u, c: float) -> LorentzPoint:
     ValueError as :func:`lift_rows`, naming ``exp_origin``.
     """
     c = check_curvature(c)
-    space, time = _lift(as_vector(u, name="tangent")[None].copy(), c, "exp_origin")
+    space, time = _lift(as_vector(u, name="tangent")[None].copy(), c, "exp_origin")[:2]
     return LorentzPoint(space[0], time[0])
 
 
@@ -216,29 +223,37 @@ def pairwise_distance_matrix(space_x: np.ndarray, time_x: np.ndarray,
     -c <x, y>_L is one product of augmented rows: [c s_x | c t_x] @
     [-s_y | t_y].T.  It is written into ``out`` (n x m, numpy-style) or a
     fresh array, and the clip, arcosh and scale run in place on it, all in
-    :func:`_distances`; this checked wrapper packs the keys for it.
+    :func:`_distances`; this checked wrapper packs both sides for it.
     """
     c = check_curvature(c)
     keys = np.empty((space_y.shape[0], space_y.shape[1] + 1))
     np.negative(space_y, out=keys[:, :-1])
     keys[:, -1] = time_y
-    return _distances(space_x, time_x, keys, c, out)
+    return _distances(_queries(space_x, time_x, c), keys, c, out)
 
 
-def _distances(space_x, time_x, keys: np.ndarray, c: float,
+def _queries(space, time, c: float) -> np.ndarray:
+    """Lifted rows packed as [c s | c t], the query side of :func:`_distances`."""
+    x = np.empty((space.shape[0], space.shape[1] + 1))
+    np.multiply(space, c, out=x[:, :-1])
+    np.multiply(time, c, out=x[:, -1])
+    return x
+
+
+def _distances(queries: np.ndarray, keys: np.ndarray, c: float,
                out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Distances from lifted rows to keys packed as [-s_y | t_y], unchecked.
+    """Distances from queries packed as [c s_x | c t_x] to keys packed as
+    [-s_y | t_y], unchecked.
 
-    arcosh(max([c s_x | c t_x] @ keys.T, 1 + EPS_CLIP)) / sqrt(c), the
-    product written into ``out`` or a fresh array and the rest in place on
-    it; at c = 1 the scale is exact and skipped.  The one Lorentz distance
-    formula: :func:`pairwise_distance_matrix` packs its keys and calls it,
-    and the attention kernels call it with keys from :func:`_lift_keys`.
+    arcosh(max(queries @ keys.T, 1 + EPS_CLIP)) / sqrt(c), the product
+    written into ``out`` or a fresh array and the rest in place on it; at
+    c = 1 the scale is exact and skipped.  The one Lorentz distance
+    formula: :func:`pairwise_distance_matrix` packs both sides and calls
+    it, the attention kernels call it with keys from :func:`_lift_keys`,
+    and the tree embedding with rows lifted once into keys, whose queries
+    are those keys times [-c ... -c | c].
     """
-    x = np.empty((space_x.shape[0], space_x.shape[1] + 1))
-    np.multiply(space_x, c, out=x[:, :-1])
-    np.multiply(time_x, c, out=x[:, -1])
-    beta = np.matmul(x, keys.T, out=out)
+    beta = np.matmul(queries, keys.T, out=out)
     np.maximum(beta, 1.0 + EPS_CLIP, out=beta)
     np.arccosh(beta, out=beta)
     if c != 1.0:
@@ -262,7 +277,7 @@ def lift_rows(m: np.ndarray, c: float, scale: float = 1.0):
     ``m * scale``, which becomes the returned space part.
     """
     c = check_curvature(c)
-    return _lift(np.asarray(m, dtype=np.float64) * scale, c, "lift_rows")
+    return _lift(np.asarray(m, dtype=np.float64) * scale, c, "lift_rows")[:2]
 
 
 def _lift_keys(m: np.ndarray, c: float, scale: float) -> np.ndarray:
@@ -274,7 +289,7 @@ def _lift_keys(m: np.ndarray, c: float, scale: float) -> np.ndarray:
     the float64 limit it raises the ValueError of :func:`lift_rows`.
     """
     keys = np.empty((m.shape[0], m.shape[1] + 1))
-    _, keys[:, -1] = _lift(np.multiply(m, -scale, out=keys[:, :-1]), c, "lift_rows")
+    keys[:, -1] = _lift(np.multiply(m, -scale, out=keys[:, :-1]), c, "lift_rows")[1]
     return keys
 
 

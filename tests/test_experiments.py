@@ -125,6 +125,23 @@ def test_euclidean_stress_grad_matches_fd():
     assert np.abs(grad - fd).max() / np.abs(fd).max() < 1e-5
 
 
+def test_euclidean_stress_grad_is_sum_over_pairs():
+    # grad_i = sum_j 2 err_ij (x_i - x_j) / d_ij, pair by pair, with the
+    # coefficient of a coincident pair (here nodes 5 and 6) taken as 0.
+    rng = np.random.default_rng(5)
+    t = tree_distance_matrix(TreeSpec(depth=2))
+    x = rng.normal(size=(t.shape[0], 2))
+    x[6] = x[5]
+    got = experiments._euclidean_stress_grad(x, experiments._euclidean_distances(x, t))
+    want = np.zeros_like(x)
+    for i in range(len(x)):
+        for j in range(len(x)):
+            d = math.dist(x[i], x[j])
+            if d > 0.0:
+                want[i] += 2.0 * (d - t[i, j]) * (x[i] - x[j]) / d
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_lorentz_stress_grad_matches_fd():
     rng = np.random.default_rng(1)
     t = tree_distance_matrix(TreeSpec(depth=1))
@@ -140,7 +157,7 @@ def test_lorentz_stress_grad_matches_fd():
     assert np.abs(grad - fd).max() / np.abs(fd).max() < 1e-5
 
 
-@pytest.mark.parametrize("c", [0.5, 1.3])
+@pytest.mark.parametrize("c", [0.5, 1.0, 1.3])
 def test_lorentz_stress_grad_is_sum_of_distance_gradients(c):
     # d stress / d u_i = sum_j 2 err_ij grad_u d(exp_O(u_i), exp_O(u_j)).
     rng = np.random.default_rng(2)
@@ -157,7 +174,7 @@ def test_lorentz_stress_grad_is_sum_of_distance_gradients(c):
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("c", [0.5, 1.3])
+@pytest.mark.parametrize("c", [0.5, 1.0, 1.3])
 def test_lorentz_distances_match_scalar_geodesic_distance(c):
     rng = np.random.default_rng(3)
     t = tree_distance_matrix(TreeSpec(depth=2))
@@ -177,25 +194,62 @@ def test_lorentz_distances_match_scalar_geodesic_distance(c):
 
 
 def test_lorentz_stress_uses_one_lift_and_one_distance_pass(monkeypatch):
-    calls = {"lift_rows": 0, "pairwise_distance_matrix": 0}
-    lift_rows, distances = lorentz.lift_rows, lorentz.pairwise_distance_matrix
+    calls = {"lifted_rows": 0, "distances": 0}
+    lift, distances = lorentz._lift, lorentz._distances
 
-    def counted_lift(*args, **kwargs):
-        calls["lift_rows"] += 1
-        return lift_rows(*args, **kwargs)
+    def counted_lift(v, *args, **kwargs):
+        calls["lifted_rows"] += v.shape[0]
+        return lift(v, *args, **kwargs)
 
     def counted_distances(*args, **kwargs):
-        calls["pairwise_distance_matrix"] += 1
+        calls["distances"] += 1
         return distances(*args, **kwargs)
 
-    monkeypatch.setattr(lorentz, "lift_rows", counted_lift)
-    monkeypatch.setattr(lorentz, "pairwise_distance_matrix", counted_distances)
+    monkeypatch.setattr(lorentz, "_lift", counted_lift)
+    monkeypatch.setattr(lorentz, "_distances", counted_distances)
     t = tree_distance_matrix(TreeSpec(depth=2))
     u = np.random.default_rng(4).normal(scale=0.5, size=(t.shape[0], 2))
     ev = experiments._lorentz_distances(u, t, 1.0)
-    assert calls == {"lift_rows": 1, "pairwise_distance_matrix": 1}
+    assert calls == {"lifted_rows": t.shape[0], "distances": 1}
+    # The gradient reuses the evaluation's lift, factors and distances.
+    monkeypatch.setattr(lorentz, "_lift", None)
+    monkeypatch.setattr(lorentz, "_distances", None)
+    monkeypatch.setattr(lorentz, "_sinhc", None)
     experiments._lorentz_stress_grad(u, ev)
-    assert calls == {"lift_rows": 1, "pairwise_distance_matrix": 1}
+
+
+@pytest.mark.parametrize("c", [30.0, 1000.0])
+def test_embed_tree_trial_past_lift_limit_is_a_backoff(c):
+    # At high curvature a full step can carry a point past the lift's
+    # float64 limit; that trial is rejected and the step halved, so the
+    # run finishes and every phase keeps its counts.
+    out = embed_tree(TreeSpec(depth=3), EmbeddingRun(space="lorentz", curvature=c, seed=0))
+    assert math.isfinite(out.final_stress) and math.isfinite(out.final_distortion)
+    for p in out.phases:
+        assert p.evaluations == p.accepted + p.backoffs + p.gave_up
+        assert p.end_stress <= p.start_stress
+    assert sum(p.backoffs for p in out.phases) > 0
+    assert out.phases[-1].end_stress == out.final_stress
+
+
+def test_lorentz_trial_past_lift_limit_has_infinite_stress(monkeypatch):
+    t = tree_distance_matrix(TreeSpec(depth=1))
+    far = np.array([[0.0, 0.0], [400.0, 0.0], [0.0, 1.0]])
+    assert experiments._lorentz_distances(far, t, 1.0).stress == math.inf
+    # Without backtracking such a trial is divergence, not a lift error,
+    # even on the last step: one step per phase, and only the last one
+    # (the fourth gradient) leaves the origin.
+    grads = []
+
+    def last_step_diverges(u, ev):
+        grads.append(ev)
+        return np.full_like(u, -1e6 if len(grads) == 4 else 0.0)
+
+    monkeypatch.setattr(experiments, "_lorentz_stress_grad", last_step_diverges)
+    with pytest.raises(ValueError, match="stress diverged"):
+        embed_tree(TreeSpec(depth=1),
+                   EmbeddingRun(space="lorentz", steps=4, backtracking=False))
+    assert len(grads) == 4
 
 
 def test_embed_tree_deterministic():

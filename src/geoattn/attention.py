@@ -5,9 +5,10 @@
   case is ``oblique.project``, and scored by negated arccos distances;
   values stay Euclidean.
 * Lorentz cross attention: queries and keys are lifted through the
-  exponential map at the hyperboloid origin, and weights are
-  softmax(exp(-D/tau)).  The double exponential is deliberate: it is not
-  the same function as softmax(-D/tau), and it is what is implemented.
+  exponential map at the hyperboloid origin, straight into the score
+  product's layout, and weights are softmax(exp(-D/tau)).  The double
+  exponential is deliberate: it is not the same function as
+  softmax(-D/tau), and it is what is implemented.
 * Bidirectional wiring: the Lorentz kernel from instance to context rows
   (oac) and back (cao, mean-pooled over a two-slice context), sharing
   each block's lift and distance pass.
@@ -29,7 +30,8 @@ known: Lorentz scores lie in (0, 1] and oblique ones under -floor/tau_obl
 Cauchy-Schwarz bound, its keys carrying the scale 1/sqrt(d) and the
 bound's key factor as an extra column.  Otherwise (a mask, too wide a
 span) the shift is the row max.  With a constant shift E serves column
-sums too, so cao accumulates over blocks and is divided at the end.
+sums too (from BLAS, as ones @ E), so cao accumulates over blocks and is
+divided at the end.
 Inputs (q, k, v and the mask) are never written.
 """
 
@@ -206,8 +208,8 @@ def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],
 
     ``names`` name q and k in errors.  Given ``reverse`` (m x d_q zeros),
     a constant shift and no mask, each block's E also adds ``E.T @ q_block``
-    to the head's slice of it and ``E.sum(0)`` to column sums that divide
-    it at the end: the key-to-query attention with q as values.
+    to the head's slice of it and its column sums ``ones @ E`` to sums
+    that divide it at the end: the key-to-query attention with q as values.
     """
     qn, kn = names
     q, k, v = as_matrix(q, name=qn), as_matrix(k, name=kn), as_matrix(v, name="v")
@@ -240,7 +242,7 @@ def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],
                 scores += mask[blk]
             oh[blk] = softmax_rows(scores, vh, shift)
             if rh is not None:
-                colsum += scores.sum(axis=0)
+                colsum += np.ones(qb.shape[0]) @ scores
                 rh += matmul(scores.T, qb)
         if rh is not None:
             rh /= colsum[:, None]
@@ -259,8 +261,8 @@ def oblique_attention(q, k, v, cfg: AttentionConfig,
 
     def block_scores(out, qn, kn):
         oblique.pairwise_distances(qn, kn, out=out)
-        # d / -tau is -d / tau exactly: negation commutes with rounding.
-        np.divide(out, -cfg.tau_obl, out=out)
+        # One multiply by -1/tau: within 1 ulp of d / -tau.
+        np.multiply(out, -1.0 / cfg.tau_obl, out=out)
 
     # Distances lie in [floor, pi - floor]: scores are at most -floor / tau
     # < 0, and each row's max is at least -(pi - floor) / tau.
@@ -293,22 +295,27 @@ def _lorentz_alpha(cfg: AttentionConfig, xh) -> float:
     return cfg.alpha if cfg.alpha is not None else 1.0 / math.sqrt(xh.shape[1])
 
 
-def _lorentz_lift(cfg: AttentionConfig, xh):
-    """One head's query block lifted as (space, time), scaled by alpha."""
-    return lorentz.lift_rows(xh, cfg.curvature, scale=_lorentz_alpha(cfg, xh))
+def _lorentz_lift(cfg: AttentionConfig, xh, sign: float = 1.0) -> tuple:
+    """One head's rows lifted once, with tangent scale ``sign * alpha``, as [s | t]."""
+    x = np.empty((xh.shape[0], xh.shape[1] + 1))
+    lorentz.lift_rows(xh, cfg.curvature, sign * _lorentz_alpha(cfg, xh), out=x)
+    return (x,)
 
 
 def _lorentz_keys(cfg: AttentionConfig, kh):
-    """One head's key slice lifted once, packed as [-s | t] for the product."""
-    return (lorentz._lift_keys(kh, cfg.curvature, _lorentz_alpha(cfg, kh)),)
+    """One head's key slice lifted once, in place, into [-c s | c t]; the
+    negated scale gives -s with the same arithmetic as a query lift."""
+    (keys,) = _lorentz_lift(cfg, kh, -1.0)
+    if cfg.curvature != 1.0:
+        keys *= cfg.curvature
+    return (keys,)
 
 
-def _lorentz_scores(cfg: AttentionConfig, out, sq, tq, keys) -> None:
-    """exp(-D / tau_lor) of lifted rows, written into ``out``."""
-    lorentz._distances(lorentz._queries(sq, tq, cfg.curvature), keys, cfg.curvature,
-                       out=out)
-    # d / -tau is -d / tau exactly: negation commutes with rounding.
-    np.divide(out, -cfg.tau_lor, out=out)
+def _lorentz_scores(cfg: AttentionConfig, out, x, keys) -> None:
+    """exp(-D / tau_lor) of a lifted query block ``x``, written into ``out``."""
+    lorentz._distances(x, keys, cfg.curvature, out=out)
+    # One multiply by -1/tau: within 1 ulp of d / -tau.
+    np.multiply(out, -1.0 / cfg.tau_lor, out=out)
     np.exp(out, out=out)
 
 

@@ -19,7 +19,7 @@ and the gradient at an accepted point reuses that pass instead of computing
 the distances again.  Its step budget is a cap: each expansion phase ends
 once 10 accepted steps in a row have each changed the stress by at most
 1e-12 of its value (``_STALL_STEPS``, ``_STALL_RTOL``).  The Lorentz arm
-lifts each point once, by lorentz._lift, into the packed keys of
+lifts each point once, by lorentz._lift, into the [s | t] queries of
 lorentz._distances, which gives its distances, clip floor included; its
 gradient in those lifted coordinates reuses the lift's row factors and is,
 per pair, 2 err_ij * lorentz.distance_gradient(u_i, u_j, c); the tests
@@ -167,9 +167,9 @@ def tree_distance_matrix(spec: TreeSpec) -> np.ndarray:
 class _StressEval(NamedTuple):
     """One stress evaluation: the stress and what its gradient reuses.
 
-    ``parts`` is (c, keys, t, sc) for the Lorentz space: the curvature, the
-    rows lifted by :func:`lorentz._lift` and packed as [-s | t], and their
-    lift factors t = sqrt(c) r and sc = sinh(t) / t.  None for Euclidean.
+    ``parts`` is (c, x, t, sc) for the Lorentz space: the curvature, the
+    rows lifted by :func:`lorentz._lift` as [s | t], and their lift
+    factors t = sqrt(c) r and sc = sinh(t) / t.  None for Euclidean.
     """
 
     stress: float
@@ -221,21 +221,19 @@ def _lorentz_distances(u, targets, c) -> _StressEval:
     """Stress of ``u``'s rows, lifted onto the hyperboloid, against ``targets``.
 
     The rows are lifted once by :func:`lorentz._lift`, straight into the
-    [-s | t] keys of :func:`lorentz._distances`; its queries [c s | c t]
-    are those keys times [-c ... -c | c], the same bits since negation is
-    exact.  A point past the lift's float64 limit has infinite stress, so
-    the line search backs off from it.
+    [s | t] queries of :func:`lorentz._distances`; its keys [-c s | c t]
+    are those rows times [-c ... -c | c].  A point past the lift's float64
+    limit has infinite stress, so the line search backs off from it.
     """
-    keys = np.empty((u.shape[0], u.shape[1] + 1))
+    x = np.empty((u.shape[0], u.shape[1] + 1))
     try:
-        keys[:, -1], t, sc = lorentz._lift(np.negative(u, out=keys[:, :-1]), c,
-                                           "embed_tree")[1:]
+        t, sc = lorentz._lift(u, c, 1.0, x, "embed_tree")[2:]
     except ValueError:
         return _StressEval(math.inf, None, None)
-    queries = np.multiply(keys, -c)
-    np.negative(queries[:, -1], out=queries[:, -1])
-    d = lorentz._distances(queries, keys, c)
-    return _stress_eval(d, targets, (c, keys, t, sc))
+    keys = np.multiply(x, -c)
+    np.negative(keys[:, -1], out=keys[:, -1])
+    d = lorentz._distances(x, keys, c)
+    return _stress_eval(d, targets, (c, x, t, sc))
 
 
 def _lorentz_stress_grad(u, ev: _StressEval) -> np.ndarray:
@@ -247,16 +245,16 @@ def _lorentz_stress_grad(u, ev: _StressEval) -> np.ndarray:
     h = (t cosh t - sinh t) / t^3, the gradient in u_i of
     cosh(a D_ij) = c (time_i time_j - space_i . space_j) is
     (a^3 sc_i time_j - a^4 h_i (u_i . space_j)) u_i - a^2 sc_i space_j.
-    With w = err / sinh(a D) and [-P_s | P_t] = w @ keys, one product,
-    the gradient is 2 ((a^2 sc P_t + a^3 h (u . P_s)) u + a sc P_s); at
-    c = 1 no power of a is applied.
+    With w = err / sinh(a D) and [P_s | P_t] = w @ [space | time], one
+    product, the gradient is 2 ((a^2 sc P_t - a^3 h (u . P_s)) u - a sc P_s);
+    at c = 1 no power of a is applied.
     """
-    c, keys, t, sc = ev.parts
+    c, x, t, sc = ev.parts
     a = math.sqrt(c)
     # dD/d(cosh(a D)) = 1 / (a sinh(a D)); the diagonal's err, so its w, is 0.
     w = np.sinh(ev.d if c == 1.0 else a * ev.d)
     np.divide(ev.err, w, out=w)
-    p = w @ keys
+    p = w @ x
     ps, pt = p[:, :-1], p[:, -1]
     # h(t) is the derivative helper at a = 1.
     g = _sinhc_deriv_over_r(t, 1.0) * np.einsum("ij,ij->i", u, ps)
@@ -264,8 +262,8 @@ def _lorentz_stress_grad(u, ev: _StressEval) -> np.ndarray:
         g *= a ** 3
         sc = a * sc
         pt = a * pt
-    grad = (sc * pt + g)[:, None] * u
-    grad += sc[:, None] * ps
+    grad = (sc * pt - g)[:, None] * u
+    grad -= sc[:, None] * ps
     grad *= 2.0
     return grad
 

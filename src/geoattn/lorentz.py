@@ -15,19 +15,21 @@ Numerical conventions:
   s = sqrt(c) * ||x_space||, which is accurate near the origin where the
   printed arcosh/sqrt form loses digits.  Under this curvature-normalized
   reading, log(exp(u)) = u for every c.
-* The time component is always recomputed from the space component, never
-  trusted from input arithmetic.
+* The time component comes from each row's lift factor f and norm |m_i|
+  as sqrt(1/c + (f |m_i|)^2), never from input arithmetic and with no
+  second pass over the space part.
 * Geodesic distance clips the arcosh argument to [1 + eps, inf) with
   eps = ``EPS_CLIP`` = 1e-15, a fixed constant, so self-distance is
   arcosh(1 + 1e-15)/sqrt(c) ~ 4.712e-8/sqrt(c) (the clip floor), never NaN.
 * The lift and the distance are each written once, for stacked rows, in
   ``_lift`` and ``_distances``; :func:`lift_rows` and
-  :func:`pairwise_distance_matrix` are their checked wrappers, and the
-  attention kernels lift each head's keys once, by ``_lift_keys``, into
-  the packed layout ``_distances`` takes, and pack their query blocks by
-  ``_queries``.  ``_lift`` also returns its
-  row factors sqrt(c) r and sinh(sqrt(c) r) / (sqrt(c) r), which the tree
-  embedding's stress gradient reuses instead of computing them again.
+  :func:`pairwise_distance_matrix` are their checked wrappers.  A lift
+  writes its rows once, as [s | t], into the buffer the distance product
+  reads: the attention kernels lift each query block straight into the
+  product's left operand and each head's keys once, in place, into
+  [-c s | c t].  ``_lift`` also returns its row factors sqrt(c) r and
+  sinh(sqrt(c) r) / (sqrt(c) r), which the tree embedding's stress
+  gradient reuses instead of computing them again.
   The point API (:func:`exp_origin`, :func:`geodesic_distance`) is their
   checked one-row case, so it checks its inputs but is not an independent
   oracle for them; ``diffcheck``'s scalar loops are.
@@ -148,17 +150,17 @@ def _asinhc(s: float) -> float:
     return math.asinh(s) / s
 
 
-def _lift(v: np.ndarray, c: float, what: str):
-    """Lift the rows of ``v`` at an already checked ``c``; errors name ``what``.
+def _lift(m: np.ndarray, c: float, scale: float, out: np.ndarray, what: str):
+    """Lift the rows of ``m * scale`` into ``out`` as [s | t], unchecked;
+    errors name ``what`` and ``m`` is never written.
 
-    ``_lift`` owns ``v``: the space part is written into it in place and
-    returned, so callers pass a fresh float64 array, never their input.
-    Row norms come from ``einsum``, so no other n x d array is made.
-    Returns (space, time, t, sc): the lifted rows and their factors
-    t = sqrt(c) * r and sc = sinh(t) / t, for callers that differentiate
-    the lift.
+    Each row is scaled once by f = scale * sinh(t) / t, with t =
+    sqrt(c) |scale| r and r its norm, and its time is sqrt(1/c + (f r)^2).
+    Returns (space, time, t, sc): out's column views and sc = sinh(t) / t.
     """
-    t = math.sqrt(c) * np.sqrt(np.einsum("ij,ij->i", v, v))
+    r = np.sqrt(np.einsum("ij,ij->i", m, m))
+    a = math.sqrt(c) * abs(scale)
+    t = r if a == 1.0 else a * r
     t_max = t.max(initial=0.0)
     limit = math.asinh(math.sqrt(c) * _SQRT_FLOAT_MAX)
     if t_max > limit:
@@ -167,20 +169,22 @@ def _lift(v: np.ndarray, c: float, what: str):
             f"limit {limit:.6g} at c = {c:g} (r is the scaled row norm)"
         )
     sc = _sinhc(t)
-    space = np.multiply(v, sc[:, None], out=v)
-    time = np.sqrt(1.0 / c + np.einsum("ij,ij->i", space, space))
-    return space, time, t, sc
+    f = sc if scale == 1.0 else scale * sc
+    space = np.multiply(m, f[:, None], out=out[:, :-1])
+    time = np.multiply(f, r, out=out[:, -1])
+    return space, np.sqrt(time * time + 1.0 / c, out=time), t, sc
 
 
 def exp_origin(u, c: float) -> LorentzPoint:
     """Exponential map at the origin: the one-row case of :func:`lift_rows`.
 
-    space = sinh(sqrt(c) r) / (sqrt(c) r) * u with r = ||u||; time is
-    recomputed from space.  Past the float64 limit it raises the same
+    space = sinh(sqrt(c) r) / (sqrt(c) r) * u with r = ||u||; time comes
+    from the same factor.  Past the float64 limit it raises the same
     ValueError as :func:`lift_rows`, naming ``exp_origin``.
     """
     c = check_curvature(c)
-    space, time = _lift(as_vector(u, name="tangent")[None].copy(), c, "exp_origin")[:2]
+    u = as_vector(u, name="tangent")
+    space, time = _lift(u[None], c, 1.0, np.empty((1, u.size + 1)), "exp_origin")[:2]
     return LorentzPoint(space[0], time[0])
 
 
@@ -220,38 +224,31 @@ def pairwise_distance_matrix(space_x: np.ndarray, time_x: np.ndarray,
     keeps the arcosh argument >= 1, so coincident points get the floor
     distance arcosh(1 + eps)/sqrt(c) instead of NaN.
 
-    -c <x, y>_L is one product of augmented rows: [c s_x | c t_x] @
-    [-s_y | t_y].T.  It is written into ``out`` (n x m, numpy-style) or a
-    fresh array, and the clip, arcosh and scale run in place on it, all in
-    :func:`_distances`; this checked wrapper packs both sides for it.
+    -c <x, y>_L is one product of augmented rows: [s_x | t_x] @
+    [-c s_y | c t_y].T.  It is written into ``out`` (n x m, numpy-style) or
+    a fresh array, and the clip, arcosh and scale run in place on it, all
+    in :func:`_distances`; this checked wrapper packs both sides for it.
     """
     c = check_curvature(c)
-    keys = np.empty((space_y.shape[0], space_y.shape[1] + 1))
-    np.negative(space_y, out=keys[:, :-1])
-    keys[:, -1] = time_y
-    return _distances(_queries(space_x, time_x, c), keys, c, out)
-
-
-def _queries(space, time, c: float) -> np.ndarray:
-    """Lifted rows packed as [c s | c t], the query side of :func:`_distances`."""
-    x = np.empty((space.shape[0], space.shape[1] + 1))
-    np.multiply(space, c, out=x[:, :-1])
-    np.multiply(time, c, out=x[:, -1])
-    return x
+    keys = np.column_stack((space_y, time_y))
+    keys[:, :-1] *= -c
+    keys[:, -1] *= c
+    return _distances(np.column_stack((space_x, time_x)), keys, c, out)
 
 
 def _distances(queries: np.ndarray, keys: np.ndarray, c: float,
                out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Distances from queries packed as [c s_x | c t_x] to keys packed as
-    [-s_y | t_y], unchecked.
+    """Distances from lifted queries [s_x | t_x] to keys packed as
+    [-c s_y | c t_y], unchecked.
 
     arcosh(max(queries @ keys.T, 1 + EPS_CLIP)) / sqrt(c), the product
     written into ``out`` or a fresh array and the rest in place on it; at
     c = 1 the scale is exact and skipped.  The one Lorentz distance
     formula: :func:`pairwise_distance_matrix` packs both sides and calls
-    it, the attention kernels call it with keys from :func:`_lift_keys`,
-    and the tree embedding with rows lifted once into keys, whose queries
-    are those keys times [-c ... -c | c].
+    it, the attention kernels call it with query blocks and keys lifted
+    straight into this layout by :func:`lift_rows`, and the tree embedding
+    with its rows lifted once, as queries, and those rows times
+    [-c ... -c | c] as keys.
     """
     beta = np.matmul(queries, keys.T, out=out)
     np.maximum(beta, 1.0 + EPS_CLIP, out=beta)
@@ -261,36 +258,32 @@ def _distances(queries: np.ndarray, keys: np.ndarray, c: float,
     return beta
 
 
-def lift_rows(m: np.ndarray, c: float, scale: float = 1.0):
+def lift_rows(m: np.ndarray, c: float, scale: float = 1.0,
+              out: Optional[np.ndarray] = None):
     """Lift each row of ``m`` through the exponential map at the origin.
 
     Returns (space, time) arrays; ``scale`` plays the role of the tangent
-    scale alpha.  Vectorized counterpart of mapping each row separately;
-    the factor is :func:`_sinhc`, Taylor branch included.
+    scale alpha and must be finite.  Vectorized counterpart of mapping
+    each row separately; the factor is :func:`_sinhc`, Taylor branch
+    included.
 
     The squared norm of a lifted row's space part is sinh^2(sqrt(c) r) / c,
     which overflows float64 once sqrt(c) r passes
     asinh(sqrt(c * float_max)), about 355.6 + ln(c) / 2.  A row past that
     limit raises ValueError instead of producing inf or NaN coordinates.
 
-    ``m`` is never written: the lift runs in place on the scaled copy
-    ``m * scale``, which becomes the returned space part.
+    The rows are written once, as [space | time], into ``out`` (n x (d+1),
+    numpy-style) or a fresh array, and space and time are its column
+    views.  ``m`` is never written.
     """
     c = check_curvature(c)
-    return _lift(np.asarray(m, dtype=np.float64) * scale, c, "lift_rows")[:2]
-
-
-def _lift_keys(m: np.ndarray, c: float, scale: float) -> np.ndarray:
-    """Rows of ``m`` lifted straight into the [-s | t] keys of :func:`_distances`.
-
-    The lift's factor depends on row norms only, so lifting ``m * -scale``
-    in place in a column view of the (rows, d + 1) result gives -s, and no
-    separate rows x d space array is made.  ``c`` is already checked; past
-    the float64 limit it raises the ValueError of :func:`lift_rows`.
-    """
-    keys = np.empty((m.shape[0], m.shape[1] + 1))
-    keys[:, -1] = _lift(np.multiply(m, -scale, out=keys[:, :-1]), c, "lift_rows")[1]
-    return keys
+    scale = float(scale)
+    if not math.isfinite(scale):
+        raise ValueError(f"lift_rows: scale must be finite, got {scale}")
+    m = np.asarray(m, dtype=np.float64)
+    if out is None:
+        out = np.empty((m.shape[0], m.shape[1] + 1))
+    return _lift(m, c, scale, out, "lift_rows")[:2]
 
 
 def _sinhc_deriv_over_r(r, a: float):

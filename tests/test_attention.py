@@ -68,13 +68,23 @@ def test_oblique_matches_naive_reference(heads):
     assert np.abs(got - want).max() < 1e-12
 
 
-@pytest.mark.parametrize("heads", [1, 4])
-def test_lorentz_matches_naive_reference(heads):
+# At c = 1e-3 and tau_lor = 0.1 with 2-wide heads, the kernel and the
+# oracle both compute arccosh(-c <x, y>_L), which cancels for near pairs
+# (ROADMAP item 1): each is about 2.6e-12 from a 60-digit mpmath value.
+_ORACLE_CANCELS = pytest.mark.xfail(
+    strict=True, reason="arccosh(-c <x, y>_L) cancels at small c (ROADMAP item 1)")
+
+
+@pytest.mark.parametrize("heads, curvature, tau_lor", [
+    pytest.param(*case, marks=_ORACLE_CANCELS) if case == (4, 1e-3, 0.1) else case
+    for case in itertools.product((1, 4), (1e-3, 1.0, 30.0), (1e-3, 0.1))])
+def test_lorentz_matches_naive_reference(heads, curvature, tau_lor):
+    # the keys carry c, the queries do not
     rng = np.random.default_rng(20 + heads)
     q = rng.normal(size=(16, 8))
     k = rng.normal(size=(12, 8))
     v = rng.normal(size=(12, 8))
-    cfg = AttentionConfig(heads=heads)
+    cfg = AttentionConfig(heads=heads, curvature=curvature, tau_lor=tau_lor)
     got = lorentz_cross_attention(q, k, v, cfg)
     want = naive_attention_reference(q, k, v, "lorentz", cfg)
     assert np.abs(got - want).max() < 1e-12
@@ -312,13 +322,15 @@ def test_bidirectional_feature_dims_must_match():
 
 
 @pytest.mark.parametrize("alpha", [None, 0.7])
-def test_bidirectional_matches_per_direction_calls(alpha):
+@pytest.mark.parametrize("curvature", [1.0, 30.0])
+def test_bidirectional_matches_per_direction_calls(alpha, curvature):
     # large enough that the column softmax and the value product may sum
-    # in another order than the separate calls do
+    # in another order than the separate calls do; at c = 30 a row's key
+    # lift carries c and its query lift does not
     rng = np.random.default_rng(63)
     inst = rng.normal(size=(512, 64))
     s0, s1 = rng.normal(size=(2, 16, 64))
-    cfg = AttentionConfig(heads=4, alpha=alpha)
+    cfg = AttentionConfig(heads=4, alpha=alpha, curvature=curvature)
     oac, cao = bidirectional_attention(inst, (s0, s1), cfg)
     stacked = np.vstack([s0, s1])
     assert np.abs(oac - lorentz_cross_attention(inst, stacked, stacked, cfg)).max() <= 1e-12
@@ -332,8 +344,8 @@ def test_bidirectional_matches_per_direction_calls(alpha):
 
 @pytest.mark.parametrize("two_slice", [False, True])
 def test_bidirectional_one_distance_pass_per_head(two_slice, monkeypatch):
-    # Query blocks (lift_rows) and packed keys (_lift_keys) both lift
-    # through lorentz._lift, and every distance pass is lorentz._distances.
+    # Query blocks and keys both lift through lorentz.lift_rows, so through
+    # lorentz._lift, and every distance pass is lorentz._distances.
     counts = {"distance_calls": 0, "lifted_rows": 0}
     lift, distances = lorentz._lift, lorentz._distances
 

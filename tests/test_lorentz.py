@@ -215,6 +215,52 @@ def test_lift_rows_peak_memory_is_one_array():
     assert peak < 1.5 * n * d * 8, peak / (n * d * 8)
 
 
+@pytest.mark.parametrize("scale", [0.3, -0.3])
+def test_lift_rows_writes_out_once_as_space_then_time(scale):
+    m = np.random.default_rng(12).normal(size=(7, 4))
+    out = np.full((7, 5), np.nan)
+    space, time = lorentz.lift_rows(m, 30.0, scale=scale, out=out)
+    # the returned arrays are out's columns [space | time], nothing else
+    assert np.shares_memory(space, out) and np.shares_memory(time, out)
+    assert np.array_equal(out[:, :-1], space) and np.array_equal(out[:, -1], time)
+    want_space, want_time = lorentz.lift_rows(m, 30.0, scale=scale)
+    assert np.array_equal(space, want_space) and np.array_equal(time, want_time)
+
+
+@pytest.mark.parametrize("c", [1e-3, 1.0, 30.0])
+def test_exp_origin_is_the_one_row_lift(c):
+    rng = np.random.default_rng(13)
+    for u in (np.zeros(3), np.array([5e-5, 0.0, 0.0]), *rng.normal(size=(5, 3))):
+        p = lorentz.exp_origin(u, c)
+        space, time = lorentz.lift_rows(u[None], c)
+        assert np.array_equal(p.space, space[0]) and p.time == time[0]
+
+
+@pytest.mark.parametrize("c", [1e-3, 1.0, 30.0])
+@pytest.mark.parametrize("scale", [0.7, -0.7])
+def test_lift_rows_residual_stays_at_rounding_level(c, scale):
+    # The time part comes from each row's factor and norm, not from the
+    # written space part, so check the two against each other up to
+    # sqrt(c) r = 350, just inside the float64 limit.
+    rng = np.random.default_rng(14)
+    d = 5
+    dirs = rng.normal(size=(200, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    radii = np.concatenate([[0.0, 5e-5, 1e-4], np.geomspace(1e-3, 350.0, 197)])
+    m = dirs * (radii / (math.sqrt(c) * abs(scale)))[:, None]
+    space, time = lorentz.lift_rows(m, c, scale=scale)
+    assert np.all(time > 0) and np.all(np.sign(space) == np.sign(scale * m))
+    res = [lorentz.hyperboloid_residual(lorentz.LorentzPoint(s, t), c)
+           for s, t in zip(space, time)]
+    assert max(res) <= 4 * (d + 1) * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
+def test_lift_rows_rejects_non_finite_scale(scale):
+    with pytest.raises(ValueError, match=f"lift_rows: scale must be finite, got {scale}"):
+        lorentz.lift_rows(np.ones((2, 3)), 1.0, scale=scale)
+
+
 def _sinhc_loop(t):
     if t < 1e-4:
         return 1.0 + t * t / 6.0 + t ** 4 / 120.0

@@ -295,20 +295,17 @@ def _lorentz_alpha(cfg: AttentionConfig, xh) -> float:
     return cfg.alpha if cfg.alpha is not None else 1.0 / math.sqrt(xh.shape[1])
 
 
-def _lorentz_lift(cfg: AttentionConfig, xh, sign: float = 1.0) -> tuple:
-    """One head's rows lifted once, with tangent scale ``sign * alpha``, as [s | t]."""
+def _lorentz_lift(cfg: AttentionConfig, xh) -> tuple:
+    """One head's rows lifted once, with tangent scale alpha, as [s | t]."""
     x = np.empty((xh.shape[0], xh.shape[1] + 1))
-    lorentz.lift_rows(xh, cfg.curvature, sign * _lorentz_alpha(cfg, xh), out=x)
+    lorentz.lift_rows(xh, cfg.curvature, _lorentz_alpha(cfg, xh), out=x)
     return (x,)
 
 
 def _lorentz_keys(cfg: AttentionConfig, kh):
-    """One head's key slice lifted once, in place, into [-c s | c t]; the
-    negated scale gives -s with the same arithmetic as a query lift."""
-    (keys,) = _lorentz_lift(cfg, kh, -1.0)
-    if cfg.curvature != 1.0:
-        keys *= cfg.curvature
-    return (keys,)
+    """One head's key slice lifted once and turned, in place, into [-c s | c t]."""
+    (x,) = _lorentz_lift(cfg, kh)
+    return (lorentz._keys(x, cfg.curvature, out=x),)
 
 
 def _lorentz_scores(cfg: AttentionConfig, out, x, keys) -> None:

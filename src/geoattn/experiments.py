@@ -19,12 +19,11 @@ and the gradient at an accepted point reuses that pass instead of computing
 the distances again.  Its step budget is a cap: each expansion phase ends
 once 10 accepted steps in a row have each changed the stress by at most
 1e-12 of its value (``_STALL_STEPS``, ``_STALL_RTOL``).  The Lorentz arm
-lifts each point once, by lorentz._lift, into the [s | t] queries of
-lorentz._distances, which gives its distances, clip floor included; its
-gradient in those lifted coordinates reuses the lift's row factors and is,
-per pair, 2 err_ij * lorentz.distance_gradient(u_i, u_j, c); the tests
-check it against that sum and against finite differences.  A trial point
-past the lift's float64 limit counts as a rejected trial.
+takes its lift, keys, distances (clip floor included) and gradient from
+lorentz; the gradient is lorentz._distance_grads with weights err, doubled;
+the tests check it against a plain-math per-pair sum and against finite
+differences.  A trial point past the lift's float64 limit counts as a
+rejected trial.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import lorentz, oblique
-from .lorentz import _sinhc_deriv_over_r, check_curvature
+from .lorentz import check_curvature
 
 __all__ = [
     "TreeSpec",
@@ -221,49 +220,29 @@ def _lorentz_distances(u, targets, c) -> _StressEval:
     """Stress of ``u``'s rows, lifted onto the hyperboloid, against ``targets``.
 
     The rows are lifted once by :func:`lorentz._lift`, straight into the
-    [s | t] queries of :func:`lorentz._distances`; its keys [-c s | c t]
-    are those rows times [-c ... -c | c].  A point past the lift's float64
-    limit has infinite stress, so the line search backs off from it.
+    [s | t] queries of :func:`lorentz._distances`, and packed as its keys
+    by :func:`lorentz._keys`.  A point past the lift's float64 limit has
+    infinite stress, so the line search backs off from it.
     """
     x = np.empty((u.shape[0], u.shape[1] + 1))
     try:
         t, sc = lorentz._lift(u, c, 1.0, x, "embed_tree")[2:]
     except ValueError:
         return _StressEval(math.inf, None, None)
-    keys = np.multiply(x, -c)
-    np.negative(keys[:, -1], out=keys[:, -1])
-    d = lorentz._distances(x, keys, c)
+    d = lorentz._distances(x, lorentz._keys(x, c), c)
     return _stress_eval(d, targets, (c, x, t, sc))
 
 
 def _lorentz_stress_grad(u, ev: _StressEval) -> np.ndarray:
     """Stress gradient at ``u`` from its evaluation ``ev``.
 
-    Per pair this is 2 err_ij times lorentz.distance_gradient(u_i, u_j, c),
-    taken in lifted coordinates with the lift's own factors: with
-    a = sqrt(c), t = a r, sc = sinh(t)/t, space_i = sc_i u_i and
-    h = (t cosh t - sinh t) / t^3, the gradient in u_i of
-    cosh(a D_ij) = c (time_i time_j - space_i . space_j) is
-    (a^3 sc_i time_j - a^4 h_i (u_i . space_j)) u_i - a^2 sc_i space_j.
-    With w = err / sinh(a D) and [P_s | P_t] = w @ [space | time], one
-    product, the gradient is 2 ((a^2 sc P_t - a^3 h (u . P_s)) u - a sc P_s);
-    at c = 1 no power of a is applied.
+    Row i is sum_j 2 err_ij times the gradient in u_i of d_ij: one call of
+    :func:`lorentz._distance_grads` with weights err, which reuses the
+    evaluation's lift, lift factors and distances, doubled at the end
+    (exactly).  The diagonal's err is 0, so it adds nothing.
     """
     c, x, t, sc = ev.parts
-    a = math.sqrt(c)
-    # dD/d(cosh(a D)) = 1 / (a sinh(a D)); the diagonal's err, so its w, is 0.
-    w = np.sinh(ev.d if c == 1.0 else a * ev.d)
-    np.divide(ev.err, w, out=w)
-    p = w @ x
-    ps, pt = p[:, :-1], p[:, -1]
-    # h(t) is the derivative helper at a = 1.
-    g = _sinhc_deriv_over_r(t, 1.0) * np.einsum("ij,ij->i", u, ps)
-    if c != 1.0:
-        g *= a ** 3
-        sc = a * sc
-        pt = a * pt
-    grad = (sc * pt - g)[:, None] * u
-    grad -= sc[:, None] * ps
+    grad = lorentz._distance_grads(u, t, sc, x, ev.d, ev.err, c)
     grad *= 2.0
     return grad
 

@@ -21,20 +21,18 @@ Numerical conventions:
 * Geodesic distance clips the arcosh argument to [1 + eps, inf) with
   eps = ``EPS_CLIP`` = 1e-15, a fixed constant, so self-distance is
   arcosh(1 + 1e-15)/sqrt(c) ~ 4.712e-8/sqrt(c) (the clip floor), never NaN.
-* The lift and the distance are each written once, for stacked rows, in
-  ``_lift`` and ``_distances``; :func:`lift_rows` and
-  :func:`pairwise_distance_matrix` are their checked wrappers.  A lift
-  writes its rows once, as [s | t], into the buffer the distance product
-  reads: the attention kernels lift each query block straight into the
-  product's left operand and each head's keys once, in place, into
-  [-c s | c t].  ``_lift`` also returns its row factors sqrt(c) r and
-  sinh(sqrt(c) r) / (sqrt(c) r), which the tree embedding's stress
-  gradient reuses instead of computing them again.
-  The point API (:func:`exp_origin`, :func:`geodesic_distance`) is their
-  checked one-row case, so it checks its inputs but is not an independent
-  oracle for them; ``diffcheck``'s scalar loops are.
-* Tangent vectors at the origin are plain 1-D arrays: ``exp_origin`` and
-  ``distance_gradient`` take them and ``log_origin`` returns one.
+* The lift, the key layout, the distance and its gradient are each
+  written once, for stacked rows, in ``_lift``, ``_keys``, ``_distances``
+  and ``_distance_grads``; :func:`lift_rows` and
+  :func:`pairwise_distance_matrix` are checked wrappers.  A lift writes
+  its rows once, as [s | t], into the buffer the distance product reads,
+  and ``_keys`` turns lifted rows into that product's keys [-c s | c t].
+  ``_lift`` also returns its row factors sqrt(c) r and sinh(sqrt(c) r) /
+  (sqrt(c) r), which ``_distance_grads`` takes instead of computing them
+  again.  The point API (:func:`exp_origin`, :func:`geodesic_distance`,
+  :func:`distance_gradient`, which take and give tangent vectors as plain
+  1-D arrays) is their checked one-row case: it checks its inputs but is
+  not an independent oracle for them; ``diffcheck``'s scalar loops are.
 * Hyperboloid membership is checked with a scale-normalized residual
   |<x,x>_L + 1/c| / max(1, x_time^2).  Far from the origin x_time^2 can
   exceed 1e50 and an absolute residual below rounding error of x_time is
@@ -224,16 +222,22 @@ def pairwise_distance_matrix(space_x: np.ndarray, time_x: np.ndarray,
     keeps the arcosh argument >= 1, so coincident points get the floor
     distance arcosh(1 + eps)/sqrt(c) instead of NaN.
 
-    -c <x, y>_L is one product of augmented rows: [s_x | t_x] @
-    [-c s_y | c t_y].T.  It is written into ``out`` (n x m, numpy-style) or
-    a fresh array, and the clip, arcosh and scale run in place on it, all
-    in :func:`_distances`; this checked wrapper packs both sides for it.
+    The product, clip, arcosh and scale run in :func:`_distances`, into
+    ``out`` (n x m, numpy-style) or a fresh array; this checked wrapper
+    packs both sides for it.
     """
     c = check_curvature(c)
     keys = np.column_stack((space_y, time_y))
-    keys[:, :-1] *= -c
-    keys[:, -1] *= c
+    _keys(keys, c, out=keys)
     return _distances(np.column_stack((space_x, time_x)), keys, c, out)
+
+
+def _keys(x: np.ndarray, c: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Lifted rows [s | t] as the keys [-c s | c t] of :func:`_distances`,
+    written into ``out`` (``x`` itself for in place) or a fresh array."""
+    keys = np.multiply(x, -c, out=out)
+    np.negative(keys[:, -1], out=keys[:, -1])
+    return keys
 
 
 def _distances(queries: np.ndarray, keys: np.ndarray, c: float,
@@ -241,14 +245,11 @@ def _distances(queries: np.ndarray, keys: np.ndarray, c: float,
     """Distances from lifted queries [s_x | t_x] to keys packed as
     [-c s_y | c t_y], unchecked.
 
-    arcosh(max(queries @ keys.T, 1 + EPS_CLIP)) / sqrt(c), the product
-    written into ``out`` or a fresh array and the rest in place on it; at
-    c = 1 the scale is exact and skipped.  The one Lorentz distance
-    formula: :func:`pairwise_distance_matrix` packs both sides and calls
-    it, the attention kernels call it with query blocks and keys lifted
-    straight into this layout by :func:`lift_rows`, and the tree embedding
-    with its rows lifted once, as queries, and those rows times
-    [-c ... -c | c] as keys.
+    arcosh(max(queries @ keys.T, 1 + EPS_CLIP)) / sqrt(c), since
+    queries @ keys.T = -c <x, y>_L, the product written into ``out`` or a
+    fresh array and the rest in place on it; at c = 1 the scale is exact
+    and skipped.  The one Lorentz distance formula: every caller lifts its
+    rows by :func:`_lift` and packs its keys by :func:`_keys`.
     """
     beta = np.matmul(queries, keys.T, out=out)
     np.maximum(beta, 1.0 + EPS_CLIP, out=beta)
@@ -286,53 +287,72 @@ def lift_rows(m: np.ndarray, c: float, scale: float = 1.0,
     return _lift(m, c, scale, out, "lift_rows")[:2]
 
 
-def _sinhc_deriv_over_r(r, a: float):
-    """(d/dr sinh(a r)/r) / r = (a r cosh(a r) - sinh(a r)) / r^3, elementwise.
+def _sinhc_deriv_over_r(t):
+    """(d/dt sinh(t)/t) / t = (t cosh t - sinh t) / t^3, elementwise.
 
-    Below a r = 1e-4 the Taylor series a^3 (1/3 + (a r)^2 / 30) replaces the
-    cancelling closed form.  Accepts a scalar or an array of nonnegative r.
+    Below t = 1e-4 the Taylor series 1/3 + t^2 / 30 replaces the cancelling
+    closed form.  Accepts a scalar or an array of nonnegative t.
     """
-    r = np.asarray(r, dtype=np.float64)
-    t = a * r
+    t = np.asarray(t, dtype=np.float64)
     small = t < 1e-4
     if not small.any():
-        return ((t * np.cosh(t) - np.sinh(t)) / r ** 3)[()]
-    safe_r = np.where(small, 1.0, r)
-    safe_t = a * safe_r
-    return np.where(small, a ** 3 * (1.0 / 3.0 + t * t / 30.0),
-                    (safe_t * np.cosh(safe_t) - np.sinh(safe_t)) / safe_r ** 3)[()]
+        return ((t * np.cosh(t) - np.sinh(t)) / t ** 3)[()]
+    safe_t = np.where(small, 1.0, t)
+    return np.where(small, 1.0 / 3.0 + t * t / 30.0,
+                    (safe_t * np.cosh(safe_t) - np.sinh(safe_t)) / safe_t ** 3)[()]
+
+
+def _distance_grads(u, t, sc, y, d, w, c: float) -> np.ndarray:
+    """sum_j w_ij times the gradient in u_i of d_ij, for each row i, unchecked.
+
+    ``u`` holds the query-side tangent rows and ``t``, ``sc`` their lift
+    factors sqrt(c) r and sinh(t) / t from :func:`_lift`; ``y`` holds the
+    other side's lifted rows [s_j | time_j] and ``d`` the distances, from
+    :func:`_distances`.  With a = sqrt(c), space_i = sc_i u_i and
+    h = (t cosh t - sinh t) / t^3, the gradient in u_i of
+    cosh(a d_ij) = c (time_i time_j - space_i . s_j) is
+    (a^3 sc_i time_j - a^4 h_i (u_i . s_j)) u_i - a^2 sc_i s_j.  With
+    v = w / sinh(a d) and [P_s | P_t] = v @ y, one product, the sum is
+    (a^2 sc P_t - a^3 h (u . P_s)) u - a sc P_s; at c = 1 no power of a is
+    applied.  :func:`distance_gradient` is its checked one-row case.
+    """
+    a = math.sqrt(c)
+    # dd/d(cosh(a d)) = 1 / (a sinh(a d)).
+    v = np.sinh(d if c == 1.0 else a * d)
+    np.divide(w, v, out=v)
+    p = v @ y
+    ps, pt = p[:, :-1], p[:, -1]
+    g = _sinhc_deriv_over_r(t) * np.einsum("ij,ij->i", u, ps)
+    if c != 1.0:
+        g *= a ** 3
+        sc = a * sc
+        pt = a * pt
+    grad = (sc * pt - g)[:, None] * u
+    grad -= sc[:, None] * ps
+    return grad
 
 
 def distance_gradient(u, w, c: float) -> np.ndarray:
-    """Gradient of d(exp_O(u), exp_O(w)) with respect to u.
+    """Gradient of d(exp_O(u), exp_O(w)) with respect to u: the checked
+    one-row case of :func:`_distance_grads`.
 
-    Writes the arcosh argument as
-    beta(u, w) = cosh(a r_u) cosh(a r_w) - (u . w) a^2 S(a r_u) S(a r_w)
-    with a = sqrt(c), S(t) = sinh(t)/t, then differentiates
-    d = arcosh(beta)/a by the chain rule.  All sinc-like factors keep their
-    r -> 0 limits finite.  Undefined at coincident points (the clip floor),
-    which raise.
+    ``u`` and ``w`` are lifted together by :func:`_lift`, so past the
+    float64 limit this raises the lift's ValueError, naming
+    ``distance_gradient``; their distance comes from :func:`_distances`.
+    Undefined at (near-)coincident points, cosh(sqrt(c) d) <= 1 + 1e-12
+    (the clip floor included), which raise.
     """
     c = check_curvature(c)
     u = as_vector(u, name="tangent")
     w = as_vector(w, name="tangent")
     if u.shape != w.shape:
         raise ValueError(f"tangent shape mismatch: {u.shape} vs {w.shape}")
-    a = math.sqrt(c)
-    ru = float(np.linalg.norm(u))
-    rw = float(np.linalg.norm(w))
-    cu, cw = math.cosh(a * ru), math.cosh(a * rw)
-    sc_u = _sinhc(a * ru)  # sinh(a r_u) / (a r_u)
-    sc_w = _sinhc(a * rw)
-    dot = float(np.dot(u, w))
-    beta = cu * cw - dot * a * a * sc_u * sc_w
-    if beta <= 1.0 + 1e-12:
+    x = np.empty((2, u.size + 1))
+    t, sc = _lift(np.stack((u, w)), c, 1.0, x, "distance_gradient")[2:]
+    d = _distances(x[:1], _keys(x[1:], c), c)
+    if math.sqrt(c) * d[0, 0] <= math.acosh(1.0 + 1e-12):
         raise ValueError(
-            f"distance gradient undefined at (near-)coincident points (beta = {beta!r})"
+            f"distance gradient undefined at (near-)coincident points "
+            f"(distance {d[0, 0]!r})"
         )
-    grad_beta = (
-        a * a * sc_u * cw * u
-        - a * a * sc_u * sc_w * w
-        - dot * a * sc_w * _sinhc_deriv_over_r(ru, a) * u
-    )
-    return grad_beta / (a * math.sqrt(beta * beta - 1.0))
+    return _distance_grads(u[None], t[:1], sc[:1], x[1:], d, np.ones((1, 1)), c)[0]

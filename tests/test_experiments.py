@@ -14,7 +14,6 @@ from geoattn.diffcheck import _lift_row, _lorentz_dist, finite_diff_gradient
 from geoattn.experiments import (DescentRun, EmbeddingRun, TreeSpec,
                                  descent_demo, embed_tree, export_trajectories,
                                  tree_distance_matrix)
-from geoattn.lorentz import distance_gradient
 
 
 def test_tree_distance_matrix_depth1():
@@ -157,9 +156,36 @@ def test_lorentz_stress_grad_matches_fd():
     assert np.abs(grad - fd).max() / np.abs(fd).max() < 1e-5
 
 
+def _distance_gradient_loop(u, w, c):
+    # Gradient in u of d(exp_O(u), exp_O(w)) in plain math, independent of
+    # lorentz.py: d = arcosh(beta) / a with a = sqrt(c) and
+    # beta = cosh(a r_u) cosh(a r_w) - (u . w) a^2 S(a r_u) S(a r_w),
+    # S(t) = sinh(t) / t, differentiated by the chain rule.
+    def sinhc(t):
+        return 1.0 + t * t / 6.0 + t ** 4 / 120.0 if t < 1e-4 else math.sinh(t) / t
+
+    def sinhc_deriv_over_r(r):  # (d/dr sinh(a r) / r) / r
+        t = a * r
+        if t < 1e-4:
+            return a ** 3 * (1.0 / 3.0 + t * t / 30.0)
+        return (t * math.cosh(t) - math.sinh(t)) / r ** 3
+
+    a = math.sqrt(c)
+    ru = math.sqrt(sum(x * x for x in u))
+    rw = math.sqrt(sum(x * x for x in w))
+    dot = sum(x * y for x, y in zip(u, w))
+    sc_u, sc_w = sinhc(a * ru), sinhc(a * rw)
+    beta = math.cosh(a * ru) * math.cosh(a * rw) - dot * a * a * sc_u * sc_w
+    coef_u = a * a * sc_u * math.cosh(a * rw) - dot * a * sc_w * sinhc_deriv_over_r(ru)
+    coef_w = -a * a * sc_u * sc_w
+    scale = a * math.sqrt(beta * beta - 1.0)
+    return np.array([(coef_u * x + coef_w * y) / scale for x, y in zip(u, w)])
+
+
 @pytest.mark.parametrize("c", [0.5, 1.0, 1.3])
 def test_lorentz_stress_grad_is_sum_of_distance_gradients(c):
-    # d stress / d u_i = sum_j 2 err_ij grad_u d(exp_O(u_i), exp_O(u_j)).
+    # d stress / d u_i = sum_j 2 err_ij grad_u d(exp_O(u_i), exp_O(u_j)),
+    # each term from the plain-math loop, not from lorentz.py.
     rng = np.random.default_rng(2)
     t = tree_distance_matrix(TreeSpec(depth=2))
     u = rng.normal(scale=0.5, size=(t.shape[0], 2))
@@ -170,8 +196,24 @@ def test_lorentz_stress_grad_is_sum_of_distance_gradients(c):
     for i in range(len(u)):
         for j in range(len(u)):
             if i != j:
-                want[i] += 2.0 * ev.err[i, j] * distance_gradient(u[i], u[j], c)
+                want[i] += 2.0 * ev.err[i, j] * _distance_gradient_loop(u[i], u[j], c)
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0, 1.3, 30.0])
+def test_distance_gradient_matches_plain_math_loop(c):
+    # lorentz.distance_gradient is the one-row case of the stress gradient's
+    # formula; the loop is the scalar formula it replaced.
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        u, w = rng.normal(scale=0.5, size=(2, 3))
+        got = lorentz.distance_gradient(u, w, c)
+        want = _distance_gradient_loop(u, w, c)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # the origin takes both Taylor branches
+    got = lorentz.distance_gradient(np.zeros(3), w, c)
+    want = _distance_gradient_loop(np.zeros(3), w, c)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("c", [0.5, 1.0, 1.3])

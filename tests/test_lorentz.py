@@ -267,32 +267,29 @@ def _sinhc_loop(t):
     return math.sinh(t) / t
 
 
-def _sinhc_deriv_over_r_loop(r, a):
-    t = a * r
+def _sinhc_deriv_over_r_loop(t):
     if t < 1e-4:
-        return a ** 3 * (1.0 / 3.0 + t * t / 30.0)
-    return (t * math.cosh(t) - math.sinh(t)) / r ** 3
+        return 1.0 / 3.0 + t * t / 30.0
+    return (t * math.cosh(t) - math.sinh(t)) / t ** 3
 
 
-@pytest.mark.parametrize("a", [0.7, 1.0, 1.3])
-def test_sinhc_helpers_array_form_matches_per_element_loop(a):
+def test_sinhc_helpers_array_form_matches_per_element_loop():
     # zero, both sides of the Taylor switch at 1e-4, and large arguments;
     # then entries all at or above the switch, which take the closed form
     # without the per-entry selection
     for ts in (np.array([0.0, 0.99e-4, 1.01e-4, 1.0, 10.0, 300.0]),
                np.array([1e-4, 1.01e-4, 1.0, 10.0, 300.0])):
         sc = lorentz._sinhc(ts)
-        g = lorentz._sinhc_deriv_over_r(ts / a, a)
+        g = lorentz._sinhc_deriv_over_r(ts)
         # the array form picks each element's branch as a scalar call does
         assert np.array_equal(sc, [lorentz._sinhc(float(t)) for t in ts])
-        assert np.array_equal(g, [lorentz._sinhc_deriv_over_r(float(t) / a, a)
-                                  for t in ts])
+        assert np.array_equal(g, [lorentz._sinhc_deriv_over_r(float(t)) for t in ts])
         for t, got_sc, got_g in zip(ts, sc, g):
             assert abs(got_sc / _sinhc_loop(t) - 1.0) <= 1e-15
             # above the switch t cosh t - sinh t ~ t^3 / 3 cancels: one ulp of
             # sinh(t) moves it by about 3 u / t^2 relative
             tol = 1e-15 * max(1.0, 3.0 / t ** 2) if t >= 1e-4 else 1e-15
-            assert abs(got_g / _sinhc_deriv_over_r_loop(t / a, a) - 1.0) <= tol
+            assert abs(got_g / _sinhc_deriv_over_r_loop(t) - 1.0) <= tol
 
 
 def test_lift_rows_keeps_finite_output_below_float64_limit():
@@ -356,6 +353,22 @@ def test_distance_gradient_coincident_raises():
     u = np.array([0.5, 0.5])
     with pytest.raises(ValueError, match="coincident"):
         lorentz.distance_gradient(u, u.copy(), 1.0)
+
+
+@pytest.mark.filterwarnings("error")  # raises before any overflow warning
+@pytest.mark.parametrize("c", [1.0, 4.0])
+@pytest.mark.parametrize("t", [400.0, 1000.0])
+@pytest.mark.parametrize("far_first", [True, False])
+def test_distance_gradient_past_float64_limit_raises(c, t, far_first):
+    # one tangent vector with sqrt(c) * ||.|| = t, the other near the origin
+    far = np.array([0.6, 0.8]) * t / math.sqrt(c)
+    near = np.array([0.3, 0.4])
+    u, w = (far, near) if far_first else (near, far)
+    limit = math.asinh(math.sqrt(c) * math.sqrt(np.finfo(float).max))
+    message = (rf"distance_gradient: largest sqrt\(c\) \* r is {t:g}, "
+               rf"past the float64 limit {limit:.6g}")
+    with pytest.raises(ValueError, match=message):
+        lorentz.distance_gradient(u, w, c)
 
 
 def test_off_manifold_rejected():

@@ -206,7 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--steps", type=int, default=3000,
                    help="cap on descent steps, split over the four expansion "
                         "phases; a phase stops sooner once its stress stalls")
-    t.add_argument("--step-size", type=float, default=0.05)
+    t.add_argument("--step-size", type=float, default=0.05,
+                   help="gradient step multiplier, halved on each backoff; "
+                        "used for each phase's first step and when an L-BFGS "
+                        "search finds no descent (L-BFGS steps start at 1, "
+                        "no coordinate moving more than 0.5, or 0.5/sqrt(c) "
+                        "for lorentz)")
     t.add_argument("--seeds", default="0,333,777")
     t.add_argument("--curvature", default="1.0",
                    help="comma-separated curvature sweep for the lorentz arms")

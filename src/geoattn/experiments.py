@@ -16,14 +16,20 @@ Two experiments:
 Both experiments are deterministic given their seed.  In the tree
 embedding each stress evaluation is one vectorized pairwise-distance pass,
 and the gradient at an accepted point reuses that pass instead of computing
-the distances again.  Its step budget is a cap: each expansion phase ends
-once 10 accepted steps in a row have each changed the stress by at most
-1e-12 of its value (``_STALL_STEPS``, ``_STALL_RTOL``).  The Lorentz arm
-takes its lift, keys, distances (clip floor included) and gradient from
-lorentz; the gradient is lorentz._distance_grads with weights err, doubled;
-the tests check it against a plain-math per-pair sum and against finite
-differences.  A trial point past the lift's float64 limit counts as a
-rejected trial.
+the distances again.  Each step searches, with monotone backtracking, along
+an L-BFGS direction (Liu & Nocedal 1989) from the phase's last 8 point and
+gradient differences, its first trial capped so that no coordinate moves
+more than 0.5 (0.5 / sqrt(c) for Lorentz); a phase's first step, every step
+without backtracking, and the retry after a quasi-Newton search finds no
+descent take the plain gradient step instead.  The step budget is a cap:
+each expansion phase ends once 10 accepted steps in a row have each changed
+the stress by at most 1e-12 of its value (``_STALL_STEPS``,
+``_STALL_RTOL``).  The Lorentz arm takes its lift, keys, distances (clip
+floor included) and gradient from lorentz; the gradient is
+lorentz._distance_grads with weights err, doubled; the tests check it
+against a plain-math per-pair sum and against finite differences.  A trial
+point past the lift's float64 limit, or whose distance product overflows,
+counts as a rejected trial.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import functools
 import math
 import os
 import sys
+from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -89,11 +96,16 @@ class PhaseTrace:
 
     ``evaluations`` counts stress evaluations at trial points, so it equals
     ``accepted + backoffs + gave_up``; the evaluation at the phase's start
-    point is not counted.  ``converged`` is 1 when the stall stop ended the
-    phase (``_STALL_STEPS`` accepted steps in a row changed the stress by at
-    most ``_STALL_RTOL`` relative), and ``gave_up`` is 1 when the line
-    search found no descent; when both are 0 the phase spent its step
-    budget.
+    point is not counted.  ``backoffs`` counts every rejected trial but a
+    give-up's last, the first trial of a gradient step retried after a
+    failed quasi-Newton search included.  ``converged`` is 1 when the stall
+    stop ended the phase (``_STALL_STEPS`` accepted steps in a row changed
+    the stress by at most ``_STALL_RTOL`` relative), and ``gave_up`` is 1
+    when the line search found no descent along the gradient either; when
+    both are 0 the phase spent its step budget.  ``final_step`` is the
+    multiplier of the last accepted step: at most ``step_size`` for a
+    gradient step, at most 1 for a quasi-Newton step, and 0 when the phase
+    accepted none.
     """
 
     lam: float  # scale of the target distances
@@ -109,7 +121,14 @@ class PhaseTrace:
 
 @dataclass
 class EmbeddingRun:
-    """Parameters and results of one tree-embedding arm."""
+    """Parameters and results of one tree-embedding arm.
+
+    ``step_size`` is the gradient step's multiplier, taken on a phase's
+    first step, on every step when ``backtracking`` is off, and when a
+    quasi-Newton search finds no descent.  Quasi-Newton steps start at
+    multiplier 1 with each coordinate's move capped at 0.5 (0.5 / sqrt(c)
+    for Lorentz), so ``step_size`` does not scale them.
+    """
 
     space: str = "lorentz"  # "euclidean" or "lorentz"
     curvature: float = 1.0
@@ -222,15 +241,19 @@ def _lorentz_distances(u, targets, c) -> _StressEval:
     The rows are lifted once by :func:`lorentz._lift`, straight into the
     [s | t] queries of :func:`lorentz._distances`, and packed as its keys
     by :func:`lorentz._keys`.  A point past the lift's float64 limit has
-    infinite stress, so the line search backs off from it.
+    infinite stress, so the line search backs off from it, and so has a
+    pair of rows each inside the limit whose product -c<x, y>_L overflows
+    (opposite rows at sqrt(c) r = 355.5, say), with no warning.
     """
     x = np.empty((u.shape[0], u.shape[1] + 1))
     try:
         t, sc = lorentz._lift(u, c, 1.0, x, "embed_tree")[2:]
     except ValueError:
         return _StressEval(math.inf, None, None)
-    d = lorentz._distances(x, lorentz._keys(x, c), c)
-    return _stress_eval(d, targets, (c, x, t, sc))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = lorentz._distances(x, lorentz._keys(x, c), c)
+    ev = _stress_eval(d, targets, (c, x, t, sc))
+    return ev if math.isfinite(ev.stress) else _StressEval(math.inf, None, None)
 
 
 def _lorentz_stress_grad(u, ev: _StressEval) -> np.ndarray:
@@ -256,6 +279,49 @@ def _distortion(d: np.ndarray, t: np.ndarray):
     return mean_rel, worst
 
 
+def _lbfgs_direction(grad: np.ndarray, pairs) -> np.ndarray:
+    """The quasi-Newton direction -H grad, by the two-loop recursion.
+
+    ``pairs`` holds (s, y, 1 / s.y), oldest first, each with s.y > 0, so H
+    is positive definite and the direction descends.  The initial inverse
+    Hessian is the newest pair's s.y / y.y times the identity (Liu &
+    Nocedal, Math. Programming 1989).
+    """
+    q = grad.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        a = rho * np.vdot(s, q)
+        q -= a * y
+        alphas.append(a)
+    s, y, rho = pairs[-1]
+    q *= 1.0 / (rho * np.vdot(y, y))
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        q += (a - rho * np.vdot(y, q)) * s
+    return np.negative(q, out=q)
+
+
+def _line_search(evaluate, x, direction, mult, stress, halvings):
+    """Trial points x + mult * direction, halving ``mult`` until the
+    stress is at most ``stress`` or ``halvings`` halvings are spent.
+
+    Returns (trial, evaluation, mult, halvings taken).  A NaN or infinite
+    trial stress (a Lorentz trial past the float64 limit) is rejected like
+    a higher one; with ``halvings`` 0 the first trial is returned as is.  The caller holds no evaluation while this runs, and a
+    rejected trial's is dropped before the next is made, so at most one
+    is alive.
+    """
+    trial = x + mult * direction
+    ev = evaluate(trial)
+    tries = 0
+    while not ev.stress <= stress and tries < halvings:
+        mult *= 0.5
+        trial = x + mult * direction
+        ev = None
+        ev = evaluate(trial)
+        tries += 1
+    return trial, ev, mult, tries
+
+
 # Target distances are ramped up in phases so the layout untangles while
 # still small; direct descent on the full-scale targets strands deep trees
 # in crossed-branch local minima.
@@ -267,9 +333,94 @@ _EXPANSION_PHASES = (0.25, 0.5, 0.75, 1.0)
 _STALL_RTOL = 1e-12
 _STALL_STEPS = 10
 
+# The line search gives up after this many halvings of one step.
+_HALVINGS = 40
+
+# The quasi-Newton direction of embed_tree: the last _LBFGS_PAIRS (s, y)
+# pairs of the phase, and a first trial that moves no coordinate more than
+# _MOVE_CAP (Lorentz: _MOVE_CAP / sqrt(c), the same hyperbolic length).
+# Without the cap the depth-5 tree at c = 1000, seeds 0-5, ended 13% worse
+# (mean distortion 0.6455 against 0.5718).
+_LBFGS_PAIRS = 8
+_MOVE_CAP = 0.5
+
+
+def _expansion_phase(x, lam, targets, evaluate, gradient, move_cap, steps, run):
+    """One phase of :func:`embed_tree` from ``x`` against ``targets``.
+
+    Returns the phase's last point and its :class:`PhaseTrace`.  The
+    phase's pairs and arrays are freed on return, before the next targets.
+    """
+    at = functools.partial(evaluate, targets=targets)
+    halvings = _HALVINGS if run.backtracking else 0
+    step = run.step_size
+    pairs = deque(maxlen=_LBFGS_PAIRS)  # (s, y, 1 / s.y), oldest first
+    last = None  # the last accepted point and its gradient
+    ev = at(x)
+    stress = start_stress = ev.stress
+    accepted = evaluations = backoffs = gave_up = converged = stalled = 0
+    final_step = 0.0
+    for _ in range(steps):
+        if not math.isfinite(stress):
+            raise ValueError(
+                "stress diverged to NaN/Inf; try a smaller step_size"
+            )
+        grad = gradient(x, ev)
+        ev = None  # keep one evaluation alive, not two
+        if run.backtracking and last is not None:
+            s, y = x - last[0], grad - last[1]
+            sy = float(np.vdot(s, y))
+            if sy > 0.0:
+                pairs.append((s, y, 1.0 / sy))
+        last = x, grad
+        quasi_newton = bool(pairs)
+        if quasi_newton:
+            direction = _lbfgs_direction(grad, pairs)
+            peak = float(np.abs(direction).max())
+            mult = 1.0 if peak <= move_cap else move_cap / peak
+            trial, ev, mult, tries = _line_search(at, x, direction, mult,
+                                                  stress, halvings)
+            evaluations += 1 + tries
+            backoffs += tries
+            if not ev.stress <= stress:
+                # Drop the pairs and retry the gradient step; its first
+                # trial is a backoff too.
+                pairs.clear()
+                quasi_newton = False
+                ev = None
+                backoffs += 1
+        if not quasi_newton:
+            trial, ev, step, tries = _line_search(at, x, -grad, step,
+                                                  stress, halvings)
+            mult = step
+            evaluations += 1 + tries
+            backoffs += tries
+            if ev.stress <= stress and tries == 0:
+                step = min(step * 1.2, run.step_size)
+        if not run.backtracking:
+            if not math.isfinite(ev.stress):
+                raise ValueError(
+                    "stress diverged to NaN/Inf; try a smaller step_size"
+                )
+        elif not ev.stress <= stress:
+            gave_up = 1
+            break  # no descent direction progress left
+        x = trial
+        final_step = mult
+        change = abs(stress - ev.stress)
+        stalled = stalled + 1 if change <= _STALL_RTOL * stress else 0
+        stress = ev.stress
+        accepted += 1
+        if stalled == _STALL_STEPS:
+            converged = 1
+            break
+    return x, PhaseTrace(lam, accepted, evaluations, backoffs, gave_up,
+                         converged, start_stress, stress, final_step)
+
 
 def embed_tree(spec: TreeSpec, run: EmbeddingRun) -> EmbeddingRun:
-    """Minimize stress sum_(i<j) (d_space - d_tree)^2 by gradient descent.
+    """Minimize stress sum_(i<j) (d_space - d_tree)^2 by L-BFGS with a
+    monotone backtracking line search.
 
     Node coordinates (ambient for Euclidean, tangent-at-origin for Lorentz)
     start from a seeded Gaussian.  The step budget is split evenly over a
@@ -277,11 +428,30 @@ def embed_tree(spec: TreeSpec, run: EmbeddingRun) -> EmbeddingRun:
     target distances, ending at the true targets.  With backtracking
     enabled the stress is non-increasing within a phase.
 
+    Each step searches along one of two directions:
+
+    * the quasi-Newton direction of :func:`_lbfgs_direction`, over the
+      phase's last ``_LBFGS_PAIRS`` (8) pairs of point and gradient
+      differences (s, y), a pair with s.y <= 0 skipped.  Its first trial
+      takes multiplier 1, reduced so that no coordinate moves more than
+      ``_MOVE_CAP`` (0.5), or 0.5 / sqrt(c) for Lorentz;
+    * the gradient, at multiplier ``step``: ``run.step_size`` at the
+      phase's start, halved with each backoff and grown by 1.2 (up to
+      ``run.step_size``) after a step accepted without one.
+
+    The gradient step is taken while the phase holds no pair (its first
+    step), on every step when ``run.backtracking`` is off, and as a
+    fallback: a quasi-Newton search that spends its ``_HALVINGS`` (40)
+    halvings without descent drops the pairs and retries the gradient step,
+    whose evaluations count as backoffs.  The pairs are dropped at every
+    phase end too, because the targets change.
+
     ``run.steps`` is a cap, not a count: a phase also ends once
     ``_STALL_STEPS`` (10) accepted steps in a row have each changed the
     stress by at most ``_STALL_RTOL`` (1e-12) of its value, and when the
-    line search finds no descent.  A larger change resets the count, so a
-    phase with fewer than ``_STALL_STEPS`` steps never stops this way.
+    gradient step's search finds no descent either.  A larger change
+    resets the count, so a phase with fewer than ``_STALL_STEPS`` steps
+    never stops this way.
 
     Each stress evaluation is one pairwise-distance pass.  An accepted
     trial point's evaluation is kept and its gradient reuses it, so no
@@ -299,10 +469,12 @@ def embed_tree(spec: TreeSpec, run: EmbeddingRun) -> EmbeddingRun:
         raise ValueError(f"unknown space {run.space!r}")
     if run.space == "euclidean":
         evaluate, gradient = _euclidean_distances, _euclidean_stress_grad
+        move_cap = _MOVE_CAP
     else:
         c = check_curvature(run.curvature)
         evaluate = functools.partial(_lorentz_distances, c=c)
         gradient = _lorentz_stress_grad
+        move_cap = _MOVE_CAP / math.sqrt(c)
     t = tree_distance_matrix(spec)
     rng = np.random.default_rng(run.seed)
     x = rng.normal(scale=0.1, size=(t.shape[0], run.dim))
@@ -310,55 +482,9 @@ def embed_tree(spec: TreeSpec, run: EmbeddingRun) -> EmbeddingRun:
     steps_per_phase = -(-run.steps // len(_EXPANSION_PHASES))  # ceil; 0 stays 0
     phases = []
     for lam in _EXPANSION_PHASES:
-        targets = lam * t
-        step = run.step_size
-        ev = None  # keep one evaluation alive, not two
-        ev = evaluate(x, targets)
-        stress = start_stress = ev.stress
-        accepted = evaluations = backoffs = gave_up = converged = stalled = 0
-        for _ in range(steps_per_phase):
-            if not math.isfinite(stress):
-                raise ValueError(
-                    "stress diverged to NaN/Inf; try a smaller step_size"
-                )
-            grad = gradient(x, ev)
-            ev = None  # keep one evaluation alive, not two
-            trial = x - step * grad
-            ev = evaluate(trial, targets)
-            evaluations += 1
-            if run.backtracking:
-                # A NaN or infinite trial stress (a Lorentz trial past the
-                # lift's float64 limit) is rejected like a higher one.
-                tries = 0
-                while not ev.stress <= stress and tries < 40:
-                    step *= 0.5
-                    trial = x - step * grad
-                    ev = None
-                    ev = evaluate(trial, targets)
-                    tries += 1
-                evaluations += tries
-                backoffs += tries
-                if not ev.stress <= stress:
-                    gave_up = 1
-                    break  # no descent direction progress left
-                if tries == 0:
-                    step = min(step * 1.2, run.step_size)
-            elif not math.isfinite(ev.stress):
-                raise ValueError(
-                    "stress diverged to NaN/Inf; try a smaller step_size"
-                )
-            x = trial
-            change = abs(stress - ev.stress)
-            stalled = stalled + 1 if change <= _STALL_RTOL * stress else 0
-            stress = ev.stress
-            accepted += 1
-            if stalled == _STALL_STEPS:
-                converged = 1
-                break
-        phases.append(PhaseTrace(lam, accepted, evaluations, backoffs, gave_up,
-                                 converged, start_stress, stress, step))
-
-    ev = None
+        x, trace = _expansion_phase(x, lam, lam * t, evaluate, gradient,
+                                    move_cap, steps_per_phase, run)
+        phases.append(trace)
     final = evaluate(x, t)
     mean_rel, worst = _distortion(final.d, t)
     return dataclasses.replace(

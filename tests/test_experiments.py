@@ -294,6 +294,104 @@ def test_lorentz_trial_past_lift_limit_has_infinite_stress(monkeypatch):
     assert len(grads) == 4
 
 
+@pytest.mark.filterwarnings("error")
+def test_lorentz_product_overflow_inside_lift_limit_has_infinite_stress():
+    # Each row is inside the lift limit (355.585 at c = 1), but -c<x, y>_L
+    # of the opposite pair is about cosh(711), past float64.
+    ev = experiments._lorentz_distances(np.array([[355.5, 0.0], [-355.5, 0.0]]),
+                                        np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0)
+    assert ev.stress == math.inf and ev.d is None
+
+
+@pytest.mark.filterwarnings("error")
+def test_embed_tree_trial_with_overflowing_product_is_a_backoff():
+    # At c = 30, seed 4, a trial reaches the overflowing product above.
+    out = embed_tree(TreeSpec(depth=5), EmbeddingRun(space="lorentz", curvature=30.0, seed=4))
+    assert math.isfinite(out.final_stress) and math.isfinite(out.final_distortion)
+
+
+def _dense_bfgs_direction(grad, pairs):
+    # -H grad with H built pair by pair, oldest first, by the dense BFGS
+    # update H <- V^T H V + rho s s^T, V = I - rho y s^T, rho = 1 / s.y,
+    # from H0 = (s.y / y.y) I of the newest pair.
+    g = grad.ravel()
+    s, y = pairs[-1][0].ravel(), pairs[-1][1].ravel()
+    h = (s @ y) / (y @ y) * np.eye(g.size)
+    for s, y, _ in pairs:
+        s, y = s.ravel(), y.ravel()
+        rho = 1.0 / (s @ y)
+        v = np.eye(g.size) - rho * np.outer(y, s)
+        h = v.T @ h @ v + rho * np.outer(s, s)
+    return -(h @ g).reshape(grad.shape)
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_lbfgs_direction_matches_dense_bfgs_update(k):
+    rng = np.random.default_rng(k)
+    a = rng.normal(size=(12, 12))
+    a = a @ a.T / 12 + np.eye(12)  # the pairs of a convex quadratic
+    pairs = []
+    for _ in range(k):
+        s = rng.normal(size=(6, 2))
+        y = (a @ s.ravel()).reshape(6, 2)
+        pairs.append((s, y, 1.0 / np.vdot(s, y)))
+    grad = rng.normal(size=(6, 2))
+    got = experiments._lbfgs_direction(grad, pairs)
+    want = _dense_bfgs_direction(grad, pairs)
+    assert got.shape == grad.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.vdot(got, grad) < 0.0  # a descent direction
+
+
+@pytest.mark.parametrize("space, c", [("euclidean", 1.0), ("lorentz", 1.0),
+                                      ("lorentz", 30.0)])
+def test_embed_tree_quasi_newton_trial_moves_at_most_the_cap(monkeypatch, space, c):
+    # A direction scaled up a million-fold still starts its search with
+    # no coordinate moving more than 0.5 (0.5 / sqrt(c) for Lorentz).
+    directions, first_moves = [], []
+    direction, search = experiments._lbfgs_direction, experiments._line_search
+
+    def scaled(grad, pairs):
+        directions.append(1e6 * direction(grad, pairs))
+        return directions[-1]
+
+    def recorded(evaluate, x, d, mult, *args):
+        if d is (directions[-1] if directions else None):
+            first_moves.append(mult * np.abs(d).max())
+        return search(evaluate, x, d, mult, *args)
+
+    monkeypatch.setattr(experiments, "_lbfgs_direction", scaled)
+    monkeypatch.setattr(experiments, "_line_search", recorded)
+    embed_tree(TreeSpec(depth=3), EmbeddingRun(space=space, curvature=c, steps=200, seed=1))
+    cap = 0.5 / math.sqrt(c) if space == "lorentz" else 0.5
+    assert len(first_moves) == len(directions) > 0
+    assert max(first_moves) <= cap * (1.0 + 1e-15)
+
+
+def test_embed_tree_quasi_newton_failure_retries_gradient_step(monkeypatch):
+    # An uphill quasi-Newton direction fails all 40 halvings; the pairs are
+    # dropped and the gradient step is retried, so no phase gives up.  The
+    # retry's evaluations, its first trial included, are backoffs.
+    calls = []
+
+    def uphill(grad, pairs):
+        calls.append(len(pairs))
+        return 1e6 * grad
+
+    monkeypatch.setattr(experiments, "_lbfgs_direction", uphill)
+    out = embed_tree(TreeSpec(depth=2), EmbeddingRun(space="euclidean", steps=40, seed=0))
+    assert calls and set(calls) == {1}  # every search drops the pairs
+    for p in out.phases:
+        assert p.gave_up == 0 and p.accepted == 10
+        assert p.evaluations == p.accepted + p.backoffs + p.gave_up
+        assert p.end_stress < p.start_stress
+        assert 0.0 < p.final_step <= 0.05  # only gradient steps are accepted
+    # Each of the 9 failed searches after a phase's first step adds its 40
+    # halvings and its retry's first trial to the backoffs.
+    assert all(p.backoffs >= 9 * 41 for p in out.phases)
+    assert len(calls) == 4 * 9
+
+
 def test_embed_tree_deterministic():
     spec = TreeSpec(depth=2)
     run = EmbeddingRun(space="lorentz", steps=200, seed=5)
@@ -351,7 +449,7 @@ def test_embed_tree_phase_trace(space):
         if p.converged:
             assert p.accepted < 100
         assert p.end_stress <= p.start_stress
-        assert 0.0 < p.final_step <= 0.05
+        assert 0.0 < p.final_step <= 1.0  # a gradient step's is at most 0.05
     assert any(p.converged for p in out.phases)
     assert out.phases[-1].end_stress == out.final_stress
     # Nine steps per phase are fewer than the stall stop needs.

@@ -148,13 +148,14 @@ def cmd_tree_embed(args) -> int:
                 "seed": seed, "distortion": out.final_distortion,
                 "worst_ratio": out.worst_ratio, "stress": out.final_stress,
                 "evaluations": sum(p.evaluations for p in out.phases),
+                "gave_up": sum(p.gave_up for p in out.phases),
             })
             distortions.append(out.final_distortion)
         label = space if c is None else f"{space}(c={c})"
         print(f"{label:20s} mean distortion over seeds: "
               f"{statistics.fmean(distortions):.4f}")
     fields = ["space", "curvature", "seed", "distortion", "worst_ratio", "stress",
-              "evaluations"]
+              "evaluations", "gave_up"]
     if args.output:
         _emit(records, fields, args.format, args.output)
     return 0
@@ -207,11 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cap on descent steps, split over the four expansion "
                         "phases; a phase stops sooner once its stress stalls")
     t.add_argument("--step-size", type=float, default=0.05,
-                   help="gradient step multiplier, halved on each backoff; "
-                        "used for each phase's first step and when an L-BFGS "
-                        "search finds no descent (L-BFGS steps start at 1, "
-                        "no coordinate moving more than 0.5, or 0.5/sqrt(c) "
-                        "for lorentz)")
+                   help="gradient step multiplier, cut on each backoff to a "
+                        "quadratic model's minimiser; used for each phase's "
+                        "first step and when an L-BFGS search finds no "
+                        "descent (L-BFGS steps start at 1, no coordinate "
+                        "moving more than 0.5, or 0.5/sqrt(c) for lorentz)")
     t.add_argument("--seeds", default="0,333,777")
     t.add_argument("--curvature", default="1.0",
                    help="comma-separated curvature sweep for the lorentz arms")

@@ -21,7 +21,10 @@ an L-BFGS direction (Liu & Nocedal 1989) from the phase's last 8 point and
 gradient differences, its first trial capped so that no coordinate moves
 more than 0.5 (0.5 / sqrt(c) for Lorentz); a phase's first step, every step
 without backtracking, and the retry after a quasi-Newton search finds no
-descent take the plain gradient step instead.  The step budget is a cap:
+descent take the plain gradient step instead.  Backtracking cuts a rejected
+multiplier to the minimiser of a quadratic fitted to the stress, its slope
+along the direction and the rejected trial's stress, clamped to 0.1-0.5 of
+the old one (Nocedal & Wright 2006, section 3.5).  The step budget is a cap:
 each expansion phase ends once 10 accepted steps in a row have each changed
 the stress by at most 1e-12 of its value (``_STALL_STEPS``,
 ``_STALL_RTOL``).  The Lorentz arm takes its lift, keys, distances (clip
@@ -98,14 +101,15 @@ class PhaseTrace:
     ``accepted + backoffs + gave_up``; the evaluation at the phase's start
     point is not counted.  ``backoffs`` counts every rejected trial but a
     give-up's last, the first trial of a gradient step retried after a
-    failed quasi-Newton search included.  ``converged`` is 1 when the stall
+    failed quasi-Newton search included; after each, the line search cuts
+    the multiplier to between a tenth and a half of the rejected one.  ``converged`` is 1 when the stall
     stop ended the phase (``_STALL_STEPS`` accepted steps in a row changed
     the stress by at most ``_STALL_RTOL`` relative), and ``gave_up`` is 1
     when the line search found no descent along the gradient either; when
     both are 0 the phase spent its step budget.  ``final_step`` is the
-    multiplier of the last accepted step: at most ``step_size`` for a
-    gradient step, at most 1 for a quasi-Newton step, and 0 when the phase
-    accepted none.
+    multiplier of the last accepted step, after the line search's cuts: at
+    most ``step_size`` for a gradient step, at most 1 for a quasi-Newton
+    step, and 0 when the phase accepted none.
     """
 
     lam: float  # scale of the target distances
@@ -123,11 +127,14 @@ class PhaseTrace:
 class EmbeddingRun:
     """Parameters and results of one tree-embedding arm.
 
-    ``step_size`` is the gradient step's multiplier, taken on a phase's
-    first step, on every step when ``backtracking`` is off, and when a
-    quasi-Newton search finds no descent.  Quasi-Newton steps start at
-    multiplier 1 with each coordinate's move capped at 0.5 (0.5 / sqrt(c)
-    for Lorentz), so ``step_size`` does not scale them.
+    ``step_size`` is the gradient step's first multiplier, taken on a
+    phase's first step, on every step when ``backtracking`` is off, and
+    when a quasi-Newton search finds no descent.  Quasi-Newton steps start
+    at multiplier 1 with each coordinate's move capped at 0.5 (0.5 /
+    sqrt(c) for Lorentz), so ``step_size`` does not scale them.  With
+    ``backtracking`` each search cuts a rejected multiplier by the
+    quadratic model of :func:`_line_search`.  ``steps`` caps the accepted
+    steps of the whole run.
     """
 
     space: str = "lorentz"  # "euclidean" or "lorentz"
@@ -300,21 +307,32 @@ def _lbfgs_direction(grad: np.ndarray, pairs) -> np.ndarray:
     return np.negative(q, out=q)
 
 
-def _line_search(evaluate, x, direction, mult, stress, halvings):
-    """Trial points x + mult * direction, halving ``mult`` until the
-    stress is at most ``stress`` or ``halvings`` halvings are spent.
+def _line_search(evaluate, x, direction, mult, stress, slope, reductions):
+    """Trial points x + mult * direction, reducing ``mult`` until the
+    stress is at most ``stress`` or ``reductions`` reductions are spent.
 
-    Returns (trial, evaluation, mult, halvings taken).  A NaN or infinite
-    trial stress (a Lorentz trial past the float64 limit) is rejected like
-    a higher one; with ``halvings`` 0 the first trial is returned as is.  The caller holds no evaluation while this runs, and a
-    rejected trial's is dropped before the next is made, so at most one
-    is alive.
+    ``slope`` is the stress's derivative along ``direction`` at ``x``.
+    After a rejected finite trial at multiplier a with stress f, the next
+    multiplier minimises the quadratic through ``stress`` and ``slope`` at
+    0 and f at a, -slope a^2 / (2 (f - stress - slope a)), clamped to
+    [0.1 a, 0.5 a] (Nocedal & Wright, Numerical Optimization, 2nd ed.,
+    section 3.5).  A NaN or infinite trial stress (a Lorentz trial past the
+    float64 limit), or a slope that is not negative, halves a instead.
+
+    Returns (trial, evaluation, mult, reductions taken).  With
+    ``reductions`` 0 the first trial is returned as is.  The caller holds
+    no evaluation while this runs, and a rejected trial's is dropped
+    before the next is made, so at most one is alive.
     """
     trial = x + mult * direction
     ev = evaluate(trial)
     tries = 0
-    while not ev.stress <= stress and tries < halvings:
-        mult *= 0.5
+    while not ev.stress <= stress and tries < reductions:
+        if slope < 0.0 and math.isfinite(ev.stress):
+            fit = -slope * mult * mult / (2.0 * (ev.stress - stress - slope * mult))
+            mult = min(max(fit, 0.1 * mult), 0.5 * mult)
+        else:
+            mult *= 0.5
         trial = x + mult * direction
         ev = None
         ev = evaluate(trial)
@@ -333,7 +351,8 @@ _EXPANSION_PHASES = (0.25, 0.5, 0.75, 1.0)
 _STALL_RTOL = 1e-12
 _STALL_STEPS = 10
 
-# The line search gives up after this many halvings of one step.
+# The line search gives up after this many reductions of one step's
+# multiplier, each at least a halving.
 _HALVINGS = 40
 
 # The quasi-Newton direction of embed_tree: the last _LBFGS_PAIRS (s, y)
@@ -352,7 +371,7 @@ def _expansion_phase(x, lam, targets, evaluate, gradient, move_cap, steps, run):
     phase's pairs and arrays are freed on return, before the next targets.
     """
     at = functools.partial(evaluate, targets=targets)
-    halvings = _HALVINGS if run.backtracking else 0
+    reductions = _HALVINGS if run.backtracking else 0
     step = run.step_size
     pairs = deque(maxlen=_LBFGS_PAIRS)  # (s, y, 1 / s.y), oldest first
     last = None  # the last accepted point and its gradient
@@ -378,8 +397,9 @@ def _expansion_phase(x, lam, targets, evaluate, gradient, move_cap, steps, run):
             direction = _lbfgs_direction(grad, pairs)
             peak = float(np.abs(direction).max())
             mult = 1.0 if peak <= move_cap else move_cap / peak
-            trial, ev, mult, tries = _line_search(at, x, direction, mult,
-                                                  stress, halvings)
+            trial, ev, mult, tries = _line_search(
+                at, x, direction, mult, stress, float(np.vdot(grad, direction)),
+                reductions)
             evaluations += 1 + tries
             backoffs += tries
             if not ev.stress <= stress:
@@ -390,8 +410,9 @@ def _expansion_phase(x, lam, targets, evaluate, gradient, move_cap, steps, run):
                 ev = None
                 backoffs += 1
         if not quasi_newton:
-            trial, ev, step, tries = _line_search(at, x, -grad, step,
-                                                  stress, halvings)
+            trial, ev, step, tries = _line_search(
+                at, x, -grad, step, stress, -float(np.vdot(grad, grad)),
+                reductions)
             mult = step
             evaluations += 1 + tries
             backoffs += tries
@@ -420,11 +441,12 @@ def _expansion_phase(x, lam, targets, evaluate, gradient, move_cap, steps, run):
 
 def embed_tree(spec: TreeSpec, run: EmbeddingRun) -> EmbeddingRun:
     """Minimize stress sum_(i<j) (d_space - d_tree)^2 by L-BFGS with a
-    monotone backtracking line search.
+    monotone, interpolating backtracking line search.
 
     Node coordinates (ambient for Euclidean, tangent-at-origin for Lorentz)
-    start from a seeded Gaussian.  The step budget is split evenly over a
-    progressive-expansion schedule: each phase descends against scaled-down
+    start from a seeded Gaussian.  The step budget is split over a
+    progressive-expansion schedule, phase i of 4 taking (steps + i) // 4
+    steps, so the phases sum to ``run.steps``: each phase descends against scaled-down
     target distances, ending at the true targets.  With backtracking
     enabled the stress is non-increasing within a phase.
 
@@ -436,14 +458,16 @@ def embed_tree(spec: TreeSpec, run: EmbeddingRun) -> EmbeddingRun:
       takes multiplier 1, reduced so that no coordinate moves more than
       ``_MOVE_CAP`` (0.5), or 0.5 / sqrt(c) for Lorentz;
     * the gradient, at multiplier ``step``: ``run.step_size`` at the
-      phase's start, halved with each backoff and grown by 1.2 (up to
-      ``run.step_size``) after a step accepted without one.
+      phase's start, left where the last search's cuts took it and grown
+      by 1.2 (up to ``run.step_size``) after a step accepted without one.
 
-    The gradient step is taken while the phase holds no pair (its first
-    step), on every step when ``run.backtracking`` is off, and as a
-    fallback: a quasi-Newton search that spends its ``_HALVINGS`` (40)
-    halvings without descent drops the pairs and retries the gradient step,
-    whose evaluations count as backoffs.  The pairs are dropped at every
+    Either search cuts a rejected multiplier as :func:`_line_search` says,
+    with the slope grad . direction.  The gradient step is taken while the
+    phase holds no pair (its first step), on every step when
+    ``run.backtracking`` is off, and as a fallback: a quasi-Newton search
+    that spends its ``_HALVINGS`` (40) reductions without descent drops the
+    pairs and retries the gradient step, whose evaluations count as
+    backoffs.  The pairs are dropped at every
     phase end too, because the targets change.
 
     ``run.steps`` is a cap, not a count: a phase also ends once
@@ -479,11 +503,11 @@ def embed_tree(spec: TreeSpec, run: EmbeddingRun) -> EmbeddingRun:
     rng = np.random.default_rng(run.seed)
     x = rng.normal(scale=0.1, size=(t.shape[0], run.dim))
 
-    steps_per_phase = -(-run.steps // len(_EXPANSION_PHASES))  # ceil; 0 stays 0
     phases = []
-    for lam in _EXPANSION_PHASES:
-        x, trace = _expansion_phase(x, lam, lam * t, evaluate, gradient,
-                                    move_cap, steps_per_phase, run)
+    for i, lam in enumerate(_EXPANSION_PHASES):
+        # Phase i takes (steps + i) // 4 steps, so the phases sum to steps.
+        x, trace = _expansion_phase(x, lam, lam * t, evaluate, gradient, move_cap,
+                                    (run.steps + i) // len(_EXPANSION_PHASES), run)
         phases.append(trace)
     final = evaluate(x, t)
     mean_rel, worst = _distortion(final.d, t)

@@ -102,13 +102,16 @@ def test_tree_embed_writes_csv(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "euclidean" in out and "lorentz" in out
     lines = out_file.read_text().splitlines()
-    assert lines[0] == "space,curvature,seed,distortion,worst_ratio,stress,evaluations"
+    assert lines[0] == ("space,curvature,seed,distortion,worst_ratio,stress,"
+                        "evaluations,gave_up")
     assert len(lines) == 1 + 2 * 2  # two arms x two seeds
-    # Each run's evaluations total its phases' trial-point stress evaluations.
+    # Each run's evaluations total its phases' trial-point stress
+    # evaluations, and gave_up counts its phases that gave up.
     run = experiments.embed_tree(experiments.TreeSpec(depth=2),
                                  experiments.EmbeddingRun(space="euclidean",
                                                           steps=100, seed=0))
-    assert lines[1].split(",")[-1] == str(sum(p.evaluations for p in run.phases))
+    assert lines[1].split(",")[-2:] == [str(sum(p.evaluations for p in run.phases)),
+                                        str(sum(p.gave_up for p in run.phases))]
 
 
 def test_tree_embed_json_records_evaluations(tmp_path, capsys):
@@ -119,6 +122,17 @@ def test_tree_embed_json_records_evaluations(tmp_path, capsys):
     assert [r["space"] for r in records] == ["euclidean", "lorentz"]
     for r in records:
         assert isinstance(r["evaluations"], int) and 0 < r["evaluations"]
+
+
+def test_tree_embed_records_phases_that_gave_up(tmp_path, capsys):
+    # At c = 1000 the depth-5 tree's phases give up at seed 2.
+    out_file = tmp_path / "embed.json"
+    assert cli.main(["tree-embed", "--seeds", "2", "--curvature", "1000",
+                     "--format", "json", "--output", str(out_file)]) == 0
+    lorentz_arm = json.loads(out_file.read_text())[1]
+    run = experiments.embed_tree(experiments.TreeSpec(depth=5),
+                                 experiments.EmbeddingRun(curvature=1000.0, seed=2))
+    assert lorentz_arm["gave_up"] == sum(p.gave_up for p in run.phases) > 0
 
 
 def test_descent_writes_trajectories(tmp_path, capsys):

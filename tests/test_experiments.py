@@ -343,6 +343,86 @@ def test_lbfgs_direction_matches_dense_bfgs_update(k):
     assert np.vdot(got, grad) < 0.0  # a descent direction
 
 
+def _search_along_line(stress_at, stress, slope, mult=1.0):
+    # _line_search on a 1-D line from 0 along +1, so each trial point is
+    # its multiplier; returns the multipliers tried and the search's result.
+    tried = []
+
+    def evaluate(trial):
+        tried.append(float(trial[0]))
+        return experiments._StressEval(stress_at(tried[-1]), None, None)
+
+    out = experiments._line_search(evaluate, np.zeros(1), np.ones(1), mult,
+                                   stress, slope, 40)
+    return tried, out
+
+
+def test_line_search_takes_the_quadratic_models_minimiser():
+    # Along q(a) = 1 - a + k a^2 the model through q(0), q'(0) = -1 and
+    # q(a) is q itself, so after the rejected trial at 1 the next is its
+    # minimiser 1 / (2k) = 0.3, inside [0.1, 0.5], and is accepted.
+    k = 1.0 / 0.6
+    tried, (_, ev, mult, tries) = _search_along_line(lambda a: 1.0 - a + k * a * a,
+                                                     1.0, -1.0)
+    assert tried[0] == 1.0 and tried[1] == pytest.approx(0.3, rel=1e-15)
+    assert (len(tried), tries, mult) == (2, 1, tried[1])
+    assert ev.stress <= 1.0
+
+
+def test_line_search_clamps_the_models_minimiser():
+    # k = 50 puts the minimiser at 0.01, so the second trial is clamped to
+    # 0.1 a; rejected again, the third is the minimiser, 0.1 of the second.
+    tried, (_, ev, mult, tries) = _search_along_line(lambda a: 1.0 - a + 50.0 * a * a,
+                                                     1.0, -1.0)
+    assert tried[:2] == [1.0, 0.1]
+    assert tried[2] == pytest.approx(0.01, rel=1e-14) and mult == tried[2]
+    assert tries == 2 and ev.stress <= 1.0
+    # A rejected trial puts the minimiser below 0.5 a, so the upper end
+    # binds only on rounding: here the unclamped fit is one ulp above it.
+    stress, slope, a = 1e-6, -1.0, 0.1
+    above = np.nextafter(stress, np.inf)
+    assert -slope * a * a / (2.0 * (above - stress - slope * a)) > 0.5 * a
+    tried, _ = _search_along_line(lambda t: above if t == a else 0.0, stress, slope, a)
+    assert tried == [a, 0.5 * a]
+    # Each reduction is at least 2x, so 40 of them span at least 2^40.
+    tried, (_, ev, mult, tries) = _search_along_line(lambda a: 1e300, 1.0, -1.0)
+    assert tries == 40 and len(tried) == 41 and ev.stress == 1e300
+    assert all(b <= 0.5 * a for a, b in zip(tried, tried[1:]))
+    assert tried[1] == 0.1  # the huge stress puts the minimiser far below 0.1
+
+
+@pytest.mark.parametrize("slope, stress_at", [
+    (-1.0, lambda a: math.inf if a == 1.0 else 0.0),   # an infinite trial
+    (-1.0, lambda a: math.nan if a == 1.0 else 0.0),   # a NaN trial
+    (0.0, lambda a: 2.0 if a == 1.0 else 0.0),         # a flat slope
+    (1.0, lambda a: 2.0 if a == 1.0 else 0.0),         # an uphill slope
+])
+def test_line_search_halves_without_a_model(slope, stress_at):
+    tried, (_, ev, mult, tries) = _search_along_line(stress_at, 1.0, slope)
+    assert tried == [1.0, 0.5] and (mult, tries, ev.stress) == (0.5, 1, 0.0)
+
+
+@pytest.mark.parametrize("space", ["euclidean", "lorentz"])
+def test_embed_tree_takes_at_most_steps(space):
+    # Phase i takes (steps + i) // 4 steps, so a budget that is not a
+    # multiple of 4 is still a cap on the whole run.
+    for steps in range(1, 8):
+        out = embed_tree(TreeSpec(depth=2), EmbeddingRun(space=space, steps=steps, seed=0))
+        assert sum(p.accepted for p in out.phases) <= steps
+        assert [p.accepted + p.gave_up for p in out.phases] == \
+            [(steps + i) // 4 for i in range(4)]
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_embed_tree_no_phase_gives_up_at_curvature_30(seed):
+    # With halving alone, phase 4 gave up at these seeds after 267 and 53
+    # accepted steps.
+    out = embed_tree(TreeSpec(depth=5), EmbeddingRun(space="lorentz", curvature=30.0,
+                                                     seed=seed))
+    assert [p.gave_up for p in out.phases] == [0, 0, 0, 0]
+    assert math.isfinite(out.final_distortion)
+
+
 @pytest.mark.parametrize("space, c", [("euclidean", 1.0), ("lorentz", 1.0),
                                       ("lorentz", 30.0)])
 def test_embed_tree_quasi_newton_trial_moves_at_most_the_cap(monkeypatch, space, c):
@@ -473,7 +553,7 @@ def test_embed_tree_stall_stop_is_a_fixed_point(space):
 
 
 def test_embed_tree_phase_trace_gave_up(monkeypatch):
-    # A huge uphill gradient makes every trial, even after 40 halvings,
+    # A huge uphill gradient makes every trial, even after 40 reductions,
     # raise the stress, so the line search gives up at the phase's start.
     grad = experiments._euclidean_stress_grad
     monkeypatch.setattr(experiments, "_euclidean_stress_grad",

@@ -102,11 +102,12 @@ class PhaseTrace:
     point is not counted.  ``backoffs`` counts every rejected trial but a
     give-up's last, the first trial of a gradient step retried after a
     failed quasi-Newton search included; after each, the line search cuts
-    the multiplier to between a tenth and a half of the rejected one.  ``converged`` is 1 when the stall
-    stop ended the phase (``_STALL_STEPS`` accepted steps in a row changed
-    the stress by at most ``_STALL_RTOL`` relative), and ``gave_up`` is 1
-    when the line search found no descent along the gradient either; when
-    both are 0 the phase spent its step budget.  ``final_step`` is the
+    the multiplier to between a tenth and a half of the rejected one.
+    ``converged`` is 1 when the stall stop ended the phase
+    (``_STALL_STEPS`` accepted steps in a row changed the stress by at most
+    ``_STALL_RTOL`` relative), and ``gave_up`` is 1 when the line search
+    found no descent along the gradient either; when both are 0 the phase
+    spent its step budget.  ``final_step`` is the
     multiplier of the last accepted step, after the line search's cuts: at
     most ``step_size`` for a gradient step, at most 1 for a quasi-Newton
     step, and 0 when the phase accepted none.
@@ -446,9 +447,9 @@ def embed_tree(spec: TreeSpec, run: EmbeddingRun) -> EmbeddingRun:
     Node coordinates (ambient for Euclidean, tangent-at-origin for Lorentz)
     start from a seeded Gaussian.  The step budget is split over a
     progressive-expansion schedule, phase i of 4 taking (steps + i) // 4
-    steps, so the phases sum to ``run.steps``: each phase descends against scaled-down
-    target distances, ending at the true targets.  With backtracking
-    enabled the stress is non-increasing within a phase.
+    steps, so the phases sum to ``run.steps``: each phase descends against
+    scaled-down target distances, ending at the true targets.  With
+    backtracking enabled the stress is non-increasing within a phase.
 
     Each step searches along one of two directions:
 
@@ -467,8 +468,8 @@ def embed_tree(spec: TreeSpec, run: EmbeddingRun) -> EmbeddingRun:
     ``run.backtracking`` is off, and as a fallback: a quasi-Newton search
     that spends its ``_HALVINGS`` (40) reductions without descent drops the
     pairs and retries the gradient step, whose evaluations count as
-    backoffs.  The pairs are dropped at every
-    phase end too, because the targets change.
+    backoffs.  The pairs are dropped at every phase end too, because the
+    targets change.
 
     ``run.steps`` is a cap, not a count: a phase also ends once
     ``_STALL_STEPS`` (10) accepted steps in a row have each changed the

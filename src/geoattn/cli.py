@@ -149,13 +149,14 @@ def cmd_tree_embed(args) -> int:
                 "worst_ratio": out.worst_ratio, "stress": out.final_stress,
                 "evaluations": sum(p.evaluations for p in out.phases),
                 "gave_up": sum(p.gave_up for p in out.phases),
+                "converged": sum(p.converged for p in out.phases),
             })
             distortions.append(out.final_distortion)
         label = space if c is None else f"{space}(c={c})"
         print(f"{label:20s} mean distortion over seeds: "
               f"{statistics.fmean(distortions):.4f}")
     fields = ["space", "curvature", "seed", "distortion", "worst_ratio", "stress",
-              "evaluations", "gave_up"]
+              "evaluations", "gave_up", "converged"]
     if args.output:
         _emit(records, fields, args.format, args.output)
     return 0
@@ -206,7 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--dim", type=int, default=2)
     t.add_argument("--steps", type=int, default=3000,
                    help="cap on descent steps, split over the four expansion "
-                        "phases; a phase stops sooner once its stress stalls")
+                        "phases; a phase stops sooner once an L-BFGS step "
+                        "predicts a stress decrease of at most 1e-12 of the "
+                        "stress, or 10 accepted steps in a row each change it "
+                        "by at most that (the final stress stays within 2e-11 "
+                        "of running every step on the depth-5 tree)")
     t.add_argument("--step-size", type=float, default=0.05,
                    help="gradient step multiplier, cut on each backoff to a "
                         "quadratic model's minimiser; used for each phase's "

@@ -25,14 +25,17 @@ descent take the plain gradient step instead.  Backtracking cuts a rejected
 multiplier to the minimiser of a quadratic fitted to the stress, its slope
 along the direction and the rejected trial's stress, clamped to 0.1-0.5 of
 the old one (Nocedal & Wright 2006, section 3.5).  The step budget is a cap:
-each expansion phase ends once 10 accepted steps in a row have each changed
-the stress by at most 1e-12 of its value (``_STALL_STEPS``,
-``_STALL_RTOL``).  The Lorentz arm takes its lift, keys, distances (clip
-floor included) and gradient from lorentz; the gradient is
-lorentz._distance_grads with weights err, doubled; the tests check it
-against a plain-math per-pair sum and against finite differences.  A trial
-point past the lift's float64 limit, or whose distance product overflows,
-counts as a rejected trial.
+an expansion phase ends, unsearched, at an L-BFGS direction whose full step
+predicts a stress decrease of at most 1e-12 of the stress (``_STALL_RTOL``),
+the standard quasi-Newton stopping test (Nocedal & Wright, ch. 6), and once
+10 accepted steps in a row have each changed the stress by at most 1e-12 of
+its value (``_STALL_STEPS``), the only stop of gradient-step paths; on the
+depth-5 tree either stop keeps the final stress within 2e-11 relative of
+running every step.  The Lorentz arm takes its lift, keys, distances (clip floor included)
+and gradient from lorentz; the gradient is lorentz._distance_grads with
+weights err, doubled; the tests check it against a plain-math per-pair sum
+and against finite differences.  A trial point past the lift's float64
+limit, or whose distance product overflows, counts as a rejected trial.
 """
 
 from __future__ import annotations
@@ -103,14 +106,17 @@ class PhaseTrace:
     give-up's last, the first trial of a gradient step retried after a
     failed quasi-Newton search included; after each, the line search cuts
     the multiplier to between a tenth and a half of the rejected one.
-    ``converged`` is 1 when the stall stop ended the phase
-    (``_STALL_STEPS`` accepted steps in a row changed the stress by at most
-    ``_STALL_RTOL`` relative), and ``gave_up`` is 1 when the line search
-    found no descent along the gradient either; when both are 0 the phase
-    spent its step budget.  ``final_step`` is the
-    multiplier of the last accepted step, after the line search's cuts: at
-    most ``step_size`` for a gradient step, at most 1 for a quasi-Newton
-    step, and 0 when the phase accepted none.
+    ``converged`` is 1 when a stop ended the phase: an L-BFGS direction
+    whose full step predicts a decrease of at most ``_STALL_RTOL`` of the
+    stress, which is then not searched, or ``_STALL_STEPS`` accepted steps
+    in a row that each changed the stress by at most ``_STALL_RTOL``
+    relative.  On the depth-5 tree either keeps the final stress within
+    2e-11 relative of spending the budget.  ``gave_up`` is 1 when the line
+    search found no descent along the gradient either; when both are 0 the
+    phase spent its step budget.  ``final_step`` is the multiplier of the
+    last accepted step, after the line search's cuts: at most ``step_size``
+    for a gradient step, at most 1 for a quasi-Newton step, and 0 when the
+    phase accepted none.
     """
 
     lam: float  # scale of the target distances
@@ -346,8 +352,12 @@ def _line_search(evaluate, x, direction, mult, stress, slope, reductions):
 # in crossed-branch local minima.
 _EXPANSION_PHASES = (0.25, 0.5, 0.75, 1.0)
 
-# The stall stop of embed_tree.  On the depth-5 tree (seeds 0-19) these keep
-# the final stress within 2e-11 relative of running every phase to 750
+# The stops of embed_tree.  A phase ends at a descending L-BFGS direction
+# whose full step predicts a decrease -slope / 2 of at most _STALL_RTOL of the
+# stress, before it is searched, and once _STALL_STEPS accepted steps in a row
+# each change the stress by at most _STALL_RTOL of it; the window is the only
+# stop of gradient-step paths.  On the depth-5 tree (seeds 0-19, c = 1) these
+# keep the final stress within 2e-11 relative of running every phase to 750
 # steps; a one-step window, or 10 steps at 1e-10, moved it by about 1e-9.
 _STALL_RTOL = 1e-12
 _STALL_STEPS = 10
@@ -396,11 +406,16 @@ def _expansion_phase(x, lam, targets, evaluate, gradient, move_cap, steps, run):
         quasi_newton = bool(pairs)
         if quasi_newton:
             direction = _lbfgs_direction(grad, pairs)
+            slope = float(np.vdot(grad, direction))
+            if 0.0 <= -slope <= 2.0 * _STALL_RTOL * stress:
+                # The full step predicts a decrease -slope / 2 of at most
+                # _STALL_RTOL of the stress; an uphill direction is searched.
+                converged = 1
+                break
             peak = float(np.abs(direction).max())
             mult = 1.0 if peak <= move_cap else move_cap / peak
             trial, ev, mult, tries = _line_search(
-                at, x, direction, mult, stress, float(np.vdot(grad, direction)),
-                reductions)
+                at, x, direction, mult, stress, slope, reductions)
             evaluations += 1 + tries
             backoffs += tries
             if not ev.stress <= stress:
@@ -471,12 +486,18 @@ def embed_tree(spec: TreeSpec, run: EmbeddingRun) -> EmbeddingRun:
     backoffs.  The pairs are dropped at every phase end too, because the
     targets change.
 
-    ``run.steps`` is a cap, not a count: a phase also ends once
-    ``_STALL_STEPS`` (10) accepted steps in a row have each changed the
-    stress by at most ``_STALL_RTOL`` (1e-12) of its value, and when the
-    gradient step's search finds no descent either.  A larger change
-    resets the count, so a phase with fewer than ``_STALL_STEPS`` steps
-    never stops this way.
+    ``run.steps`` is a cap, not a count.  A phase also ends, without a
+    search, at a quasi-Newton direction d that descends and whose full step
+    predicts a decrease -(grad . d) / 2 of at most ``_STALL_RTOL`` (1e-12)
+    of the stress; an uphill d is still searched, as any other.  It
+    ends too once ``_STALL_STEPS`` (10) accepted steps in a row have each
+    changed the stress by at most ``_STALL_RTOL`` of its value, the only
+    stop when the phase takes gradient steps alone (``run.backtracking``
+    off, or no pair held); a larger change resets the count, so a phase with
+    fewer than ``_STALL_STEPS`` steps never stops this way.  On the depth-5
+    tree either stop keeps the final stress within 2e-11 relative of running
+    every phase to its budget.  A phase ends as well when the gradient
+    step's search finds no descent either.
 
     Each stress evaluation is one pairwise-distance pass.  An accepted
     trial point's evaluation is kept and its gradient reuses it, so no

@@ -103,15 +103,17 @@ def test_tree_embed_writes_csv(tmp_path, capsys):
     assert "euclidean" in out and "lorentz" in out
     lines = out_file.read_text().splitlines()
     assert lines[0] == ("space,curvature,seed,distortion,worst_ratio,stress,"
-                        "evaluations,gave_up")
+                        "evaluations,gave_up,converged")
     assert len(lines) == 1 + 2 * 2  # two arms x two seeds
     # Each run's evaluations total its phases' trial-point stress
-    # evaluations, and gave_up counts its phases that gave up.
+    # evaluations, gave_up counts its phases that gave up, and converged
+    # those that a stop ended.
     run = experiments.embed_tree(experiments.TreeSpec(depth=2),
                                  experiments.EmbeddingRun(space="euclidean",
                                                           steps=100, seed=0))
-    assert lines[1].split(",")[-2:] == [str(sum(p.evaluations for p in run.phases)),
-                                        str(sum(p.gave_up for p in run.phases))]
+    assert lines[1].split(",")[-3:] == [str(sum(p.evaluations for p in run.phases)),
+                                        str(sum(p.gave_up for p in run.phases)),
+                                        str(sum(p.converged for p in run.phases))]
 
 
 def test_tree_embed_json_records_evaluations(tmp_path, capsys):

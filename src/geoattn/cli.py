@@ -210,8 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "phases; a phase stops sooner once an L-BFGS step "
                         "predicts a stress decrease of at most 1e-12 of the "
                         "stress, or 10 accepted steps in a row each change it "
-                        "by at most that (the final stress stays within 2e-11 "
-                        "of running every step on the depth-5 tree)")
+                        "by at most that (on the depth-5 tree the final stress "
+                        "stays within 2e-11 relative of running every step)")
     t.add_argument("--step-size", type=float, default=0.05,
                    help="gradient step multiplier, cut on each backoff to a "
                         "quadratic model's minimiser; used for each phase's "

@@ -545,7 +545,7 @@ def test_embed_tree_phase_trace(space):
 
 @pytest.mark.parametrize("space", ["euclidean", "lorentz"])
 def test_embed_tree_stall_stop_is_a_fixed_point(space):
-    # On the depth-5 tree at seed 0 every phase stalls well inside a budget
+    # On the depth-5 tree at seed 0 every phase stops well inside a budget
     # of 750 steps, so doubling the budget changes nothing, to the bit.
     spec = TreeSpec(depth=5)
     a = embed_tree(spec, EmbeddingRun(space=space, steps=3000, seed=0))
@@ -563,7 +563,6 @@ def test_embed_tree_stops_keep_the_stress_of_a_full_budget(monkeypatch, space):
     # running every phase to its 750 steps.
     spec, run = TreeSpec(depth=5), EmbeddingRun(space=space, steps=3000, seed=0)
     stopped = embed_tree(spec, run)
-    assert [p.converged for p in stopped.phases] == [1, 1, 1, 1]
     if space == "euclidean":
         # The Euclidean optimum scales with the targets, so after phase 1
         # each phase is solved in a step or two.

@@ -559,19 +559,61 @@ def test_embed_tree_stall_stop_is_a_fixed_point(space):
 @pytest.mark.parametrize("space", ["euclidean", "lorentz"])
 def test_embed_tree_stops_keep_the_stress_of_a_full_budget(monkeypatch, space):
     # Ending a phase when the quasi-Newton step predicts no descent, or on
-    # the stall window, keeps the final stress within 2e-11 relative of
-    # running every phase to its 750 steps.
+    # the stall window, at 1e-8 in the first three phases and 1e-12 in the
+    # last, keeps the final stress within 2e-11 relative of running every
+    # phase to its 750 steps.
     spec, run = TreeSpec(depth=5), EmbeddingRun(space=space, steps=3000, seed=0)
     stopped = embed_tree(spec, run)
     if space == "euclidean":
-        # The Euclidean optimum scales with the targets, so after phase 1
-        # each phase is solved in a step or two.
-        assert all(p.accepted <= 3 for p in stopped.phases[1:])
+        # The Euclidean optimum scales with the targets, so phases 2 and 3,
+        # which start within 1e-8 of their optimum, are solved in a step or
+        # two; the last phase tightens phase 1's 1e-8 to 1e-12.
+        assert all(p.accepted <= 3 for p in stopped.phases[1:-1])
     monkeypatch.setattr(experiments, "_STALL_STEPS", run.steps + 1)
     monkeypatch.setattr(experiments, "_STALL_RTOL", -1.0)
+    monkeypatch.setattr(experiments, "_PHASE_RTOL", -1.0)
     full = embed_tree(spec, run)
     assert [p.converged for p in full.phases] == [0, 0, 0, 0]
     assert abs(stopped.final_stress - full.final_stress) <= 2e-11 * full.final_stress
+
+
+def _count_distance_passes(monkeypatch, space):
+    calls = []
+    name = f"_{space}_distances"
+    helper = getattr(experiments, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return helper(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("space", ["euclidean", "lorentz"])
+def test_embed_tree_hands_each_phase_its_last_evaluation(monkeypatch, space):
+    # One distance pass at the start and one per trial: each later phase
+    # starts from the last evaluation of the phase before, and the last
+    # phase's evaluation is the final one.
+    calls = _count_distance_passes(monkeypatch, space)
+    out = embed_tree(TreeSpec(depth=5), EmbeddingRun(space=space, seed=0))
+    assert len(calls) == sum(p.evaluations for p in out.phases) + 1
+    assert [p.converged for p in out.phases] == [1, 1, 1, 1]
+    assert out.phases[-1].end_stress == out.final_stress
+
+
+def test_embed_tree_does_not_hand_on_a_give_ups_evaluation(monkeypatch):
+    # A phase that gives up ends on a rejected trial's evaluation, so the
+    # next phase and the final stress evaluate their point afresh.
+    grad = experiments._euclidean_stress_grad
+    monkeypatch.setattr(experiments, "_euclidean_stress_grad",
+                        lambda x, ev: -1e30 * grad(x, ev))
+    calls = _count_distance_passes(monkeypatch, "euclidean")
+    out = embed_tree(TreeSpec(depth=2),
+                     EmbeddingRun(space="euclidean", steps=40, seed=0))
+    assert [p.gave_up for p in out.phases] == [1, 1, 1, 1]
+    assert len(calls) == sum(p.evaluations for p in out.phases) + 5
+    assert out.phases[-1].end_stress == out.final_stress
 
 
 def test_embed_tree_phase_trace_gave_up(monkeypatch):

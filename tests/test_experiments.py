@@ -590,15 +590,18 @@ def _count_distance_passes(monkeypatch, space):
     return calls
 
 
+@pytest.mark.parametrize("steps", [3000, 8, 0])
 @pytest.mark.parametrize("space", ["euclidean", "lorentz"])
-def test_embed_tree_hands_each_phase_its_last_evaluation(monkeypatch, space):
+def test_embed_tree_hands_each_phase_its_last_evaluation(monkeypatch, space, steps):
     # One distance pass at the start and one per trial: each later phase
-    # starts from the last evaluation of the phase before, and the last
-    # phase's evaluation is the final one.
+    # starts from the last evaluation of the phase before, whether a stop
+    # ended it (3000 steps) or its budget (8 or 0), and the last phase's
+    # evaluation is the final one.
     calls = _count_distance_passes(monkeypatch, space)
-    out = embed_tree(TreeSpec(depth=5), EmbeddingRun(space=space, seed=0))
+    out = embed_tree(TreeSpec(depth=5), EmbeddingRun(space=space, steps=steps, seed=0))
     assert len(calls) == sum(p.evaluations for p in out.phases) + 1
-    assert [p.converged for p in out.phases] == [1, 1, 1, 1]
+    spent = [not (p.converged or p.gave_up) for p in out.phases]
+    assert any(spent) == (steps < 3000)
     assert out.phases[-1].end_stress == out.final_stress
 
 

@@ -192,7 +192,7 @@ def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],
                prepare: Callable[[np.ndarray], tuple],
                block_scores: Callable[..., None], shift: Optional[float],
                reverse: Optional[np.ndarray] = None,
-               names: tuple = ("q", "k"), checked: bool = False) -> np.ndarray:
+               names: tuple = ("q", "k")) -> np.ndarray:
     """Validation, head split, mask, softmax and value product of every kernel.
 
     Per head, ``prepare_keys(kh)`` runs once on the key slice and returns
@@ -206,16 +206,13 @@ def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],
     are added in place, and ``softmax_rows`` with ``shift`` (the row max
     under a mask) gives its output rows.
 
-    ``names`` name q and k in errors.  With ``checked`` the caller has
-    already passed q, k and v through ``as_matrix``, so they are not
-    scanned again.  Given ``reverse`` (m x d_q zeros), a constant shift and
-    no mask, each block's E also adds ``E.T @ q_block`` to the head's slice
-    of it and its column sums ``ones @ E`` to sums that divide it at the
-    end: the key-to-query attention with q as values.
+    ``names`` name q and k in errors.  Given ``reverse`` (m x d_q zeros),
+    a constant shift and no mask, each block's E also adds ``E.T @ q_block``
+    to the head's slice of it and its column sums ``ones @ E`` to sums
+    that divide it at the end: the key-to-query attention with q as values.
     """
     qn, kn = names
-    if not checked:
-        q, k, v = as_matrix(q, name=qn), as_matrix(k, name=kn), as_matrix(v, name="v")
+    q, k, v = as_matrix(q, name=qn), as_matrix(k, name=kn), as_matrix(v, name="v")
     if q.shape[1] != k.shape[1]:
         raise ValueError(f"{qn}/{kn} feature dims differ: {q.shape[1]} vs {k.shape[1]}")
     if q.shape[1] == 0:
@@ -366,7 +363,7 @@ def bidirectional_attention(instance, context, cfg: AttentionConfig):
     cao = np.zeros((context.shape[0], instance.shape[1]))
     oac = _multihead(instance, context, context, cfg, None, partial(_lorentz_keys, cfg),
                      partial(_lorentz_lift, cfg), partial(_lorentz_scores, cfg), 0.0,
-                     cao, ("instance", "context"), checked=True)
+                     cao, ("instance", "context"))
     if pooled:
         half = context.shape[0] // 2
         cao = (cao[:half] + cao[half:]) / 2.0

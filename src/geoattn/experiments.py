@@ -398,10 +398,11 @@ def _expansion_phase(x, carry, lam, targets, evaluate, gradient, move_cap,
     hold x's evaluation from the phase before, which is popped so that no
     other reference keeps it alive during a search; its distances serve the
     new targets instead of a new pass.  On return it holds the evaluation
-    of the returned point, unless the phase gave up: a give-up's last
-    evaluation is a rejected trial's.  Returns the phase's last point and
-    its :class:`PhaseTrace`.  The phase's pairs and arrays are freed on
-    return, before the next targets.
+    of the returned point, unless the phase gave up, as a give-up's last
+    evaluation is a rejected trial's, or that stress is not finite, as a
+    phase with no steps can end on a start past the lift's limit.  Returns
+    the phase's last point and its :class:`PhaseTrace`.  The phase's pairs
+    and arrays are freed on return, before the next targets.
     """
     at = functools.partial(evaluate, targets=targets)
     reductions = _HALVINGS if run.backtracking else 0
@@ -478,7 +479,7 @@ def _expansion_phase(x, carry, lam, targets, evaluate, gradient, move_cap,
         if stalled == _STALL_STEPS:
             converged = 1
             break
-    if not gave_up:
+    if not gave_up and math.isfinite(stress):
         carry.append(ev)
     return x, PhaseTrace(lam, accepted, evaluations, backoffs, gave_up,
                          converged, start_stress, stress, final_step)
@@ -536,7 +537,8 @@ def embed_tree(spec: TreeSpec, run: EmbeddingRun) -> EmbeddingRun:
     A phase that does not give up hands its last evaluation to the next
     phase, which only recomputes the errors against its own targets, and
     the last phase's evaluation gives the final stress and distortion; after
-    a give-up the point is evaluated afresh.
+    a give-up, or a phase with no steps at an infinite stress, the point is
+    evaluated afresh.
     ``phases`` in the result holds one :class:`PhaseTrace` per phase.
     Deterministic given the seed.
     """

@@ -207,12 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--dim", type=int, default=2)
     t.add_argument("--steps", type=int, default=3000,
                    help="cap on descent steps, split over the four expansion "
-                        "phases; a phase stops sooner once an L-BFGS step "
-                        "predicts a stress decrease of at most 1e-8 of the "
-                        "stress (1e-12 in the last phase), or 10 accepted "
-                        "steps in a row each change it by at most that (on "
-                        "the depth-5 tree the final stress stays within 2e-11 "
-                        "relative of running every step)")
+                        "phases; a phase stops sooner by the rules stated at "
+                        "_STALL_RTOL in geoattn/experiments.py")
     t.add_argument("--step-size", type=float, default=0.05,
                    help="gradient step multiplier, cut on each backoff to a "
                         "quadratic model's minimiser; used for each phase's "

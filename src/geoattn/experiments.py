@@ -19,28 +19,20 @@ and the gradient at an accepted point reuses that pass instead of computing
 the distances again.  Each step searches, with monotone backtracking, along
 an L-BFGS direction (Liu & Nocedal 1989) from the phase's last 8 point and
 gradient differences, its first trial capped so that no coordinate moves
-more than 0.5 (0.5 / sqrt(c) for Lorentz); a phase's first step, every step
-without backtracking, and the retry after a quasi-Newton search finds no
-descent take the plain gradient step instead.  Backtracking cuts a rejected
-multiplier to the minimiser of a quadratic fitted to the stress, its slope
-along the direction and the rejected trial's stress, clamped to 0.1-0.5 of
-the old one (Nocedal & Wright 2006, section 3.5).  The step budget is a cap:
-an expansion phase ends, unsearched, at an L-BFGS direction whose full step
-predicts a stress decrease of at most a tolerance times the stress, the
-standard quasi-Newton stopping test (Nocedal & Wright, ch. 6), and once 10
-accepted steps in a row have each changed the stress by at most that
-tolerance of its value (``_STALL_STEPS``), the only stop of gradient-step
-paths.  The tolerance is 1e-12 (``_STALL_RTOL``) in the last phase and 1e-8
-(``_PHASE_RTOL``) in the three before it, which only supply its start
-point; on the depth-5 tree the stops keep the final stress within 2e-11
-relative of running every step.  A phase that does not give up hands its
-last evaluation to the next, whose targets reuse its distances, and the
-last phase's is the final one.  The Lorentz arm takes its lift, keys,
-distances (clip floor included) and gradient from lorentz; the gradient is
-lorentz._distance_grads with weights err, doubled; the tests check it
-against a plain-math per-pair sum and against finite differences.  A trial
-point past the lift's float64 limit, or whose distance product overflows,
-counts as a rejected trial.
+more than 0.5 (0.5 / sqrt(c) for Lorentz); a phase's first step and the
+retry after a quasi-Newton search finds no descent take the plain gradient
+step instead.  Backtracking cuts a rejected multiplier to the minimiser of
+a quadratic fitted to the stress, its slope along the direction and the
+rejected trial's stress, clamped to 0.1-0.5 of the old one (Nocedal &
+Wright 2006, section 3.5).  The step budget is a cap: the stops that end a
+phase sooner, and their tolerances, are stated once, at ``_STALL_RTOL``.
+A phase that does not give up hands its last evaluation to the next, whose
+targets reuse its distances, and the last phase's is the final one.  The
+Lorentz arm takes its lift, keys, distances (clip floor included) and
+gradient from lorentz; the gradient is lorentz._distance_grads with
+weights err, doubled; the tests check it against a plain-math per-pair sum
+and against finite differences.  A trial point past the lift's float64
+limit, or whose distance product overflows, counts as a rejected trial.
 """
 
 from __future__ import annotations
@@ -111,14 +103,8 @@ class PhaseTrace:
     give-up's last, the first trial of a gradient step retried after a
     failed quasi-Newton search included; after each, the line search cuts
     the multiplier to between a tenth and a half of the rejected one.
-    ``converged`` is 1 when a stop ended the phase: an L-BFGS direction
-    whose full step predicts a decrease of at most the phase's tolerance
-    times the stress, which is then not searched, or ``_STALL_STEPS``
-    accepted steps in a row that each changed the stress by at most that
-    tolerance relative.  The tolerance is ``_PHASE_RTOL`` (1e-8) in the
-    first three phases and ``_STALL_RTOL`` (1e-12) in the last.  On the
-    depth-5 tree the stops keep the final stress within 2e-11 relative of
-    spending the budget.  ``gave_up`` is 1 when the line search found no
+    ``converged`` is 1 when one of the stops stated at ``_STALL_RTOL``
+    ended the phase.  ``gave_up`` is 1 when the line search found no
     descent along the gradient either; when both are 0 the phase spent its
     step budget.  ``final_step`` is the multiplier of the last accepted
     step, after the line search's cuts: at most ``step_size`` for a
@@ -142,13 +128,13 @@ class EmbeddingRun:
     """Parameters and results of one tree-embedding arm.
 
     ``step_size`` is the gradient step's first multiplier, taken on a
-    phase's first step, on every step when ``backtracking`` is off, and
-    when a quasi-Newton search finds no descent.  Quasi-Newton steps start
-    at multiplier 1 with each coordinate's move capped at 0.5 (0.5 /
-    sqrt(c) for Lorentz), so ``step_size`` does not scale them.  With
-    ``backtracking`` each search cuts a rejected multiplier by the
-    quadratic model of :func:`_line_search`.  ``steps`` caps the accepted
-    steps of the whole run.
+    phase's first step and when a quasi-Newton search finds no descent.
+    Quasi-Newton steps start at multiplier 1 with each coordinate's move
+    capped at 0.5 (0.5 / sqrt(c) for Lorentz), so ``step_size`` does not
+    scale them.  Each search cuts a rejected multiplier by the quadratic
+    model of :func:`_line_search`.  ``steps`` caps the accepted steps of
+    the whole run.  ``backtracking`` must be True, the one search there is;
+    :func:`embed_tree` rejects False.
     """
 
     space: str = "lorentz"  # "euclidean" or "lorentz"
@@ -321,9 +307,9 @@ def _lbfgs_direction(grad: np.ndarray, pairs) -> np.ndarray:
     return np.negative(q, out=q)
 
 
-def _line_search(evaluate, x, direction, mult, stress, slope, reductions):
+def _line_search(evaluate, x, direction, mult, stress, slope):
     """Trial points x + mult * direction, reducing ``mult`` until the
-    stress is at most ``stress`` or ``reductions`` reductions are spent.
+    stress is at most ``stress`` or ``_HALVINGS`` reductions are spent.
 
     ``slope`` is the stress's derivative along ``direction`` at ``x``.
     After a rejected finite trial at multiplier a with stress f, the next
@@ -333,15 +319,14 @@ def _line_search(evaluate, x, direction, mult, stress, slope, reductions):
     section 3.5).  A NaN or infinite trial stress (a Lorentz trial past the
     float64 limit), or a slope that is not negative, halves a instead.
 
-    Returns (trial, evaluation, mult, reductions taken).  With
-    ``reductions`` 0 the first trial is returned as is.  The caller holds
+    Returns (trial, evaluation, mult, reductions taken).  The caller holds
     no evaluation while this runs, and a rejected trial's is dropped
     before the next is made, so at most one is alive.
     """
     trial = x + mult * direction
     ev = evaluate(trial)
     tries = 0
-    while not ev.stress <= stress and tries < reductions:
+    while not ev.stress <= stress and tries < _HALVINGS:
         if slope < 0.0 and math.isfinite(ev.stress):
             fit = -slope * mult * mult / (2.0 * (ev.stress - stress - slope * mult))
             mult = min(max(fit, 0.1 * mult), 0.5 * mult)
@@ -359,19 +344,27 @@ def _line_search(evaluate, x, direction, mult, stress, slope, reductions):
 # in crossed-branch local minima.
 _EXPANSION_PHASES = (0.25, 0.5, 0.75, 1.0)
 
-# The stops of embed_tree.  A phase ends at a descending L-BFGS direction
-# whose full step predicts a decrease -slope / 2 of at most its tolerance
-# times the stress, before it is searched, and once _STALL_STEPS accepted
-# steps in a row each change the stress by at most that tolerance of it; the
-# window is the only stop of gradient-step paths.  The last phase's tolerance
-# is _STALL_RTOL; the phases before it only supply a start point and stop at
-# _PHASE_RTOL (Nocedal & Wright 2006, Framework 17.1: loose inner tolerances,
-# tightened at the end).  On the depth-5 tree (seeds 0-19, c = 1) these keep
-# the final stress within 2e-11 relative of running every phase to 750 steps;
-# a one-step window, or 10 steps at 1e-10, in every phase moved it by about
-# 1e-9.  Of seeds 0-99, _PHASE_RTOL = 1e-8 ends 3 Lorentz runs in another
-# local minimum (mean distortion unchanged to 4 digits); 1e-7 gave up in more
-# phases at c = 1000.
+# The phase rules of embed_tree, stated here once.  The step budget is a
+# cap; a phase ends sooner, with PhaseTrace.converged = 1, at either stop:
+# * a descending L-BFGS direction d whose full step predicts a decrease
+#   -(grad . d) / 2 of at most the phase's tolerance times the stress, before
+#   d is searched: the standard quasi-Newton stopping test (Nocedal & Wright
+#   2006, ch. 6).  An uphill d is searched, as any other;
+# * _STALL_STEPS accepted steps in a row that each changed the stress by at
+#   most the tolerance of its value.  A larger change resets the count, so a
+#   phase of fewer steps never stops this way.  This window is the only stop
+#   of a phase that holds no L-BFGS pair, and it ends phases whose model
+#   keeps predicting more decrease than the steps achieve.
+# The last phase's tolerance is _STALL_RTOL; the phases before it only
+# supply a start point and stop at _PHASE_RTOL (Nocedal & Wright 2006,
+# Framework 17.1: loose inner tolerances, tightened at the end).  On the
+# depth-5 tree (seeds 0-19, c = 1) these keep the final stress within 2e-11
+# relative of running every phase to 750 steps; a one-step window, or 10
+# steps at 1e-10, in every phase moved it by about 1e-9.  Of seeds 0-99,
+# _PHASE_RTOL = 1e-8 ends 3 Lorentz runs in another local minimum (mean
+# distortion unchanged to 4 digits).  Without the window the Lorentz arm took
+# 132074 evaluations at c = 30 (seeds 0-19), against 47768, and 226972 at
+# c = 1000 (seeds 0-5), against 11609; c = 1 was unchanged.
 _STALL_RTOL = 1e-12
 _PHASE_RTOL = 1e-8
 _STALL_STEPS = 10
@@ -390,23 +383,22 @@ _MOVE_CAP = 0.5
 
 
 def _expansion_phase(x, carry, lam, targets, evaluate, gradient, move_cap,
-                     steps, rtol, run):
-    """One phase of :func:`embed_tree` from ``x`` against ``targets``, both
-    stops at tolerance ``rtol``.
+                     steps, step_size, rtol):
+    """One phase of :func:`embed_tree` from ``x`` against ``targets``, with
+    the stops stated at ``_STALL_RTOL`` at tolerance ``rtol``.
 
     ``carry`` is a list that holds at most one evaluation.  On entry it may
     hold x's evaluation from the phase before, which is popped so that no
     other reference keeps it alive during a search; its distances serve the
     new targets instead of a new pass.  On return it holds the evaluation
     of the returned point, unless the phase gave up, as a give-up's last
-    evaluation is a rejected trial's, or that stress is not finite, as a
-    phase with no steps can end on a start past the lift's limit.  Returns
+    evaluation is a rejected trial's.  A start whose stress is not finite
+    (a Lorentz start past the lift's limit) raises ValueError.  Returns
     the phase's last point and its :class:`PhaseTrace`.  The phase's pairs
     and arrays are freed on return, before the next targets.
     """
     at = functools.partial(evaluate, targets=targets)
-    reductions = _HALVINGS if run.backtracking else 0
-    step = run.step_size
+    step = step_size
     pairs = deque(maxlen=_LBFGS_PAIRS)  # (s, y, 1 / s.y), oldest first
     last = None  # the last accepted point and its gradient
     if carry:
@@ -415,15 +407,15 @@ def _expansion_phase(x, carry, lam, targets, evaluate, gradient, move_cap,
     else:
         ev = at(x)
     stress = start_stress = ev.stress
+    if not math.isfinite(stress):
+        raise ValueError(
+            "stress diverged to NaN/Inf at the start point; try a smaller curvature"
+        )
     accepted = evaluations = backoffs = gave_up = converged = stalled = 0
     final_step = 0.0
     for _ in range(steps):
-        if not math.isfinite(stress):
-            raise ValueError(
-                "stress diverged to NaN/Inf; try a smaller step_size"
-            )
         grad = gradient(x, ev)
-        if run.backtracking and last is not None:
+        if last is not None:
             s, y = x - last[0], grad - last[1]
             sy = float(np.vdot(s, y))
             if sy > 0.0:
@@ -433,9 +425,8 @@ def _expansion_phase(x, carry, lam, targets, evaluate, gradient, move_cap,
         if quasi_newton:
             direction = _lbfgs_direction(grad, pairs)
             slope = float(np.vdot(grad, direction))
+            # The first stop stated at _STALL_RTOL; the window below is the second.
             if 0.0 <= -slope <= 2.0 * rtol * stress:
-                # The full step predicts a decrease -slope / 2 of at most
-                # rtol of the stress; an uphill direction is searched.
                 converged = 1
                 break
         ev = None  # keep one evaluation alive during a search, not two
@@ -443,7 +434,7 @@ def _expansion_phase(x, carry, lam, targets, evaluate, gradient, move_cap,
             peak = float(np.abs(direction).max())
             mult = 1.0 if peak <= move_cap else move_cap / peak
             trial, ev, mult, tries = _line_search(
-                at, x, direction, mult, stress, slope, reductions)
+                at, x, direction, mult, stress, slope)
             evaluations += 1 + tries
             backoffs += tries
             if not ev.stress <= stress:
@@ -455,19 +446,13 @@ def _expansion_phase(x, carry, lam, targets, evaluate, gradient, move_cap,
                 backoffs += 1
         if not quasi_newton:
             trial, ev, step, tries = _line_search(
-                at, x, -grad, step, stress, -float(np.vdot(grad, grad)),
-                reductions)
+                at, x, -grad, step, stress, -float(np.vdot(grad, grad)))
             mult = step
             evaluations += 1 + tries
             backoffs += tries
             if ev.stress <= stress and tries == 0:
-                step = min(step * 1.2, run.step_size)
-        if not run.backtracking:
-            if not math.isfinite(ev.stress):
-                raise ValueError(
-                    "stress diverged to NaN/Inf; try a smaller step_size"
-                )
-        elif not ev.stress <= stress:
+                step = min(step * 1.2, step_size)
+        if not ev.stress <= stress:
             gave_up = 1
             break  # no descent direction progress left
         x = trial
@@ -479,7 +464,7 @@ def _expansion_phase(x, carry, lam, targets, evaluate, gradient, move_cap,
         if stalled == _STALL_STEPS:
             converged = 1
             break
-    if not gave_up and math.isfinite(stress):
+    if not gave_up:
         carry.append(ev)
     return x, PhaseTrace(lam, accepted, evaluations, backoffs, gave_up,
                          converged, start_stress, stress, final_step)
@@ -493,8 +478,8 @@ def embed_tree(spec: TreeSpec, run: EmbeddingRun) -> EmbeddingRun:
     start from a seeded Gaussian.  The step budget is split over a
     progressive-expansion schedule, phase i of 4 taking (steps + i) // 4
     steps, so the phases sum to ``run.steps``: each phase descends against
-    scaled-down target distances, ending at the true targets.  With
-    backtracking enabled the stress is non-increasing within a phase.
+    scaled-down target distances, ending at the true targets.  The stress
+    is non-increasing within a phase.
 
     Each step searches along one of two directions:
 
@@ -509,27 +494,15 @@ def embed_tree(spec: TreeSpec, run: EmbeddingRun) -> EmbeddingRun:
 
     Either search cuts a rejected multiplier as :func:`_line_search` says,
     with the slope grad . direction.  The gradient step is taken while the
-    phase holds no pair (its first step), on every step when
-    ``run.backtracking`` is off, and as a fallback: a quasi-Newton search
-    that spends its ``_HALVINGS`` (40) reductions without descent drops the
-    pairs and retries the gradient step, whose evaluations count as
-    backoffs.  The pairs are dropped at every phase end too, because the
+    phase holds no pair (its first step) and as a fallback: a quasi-Newton
+    search that spends its ``_HALVINGS`` (40) reductions without descent
+    drops the pairs and retries the gradient step, whose evaluations count
+    as backoffs.  The pairs are dropped at every phase end too, because the
     targets change.
 
-    ``run.steps`` is a cap, not a count.  A phase also ends, without a
-    search, at a quasi-Newton direction d that descends and whose full step
-    predicts a decrease -(grad . d) / 2 of at most the phase's tolerance
-    times the stress; an uphill d is still searched, as any other.  It
-    ends too once ``_STALL_STEPS`` (10) accepted steps in a row have each
-    changed the stress by at most that tolerance of its value, the only
-    stop when the phase takes gradient steps alone (``run.backtracking``
-    off, or no pair held); a larger change resets the count, so a phase with
-    fewer than ``_STALL_STEPS`` steps never stops this way.  The tolerance
-    is ``_PHASE_RTOL`` (1e-8) in the first three phases, which only supply
-    the next phase's start, and ``_STALL_RTOL`` (1e-12) in the last.  On
-    the depth-5 tree the stops keep the final stress within 2e-11 relative
-    of running every phase to its budget.  A phase ends as well when the
-    gradient step's search finds no descent either.
+    ``run.steps`` is a cap, not a count: a phase ends sooner by the stops
+    stated at ``_STALL_RTOL``, and when the gradient step's search finds no
+    descent either.
 
     Each stress evaluation is one pairwise-distance pass.  An accepted
     trial point's evaluation is kept and its gradient reuses it, so no
@@ -537,10 +510,11 @@ def embed_tree(spec: TreeSpec, run: EmbeddingRun) -> EmbeddingRun:
     A phase that does not give up hands its last evaluation to the next
     phase, which only recomputes the errors against its own targets, and
     the last phase's evaluation gives the final stress and distortion; after
-    a give-up, or a phase with no steps at an infinite stress, the point is
-    evaluated afresh.
+    a give-up the point is evaluated afresh.
     ``phases`` in the result holds one :class:`PhaseTrace` per phase.
-    Deterministic given the seed.
+    Deterministic given the seed.  Raises ValueError when
+    ``run.backtracking`` is not True, and when the seeded start's stress is
+    not finite (a Lorentz start past the lift's float64 limit).
     """
     if run.dim < 2:
         raise ValueError(f"embedding dim must be >= 2, got {run.dim}")
@@ -550,6 +524,9 @@ def embed_tree(spec: TreeSpec, run: EmbeddingRun) -> EmbeddingRun:
         raise ValueError(f"steps must be >= 0, got {run.steps}")
     if run.space not in ("euclidean", "lorentz"):
         raise ValueError(f"unknown space {run.space!r}")
+    if run.backtracking is not True:
+        raise ValueError(f"backtracking must be True, the one search embed_tree "
+                         f"has; got {run.backtracking!r}")
     if run.space == "euclidean":
         evaluate, gradient = _euclidean_distances, _euclidean_stress_grad
         move_cap = _MOVE_CAP
@@ -569,7 +546,7 @@ def embed_tree(spec: TreeSpec, run: EmbeddingRun) -> EmbeddingRun:
         rtol = _STALL_RTOL if i == len(_EXPANSION_PHASES) - 1 else _PHASE_RTOL
         x, trace = _expansion_phase(x, carry, lam, lam * t, evaluate, gradient,
                                     move_cap, (run.steps + i) // len(_EXPANSION_PHASES),
-                                    rtol, run)
+                                    run.step_size, rtol)
         phases.append(trace)
     # The last phase's targets are 1.0 * t, equal to t, so its evaluation is
     # the final one.

@@ -71,6 +71,10 @@ EPS_CLIP = 1e-15
 
 _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 
+# The clip floor at c = 1, as :func:`_distances` computes it: numpy's
+# arccosh, which can differ from math.acosh in the last bit.
+_D_FLOOR = float(np.arccosh(1.0 + EPS_CLIP))
+
 # Off-manifold tolerance on the (normalized) constraint residual: roomy
 # enough for float64 rounding, tight enough to catch construction bugs.
 _MEMBERSHIP_TOL = 1e-6
@@ -314,12 +318,16 @@ def _distance_grads(u, t, sc, y, d, w, c: float) -> np.ndarray:
     (a^3 sc_i time_j - a^4 h_i (u_i . s_j)) u_i - a^2 sc_i s_j.  With
     v = w / sinh(a d) and [P_s | P_t] = v @ y, one product, the sum is
     (a^2 sc P_t - a^3 h (u . P_s)) u - a sc P_s; at c = 1 no power of a is
-    applied.  :func:`distance_gradient` is its checked one-row case.
+    applied.  A pair at the clip floor gets v = 0: its distance does not
+    move with u, and dividing by sinh(a floor), about 4.7e-8, would
+    amplify its weight instead.  :func:`distance_gradient` is its checked
+    one-row case.
     """
     a = math.sqrt(c)
     # dd/d(cosh(a d)) = 1 / (a sinh(a d)).
     v = np.sinh(d if c == 1.0 else a * d)
     np.divide(w, v, out=v)
+    np.copyto(v, 0.0, where=d <= (_D_FLOOR if c == 1.0 else _D_FLOOR / a))
     p = v @ y
     ps, pt = p[:, :-1], p[:, -1]
     g = _sinhc_deriv_over_r(t) * np.einsum("ij,ij->i", u, ps)

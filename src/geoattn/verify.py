@@ -300,8 +300,7 @@ def _prop_stress_monotone(rng, cfg):
     # Backtracking never accepts a step that raises the stress, so each
     # phase ends at or below the stress it started from.
     spec = experiments.TreeSpec(depth=2)
-    run = experiments.EmbeddingRun(space="euclidean", steps=150, seed=3,
-                                   backtracking=True)
+    run = experiments.EmbeddingRun(space="euclidean", steps=150, seed=3)
     phases = experiments.embed_tree(spec, run).phases
     worst = max(p.end_stress - p.start_stress for p in phases)
     return max(0.0, worst), 0.0

@@ -126,15 +126,20 @@ def test_tree_embed_json_records_evaluations(tmp_path, capsys):
         assert isinstance(r["evaluations"], int) and 0 < r["evaluations"]
 
 
-def test_tree_embed_records_phases_that_gave_up(tmp_path, capsys):
-    # At c = 1000 the depth-5 tree's phases give up at seed 2.
+def test_tree_embed_records_phases_that_gave_up(monkeypatch, tmp_path, capsys):
+    # A huge uphill Euclidean gradient makes every phase of that arm give up.
+    grad = experiments._euclidean_stress_grad
+    monkeypatch.setattr(experiments, "_euclidean_stress_grad",
+                        lambda x, ev: -1e30 * grad(x, ev))
     out_file = tmp_path / "embed.json"
-    assert cli.main(["tree-embed", "--seeds", "2", "--curvature", "1000",
+    assert cli.main(["tree-embed", "--depth", "2", "--steps", "40", "--seeds", "0",
                      "--format", "json", "--output", str(out_file)]) == 0
-    lorentz_arm = json.loads(out_file.read_text())[1]
-    run = experiments.embed_tree(experiments.TreeSpec(depth=5),
-                                 experiments.EmbeddingRun(curvature=1000.0, seed=2))
-    assert lorentz_arm["gave_up"] == sum(p.gave_up for p in run.phases) > 0
+    euclidean_arm, lorentz_arm = json.loads(out_file.read_text())
+    run = experiments.embed_tree(experiments.TreeSpec(depth=2),
+                                 experiments.EmbeddingRun(space="euclidean", steps=40,
+                                                          seed=0))
+    assert euclidean_arm["gave_up"] == sum(p.gave_up for p in run.phases) == 4
+    assert lorentz_arm["gave_up"] == 0
 
 
 def test_descent_writes_trajectories(tmp_path, capsys):

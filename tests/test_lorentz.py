@@ -349,6 +349,24 @@ def test_distance_gradient_matches_finite_differences():
         assert rel < 1e-5
 
 
+@pytest.mark.parametrize("c", [1.0, 30.0])
+def test_distance_grads_coincident_pair_adds_nothing(c):
+    # Rows 0 and 1 lift onto the same point, at the clip floor, where their
+    # distance does not move; their weight adds nothing to either gradient
+    # rather than being divided by sinh of the floor (about 4.7e-8).
+    u = np.array([[0.1, -0.05], [0.1, -0.05], [0.3, 0.2]]) / math.sqrt(c)
+    x = np.empty((3, 3))
+    t, sc = lorentz._lift(u, c, 1.0, x, "test")[2:]
+    d = lorentz._distances(x, lorentz._keys(x, c), c)
+    assert d[0, 1] == d[1, 0] == float(np.arccosh(1.0 + 1e-15)) / math.sqrt(c)
+    w = np.array([[0.0, 5.0, 1.0], [5.0, 0.0, -2.0], [1.0, -2.0, 0.0]])
+    apart = w.copy()
+    apart[0, 1] = apart[1, 0] = 0.0
+    got = lorentz._distance_grads(u, t, sc, x, d, w, c)
+    assert np.array_equal(got, lorentz._distance_grads(u, t, sc, x, d, apart, c))
+    assert np.all(got[:2] != 0.0)
+
+
 def test_distance_gradient_coincident_raises():
     u = np.array([0.5, 0.5])
     with pytest.raises(ValueError, match="coincident"):

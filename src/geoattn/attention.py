@@ -20,18 +20,18 @@ kernel's score product consumes, and scores query rows in blocks of about
 written into one score buffer that every block of the call reuses, so
 apart from its inputs and its n x dv output a kernel holds
 O(rows * m + m * d) memory whatever n is.  One stage, ``softmax_rows``,
-the package's only softmax, exps a block in place after a shift and
-divides ``E @ v`` (numpy's ``matmul``, a module global that a tracer can
-wrap) by the row sums of E, on rows x dv entries, not rows x m.
-No kernel spends a pass over the scores on the shift where a bound is
-known: Lorentz scores lie in (0, 1] and oblique ones under -floor/tau_obl
-< 0, so both use shift 0 (oblique while its scores span less than
-``_EXP_SPAN``), and the Euclidean product already subtracts each row's
-Cauchy-Schwarz bound, its keys carrying the scale 1/sqrt(d) and the
-bound's key factor as an extra column.  Otherwise (a mask, too wide a
-span) the shift is the row max.  With a constant shift E serves column
-sums too (from BLAS, as ones @ E), so cao accumulates over blocks and is
-divided at the end.
+the package's only softmax, exps a block in place, less each row's max
+where asked, and divides ``E @ v`` (numpy's ``matmul``, a module global
+that a tracer can wrap) by the row sums of E, on rows x dv entries, not
+rows x m.  No kernel spends a pass over the scores on the row max where a
+bound is known: Lorentz scores lie in (0, 1] and oblique ones under
+-floor/tau_obl < 0, so both exp them as they are (oblique while its scores
+span less than ``_EXP_SPAN``), and the Euclidean product already subtracts
+each row's Cauchy-Schwarz bound, its keys carrying the scale 1/sqrt(d) and
+the bound's key factor as an extra column.  Otherwise (a mask, too wide a
+span) the row max is subtracted.  Without it E serves column sums too
+(from BLAS, as ones @ E), so cao accumulates over blocks and is divided
+at the end.
 Inputs (q, k, v and the mask) are never written.
 """
 
@@ -64,8 +64,8 @@ EmbedFn = Callable[[np.ndarray, Optional[np.ndarray]], np.ndarray]
 # Target size of one query block's score array; see _multihead.
 _BLOCK_BYTES = 1 << 20
 
-# exp(-_EXP_SPAN) is a normal float64, so no row underflows under a shift
-# within this span of its max.
+# exp(-_EXP_SPAN) is a normal float64, so a row whose max is at least
+# -_EXP_SPAN keeps a normal row sum without the row max subtracted.
 _EXP_SPAN = 700.0
 
 
@@ -168,19 +168,17 @@ def _check_mask(mask, shape, rows: int) -> Optional[np.ndarray]:
     return mask
 
 
-def softmax_rows(scores: np.ndarray, vh: np.ndarray,
-                 shift: Optional[float]) -> np.ndarray:
+def softmax_rows(scores: np.ndarray, vh: np.ndarray, row_max: bool) -> np.ndarray:
     """Row softmax of ``scores`` times ``vh``, as (E @ vh) / rowsum(E).
 
-    E = exp(scores - shift) overwrites ``scores``, which holds E on return;
-    with ``vh`` the identity the result is the softmax weights themselves.
-    ``shift`` is None for each row's max, or a constant at or above every
-    score and within ``_EXP_SPAN`` of every row's max.
+    E = exp(scores - each row's max) with ``row_max``, else exp(scores),
+    overwrites ``scores``, which holds E on return; with ``vh`` the
+    identity the result is the softmax weights themselves.  Without
+    ``row_max`` every score must be at most 1 (the kernels' are) and
+    every row's max at least -``_EXP_SPAN``.
     """
-    if shift is None:
+    if row_max:
         scores -= scores.max(axis=1, keepdims=True)
-    elif shift:
-        scores -= shift
     np.exp(scores, out=scores)
     out = matmul(scores, vh)
     out /= scores.sum(axis=1, keepdims=True)
@@ -190,7 +188,7 @@ def softmax_rows(scores: np.ndarray, vh: np.ndarray,
 def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],
                prepare_keys: Callable[[np.ndarray], tuple],
                prepare: Callable[[np.ndarray], tuple],
-               block_scores: Callable[..., None], shift: Optional[float],
+               block_scores: Callable[..., None], row_max: bool,
                reverse: Optional[np.ndarray] = None,
                names: tuple = ("q", "k")) -> np.ndarray:
     """Validation, head split, mask, softmax and value product of every kernel.
@@ -203,11 +201,11 @@ def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],
     One ``min(rows, n) x m`` score buffer serves every block of the call:
     ``block_scores(out, *prepare(query_block), *keys)`` writes a block of
     r rows into ``out``, the buffer's first r rows, the block's mask rows
-    are added in place, and ``softmax_rows`` with ``shift`` (the row max
-    under a mask) gives its output rows.
+    are added in place, and ``softmax_rows`` with ``row_max`` (True under
+    a mask) gives its output rows.
 
     ``names`` name q and k in errors.  Given ``reverse`` (m x d_q zeros),
-    a constant shift and no mask, each block's E also adds ``E.T @ q_block``
+    no row max and no mask, each block's E also adds ``E.T @ q_block``
     to the head's slice of it and its column sums ``ones @ E`` to sums
     that divide it at the end: the key-to-query attention with q as values.
     """
@@ -226,7 +224,7 @@ def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],
     rows = max(1, _BLOCK_BYTES // (8 * m))
     mask = _check_mask(mask, (n, m), rows)
     if mask is not None:
-        shift = None
+        row_max = True
     out = np.empty((n, v.shape[1]))
     buf = np.empty((min(rows, n), m))
     rev = _head_slices(reverse, cfg.heads) if reverse is not None else [None] * cfg.heads
@@ -240,7 +238,7 @@ def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],
             block_scores(scores, *prepare(qb), *kp)
             if mask is not None:
                 scores += mask[blk]
-            oh[blk] = softmax_rows(scores, vh, shift)
+            oh[blk] = softmax_rows(scores, vh, row_max)
             if rh is not None:
                 colsum += np.ones(qb.shape[0]) @ scores
                 rh += matmul(scores.T, qb)
@@ -267,12 +265,12 @@ def oblique_attention(q, k, v, cfg: AttentionConfig,
     # Distances lie in [floor, pi - floor]: scores are at most -floor / tau
     # < 0, and each row's max is at least -(pi - floor) / tau.
     floor = math.acos(1.0 - oblique.EPS_CLIP)
-    shift = 0.0 if (math.pi - floor) / cfg.tau_obl < _EXP_SPAN else None
+    row_max = (math.pi - floor) / cfg.tau_obl >= _EXP_SPAN
 
     def unit_rows(xh):
         return oblique._unit_rows(xh)[:1]
 
-    return _multihead(q, k, v, cfg, mask, unit_rows, unit_rows, block_scores, shift)
+    return _multihead(q, k, v, cfg, mask, unit_rows, unit_rows, block_scores, row_max)
 
 
 def oblique_self_attention(x, pos, emb: Optional[EmbedFn],
@@ -325,9 +323,9 @@ def lorentz_cross_attention(q, k, v, cfg: AttentionConfig,
     distance matrix, and A = softmax(exp(-D / tau_lor)) - the double
     exponential, exactly as specified.  Values are never lifted.
     """
-    # Scores lie in (0, 1]: exp needs no shift.
+    # Scores lie in (0, 1]: exp needs no row max.
     return _multihead(q, k, v, cfg, mask, partial(_lorentz_keys, cfg),
-                      partial(_lorentz_lift, cfg), partial(_lorentz_scores, cfg), 0.0)
+                      partial(_lorentz_lift, cfg), partial(_lorentz_scores, cfg), False)
 
 
 def bidirectional_attention(instance, context, cfg: AttentionConfig):
@@ -342,7 +340,7 @@ def bidirectional_attention(instance, context, cfg: AttentionConfig):
     Per head, each block of instance rows is lifted and scored against all
     context rows in one distance pass, so memory apart from the inputs and
     outputs is O(rows * m + m * d) whatever the instance count.  The scores
-    lie in (0, 1], so E = exp(S) needs no shift and serves both directions:
+    lie in (0, 1], so E = exp(S) needs no row max and serves both directions:
     oac = (E @ context) / rowsum(E) per block, and cao = (sum of
     E.T @ instance) / (sum of colsum(E)).
     This equals separate ``lorentz_cross_attention`` calls per direction
@@ -362,7 +360,7 @@ def bidirectional_attention(instance, context, cfg: AttentionConfig):
                          "one instance row and one context row")
     cao = np.zeros((context.shape[0], instance.shape[1]))
     oac = _multihead(instance, context, context, cfg, None, partial(_lorentz_keys, cfg),
-                     partial(_lorentz_lift, cfg), partial(_lorentz_scores, cfg), 0.0,
+                     partial(_lorentz_lift, cfg), partial(_lorentz_scores, cfg), False,
                      cao, ("instance", "context"))
     if pooled:
         half = context.shape[0] // 2
@@ -378,7 +376,7 @@ def euclidean_attention(q, k, v, cfg: AttentionConfig,
     K = max_j |k_j| / sqrt(d), so one product of a query block packed as
     [q | |q_i|] gives q.k / sqrt(d) - B_i.  B_i = |q_i| K bounds every
     score of row i (Cauchy-Schwarz), so each row lies in [-2 B_i, 0] and
-    the softmax needs no shift while 2 B_i is within ``_EXP_SPAN``.  A
+    the softmax needs no row max while 2 B_i is within ``_EXP_SPAN``.  A
     block with a wider row, or a norm that overflows, takes the plain
     product and its row max instead.
     """
@@ -403,4 +401,4 @@ def euclidean_attention(q, k, v, cfg: AttentionConfig,
             out -= out.max(axis=1, keepdims=True)
 
     return _multihead(q, k, v, cfg, mask, prepare_keys, lambda xh: (xh,),
-                      block_scores, 0.0)
+                      block_scores, False)

@@ -210,11 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "phases; a phase stops sooner by the rules stated at "
                         "_STALL_RTOL in geoattn/experiments.py")
     t.add_argument("--step-size", type=float, default=0.05,
-                   help="gradient step multiplier, cut on each backoff to a "
-                        "quadratic model's minimiser; used for each phase's "
-                        "first step and when an L-BFGS search finds no "
-                        "descent (L-BFGS steps start at 1, no coordinate "
-                        "moving more than 0.5, or 0.5/sqrt(c) for lorentz)")
+                   help="first multiplier of each phase's first step, a "
+                        "gradient step, cut on each backoff to a quadratic "
+                        "model's minimiser (L-BFGS steps start at 1, no "
+                        "coordinate moving more than 0.5, or 0.5/sqrt(c) for "
+                        "lorentz)")
     t.add_argument("--seeds", default="0,333,777")
     t.add_argument("--curvature", default="1.0",
                    help="comma-separated curvature sweep for the lorentz arms")

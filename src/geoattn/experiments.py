@@ -19,20 +19,21 @@ and the gradient at an accepted point reuses that pass instead of computing
 the distances again.  Each step searches, with monotone backtracking, along
 an L-BFGS direction (Liu & Nocedal 1989) from the phase's last 8 point and
 gradient differences, its first trial capped so that no coordinate moves
-more than 0.5 (0.5 / sqrt(c) for Lorentz); a phase's first step and the
-retry after a quasi-Newton search finds no descent take the plain gradient
-step instead.  Backtracking cuts a rejected multiplier to the minimiser of
-a quadratic fitted to the stress, its slope along the direction and the
-rejected trial's stress, clamped to 0.1-0.5 of the old one (Nocedal &
-Wright 2006, section 3.5).  The step budget is a cap: the stops that end a
-phase sooner, and their tolerances, are stated once, at ``_STALL_RTOL``.
-A phase that does not give up hands its last evaluation to the next, whose
-targets reuse its distances, and the last phase's is the final one.  The
-Lorentz arm takes its lift, keys, distances (clip floor included) and
-gradient from lorentz; the gradient is lorentz._distance_grads with
-weights err, doubled; the tests check it against a plain-math per-pair sum
-and against finite differences.  A trial point past the lift's float64
-limit, or whose distance product overflows, counts as a rejected trial.
+more than 0.5 (0.5 / sqrt(c) for Lorentz); a step with no pair yet, a
+phase's first, takes the gradient step at ``step_size`` instead, and a
+search that finds no descent gives the phase up.  Backtracking cuts a
+rejected multiplier to the minimiser of a quadratic fitted to the stress,
+its slope along the direction and the rejected trial's stress, clamped to
+0.1-0.5 of the old one (Nocedal & Wright 2006, section 3.5).  The step
+budget is a cap: the stops that end a phase sooner, and their tolerances,
+are stated once, at ``_STALL_RTOL``.  A phase that does not give up hands
+its last evaluation to the next, whose targets reuse its distances, and
+the last phase's is the final one.  The Lorentz arm takes its lift, keys,
+distances (clip floor included) and gradient from lorentz; the gradient is
+lorentz._distance_grads with weights err, doubled; the tests check it
+against a plain-math per-pair sum and against finite differences.  A trial
+point past the lift's float64 limit, or whose distance product overflows,
+counts as a rejected trial.
 """
 
 from __future__ import annotations
@@ -100,16 +101,14 @@ class PhaseTrace:
     ``evaluations`` counts stress evaluations at trial points, so it equals
     ``accepted + backoffs + gave_up``; the evaluation at the phase's start
     point is not counted.  ``backoffs`` counts every rejected trial but a
-    give-up's last, the first trial of a gradient step retried after a
-    failed quasi-Newton search included; after each, the line search cuts
-    the multiplier to between a tenth and a half of the rejected one.
-    ``converged`` is 1 when one of the stops stated at ``_STALL_RTOL``
-    ended the phase.  ``gave_up`` is 1 when the line search found no
-    descent along the gradient either; when both are 0 the phase spent its
-    step budget.  ``final_step`` is the multiplier of the last accepted
-    step, after the line search's cuts: at most ``step_size`` for a
-    gradient step, at most 1 for a quasi-Newton step, and 0 when the phase
-    accepted none.
+    give-up's last; after each, the line search cuts the multiplier to
+    between a tenth and a half of the rejected one.  ``converged`` is 1
+    when one of the stops stated at ``_STALL_RTOL`` ended the phase.
+    ``gave_up`` is 1 when a line search found no descent; when both are 0
+    the phase spent its step budget.  ``final_step`` is the multiplier of
+    the last accepted step, after the line search's cuts: at most
+    ``step_size`` for a gradient step, at most 1 for a quasi-Newton step,
+    and 0 when the phase accepted none.
     """
 
     lam: float  # scale of the target distances
@@ -128,7 +127,7 @@ class EmbeddingRun:
     """Parameters and results of one tree-embedding arm.
 
     ``step_size`` is the gradient step's first multiplier, taken on a
-    phase's first step and when a quasi-Newton search finds no descent.
+    phase's first step, which holds no quasi-Newton pair yet.
     Quasi-Newton steps start at multiplier 1 with each coordinate's move
     capped at 0.5 (0.5 / sqrt(c) for Lorentz), so ``step_size`` does not
     scale them.  Each search cuts a rejected multiplier by the quadratic
@@ -398,7 +397,6 @@ def _expansion_phase(x, carry, lam, targets, evaluate, gradient, move_cap,
     and arrays are freed on return, before the next targets.
     """
     at = functools.partial(evaluate, targets=targets)
-    step = step_size
     pairs = deque(maxlen=_LBFGS_PAIRS)  # (s, y, 1 / s.y), oldest first
     last = None  # the last accepted point and its gradient
     if carry:
@@ -421,40 +419,25 @@ def _expansion_phase(x, carry, lam, targets, evaluate, gradient, move_cap,
             if sy > 0.0:
                 pairs.append((s, y, 1.0 / sy))
         last = x, grad
-        quasi_newton = bool(pairs)
-        if quasi_newton:
+        if pairs:
             direction = _lbfgs_direction(grad, pairs)
             slope = float(np.vdot(grad, direction))
             # The first stop stated at _STALL_RTOL; the window below is the second.
             if 0.0 <= -slope <= 2.0 * rtol * stress:
                 converged = 1
                 break
-        ev = None  # keep one evaluation alive during a search, not two
-        if quasi_newton:
             peak = float(np.abs(direction).max())
             mult = 1.0 if peak <= move_cap else move_cap / peak
-            trial, ev, mult, tries = _line_search(
-                at, x, direction, mult, stress, slope)
-            evaluations += 1 + tries
-            backoffs += tries
-            if not ev.stress <= stress:
-                # Drop the pairs and retry the gradient step; its first
-                # trial is a backoff too.
-                pairs.clear()
-                quasi_newton = False
-                ev = None
-                backoffs += 1
-        if not quasi_newton:
-            trial, ev, step, tries = _line_search(
-                at, x, -grad, step, stress, -float(np.vdot(grad, grad)))
-            mult = step
-            evaluations += 1 + tries
-            backoffs += tries
-            if ev.stress <= stress and tries == 0:
-                step = min(step * 1.2, step_size)
+        else:
+            direction, mult = -grad, step_size
+            slope = -float(np.vdot(grad, grad))
+        ev = None  # keep one evaluation alive during a search, not two
+        trial, ev, mult, tries = _line_search(at, x, direction, mult, stress, slope)
+        evaluations += 1 + tries
+        backoffs += tries
         if not ev.stress <= stress:
             gave_up = 1
-            break  # no descent direction progress left
+            break
         x = trial
         final_step = mult
         change = abs(stress - ev.stress)
@@ -488,21 +471,16 @@ def embed_tree(spec: TreeSpec, run: EmbeddingRun) -> EmbeddingRun:
       differences (s, y), a pair with s.y <= 0 skipped.  Its first trial
       takes multiplier 1, reduced so that no coordinate moves more than
       ``_MOVE_CAP`` (0.5), or 0.5 / sqrt(c) for Lorentz;
-    * the gradient, at multiplier ``step``: ``run.step_size`` at the
-      phase's start, left where the last search's cuts took it and grown
-      by 1.2 (up to ``run.step_size``) after a step accepted without one.
+    * the negative gradient, at multiplier ``run.step_size``, while the
+      phase holds no pair (its first step).
 
     Either search cuts a rejected multiplier as :func:`_line_search` says,
-    with the slope grad . direction.  The gradient step is taken while the
-    phase holds no pair (its first step) and as a fallback: a quasi-Newton
-    search that spends its ``_HALVINGS`` (40) reductions without descent
-    drops the pairs and retries the gradient step, whose evaluations count
-    as backoffs.  The pairs are dropped at every phase end too, because the
-    targets change.
+    with the slope grad . direction.  The pairs are dropped at every phase
+    end, because the targets change.
 
     ``run.steps`` is a cap, not a count: a phase ends sooner by the stops
-    stated at ``_STALL_RTOL``, and when the gradient step's search finds no
-    descent either.
+    stated at ``_STALL_RTOL``, and gives up when a search spends its
+    ``_HALVINGS`` (40) reductions without descent.
 
     Each stress evaluation is one pairwise-distance pass.  An accepted
     trial point's evaluation is kept and its gradient reuses it, so no

@@ -219,21 +219,20 @@ def geodesic_distance(x: LorentzPoint, y: LorentzPoint, c: float) -> float:
 
 def pairwise_distance_matrix(space_x: np.ndarray, time_x: np.ndarray,
                              space_y: np.ndarray, time_y: np.ndarray,
-                             c: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+                             c: float) -> np.ndarray:
     """Pairwise geodesic distances from stacked space/time components.
 
     D_ij = (1/sqrt(c)) arcosh(max(-c <x_i, y_j>_L, 1 + EPS_CLIP)).  The clip
     keeps the arcosh argument >= 1, so coincident points get the floor
     distance arcosh(1 + eps)/sqrt(c) instead of NaN.
 
-    The product, clip, arcosh and scale run in :func:`_distances`, into
-    ``out`` (n x m, numpy-style) or a fresh array; this checked wrapper
-    packs both sides for it.
+    The product, clip, arcosh and scale run in :func:`_distances`; this
+    checked wrapper packs both sides for it.
     """
     c = check_curvature(c)
     keys = np.column_stack((space_y, time_y))
     _keys(keys, c, out=keys)
-    return _distances(np.column_stack((space_x, time_x)), keys, c, out)
+    return _distances(np.column_stack((space_x, time_x)), keys, c)
 
 
 def _keys(x: np.ndarray, c: float, out: Optional[np.ndarray] = None) -> np.ndarray:

@@ -194,9 +194,9 @@ def _prop_gradients_match_fd(rng, cfg):
     return worst, 1e-5
 
 
-def _weights(scores, shift=None):
+def _weights(scores, row_max=True):
     """The kernels' softmax stage with identity values: the weights of a copy."""
-    return softmax_rows(scores.copy(), np.eye(scores.shape[1]), shift)
+    return softmax_rows(scores.copy(), np.eye(scores.shape[1]), row_max)
 
 
 def _prop_softmax_row_sums(rng, cfg):
@@ -207,7 +207,7 @@ def _prop_softmax_row_sums(rng, cfg):
 def _euclidean_scores(rng):
     """Scaled dot products of random rows, minus each row's Cauchy-Schwarz
     bound |q_i| max_j |k_j| / sqrt(d): the scores the Euclidean kernel
-    hands the softmax with shift 0."""
+    hands the softmax with no row max."""
     q, k = rng.normal(size=(30, 8)), rng.normal(size=(20, 8))
     bound = np.linalg.norm(q, axis=1, keepdims=True) * np.linalg.norm(k, axis=1).max()
     return (q @ k.T - bound) / math.sqrt(8)
@@ -215,7 +215,7 @@ def _euclidean_scores(rng):
 
 def _prop_softmax_shift_invariance(rng, cfg):
     # Per-row shifts leave the weights alone, and so do the kernels' bounds
-    # in place of the row max: shift 0 on oblique scores, which lie in
+    # in place of the row max: none on oblique scores, which lie in
     # [-(pi - floor), -floor] / tau_obl, and on Lorentz scores in (0, 1],
     # and the Euclidean row bound subtracted in the product.
     m = rng.normal(size=(30, 20))
@@ -224,9 +224,9 @@ def _prop_softmax_shift_invariance(rng, cfg):
     lor = 1.0 - rng.uniform(size=(30, 20))
     euc = _euclidean_scores(rng)
     pairs = ((_weights(m + rng.normal(size=(30, 1))), _weights(m)),
-             (_weights(obl, 0.0), _weights(obl)),
-             (_weights(lor, 0.0), _weights(lor)),
-             (_weights(euc, 0.0), _weights(euc)))
+             (_weights(obl, False), _weights(obl)),
+             (_weights(lor, False), _weights(lor)),
+             (_weights(euc, False), _weights(euc)))
     return max(float(np.abs(a - b).max()) for a, b in pairs), 1e-12
 
 
@@ -268,21 +268,21 @@ def _prop_clip_safety(rng, cfg):
 
 
 def _prop_weight_monotonicity(rng, cfg):
-    # Oblique scores go under shift 0 and the row max (None), Lorentz scores
-    # under shift 0, and Euclidean scores, lowered by the bump from their
-    # row bound, under shift 0 and the row max.
+    # Oblique scores go with and without the row max, Lorentz scores
+    # without, and Euclidean scores, lowered by the bump from their row
+    # bound, with and without.
     d = np.abs(rng.normal(size=(5, 6))) + 0.1
     euc = _euclidean_scores(rng)[:5, :6]
     obl, lor = (lambda x: -x / cfg.tau_obl), (lambda x: np.exp(-x / cfg.tau_lor))
-    cases = ((obl, 0.0), (obl, None), (lor, 0.0),
-             (lambda x: euc - x, 0.0), (lambda x: euc - x, None))
+    cases = ((obl, False), (obl, True), (lor, False),
+             (lambda x: euc - x, False), (lambda x: euc - x, True))
     worst = 0.0
     for bump in (0.01, 0.1, 1.0):
         d2 = d.copy()
         d2[2, 3] += bump
-        for score, shift in cases:
-            w1 = _weights(score(d), shift)
-            w2 = _weights(score(d2), shift)
+        for score, row_max in cases:
+            w1 = _weights(score(d), row_max)
+            w2 = _weights(score(d2), row_max)
             worst = max(worst, float(w2[2, 3] - w1[2, 3]))
     return worst, 0.0
 

@@ -446,28 +446,51 @@ def test_embed_tree_quasi_newton_trial_moves_at_most_the_cap(monkeypatch, space,
     assert max(first_moves) <= cap * (1.0 + 1e-15)
 
 
-def test_embed_tree_quasi_newton_failure_retries_gradient_step(monkeypatch):
-    # An uphill quasi-Newton direction fails all 40 halvings; the pairs are
-    # dropped and the gradient step is retried, so no phase gives up.  The
-    # retry's evaluations, its first trial included, are backoffs.
-    calls = []
+def test_embed_tree_quasi_newton_failure_gives_up(monkeypatch):
+    # Each phase accepts its first step, a gradient step; the uphill
+    # quasi-Newton direction after it fails all 40 reductions, and the
+    # phase gives up.
+    calls, tries = [], []
+    search = experiments._line_search
 
     def uphill(grad, pairs):
         calls.append(len(pairs))
         return 1e6 * grad
 
+    def recorded(*args):
+        found = search(*args)
+        tries.append(found[3])
+        return found
+
     monkeypatch.setattr(experiments, "_lbfgs_direction", uphill)
+    monkeypatch.setattr(experiments, "_line_search", recorded)
     out = embed_tree(TreeSpec(depth=2), EmbeddingRun(space="euclidean", steps=40, seed=0))
-    assert calls and set(calls) == {1}  # every search drops the pairs
-    for p in out.phases:
-        assert p.gave_up == 0 and p.accepted == 10
+    assert calls == [1] * 4  # one quasi-Newton search per phase
+    assert tries[1::2] == [experiments._HALVINGS] * 4
+    for p, gradient_tries in zip(out.phases, tries[::2]):
+        assert (p.accepted, p.gave_up, p.converged) == (1, 1, 0)
+        assert p.backoffs == gradient_tries + experiments._HALVINGS
         assert p.evaluations == p.accepted + p.backoffs + p.gave_up
         assert p.end_stress < p.start_stress
-        assert 0.0 < p.final_step <= 0.05  # only gradient steps are accepted
-    # Each of the 9 failed searches after a phase's first step adds its 40
-    # halvings and its retry's first trial to the backoffs.
-    assert all(p.backoffs >= 9 * 41 for p in out.phases)
-    assert len(calls) == 4 * 9
+        assert 0.0 < p.final_step <= 0.05  # the gradient step's
+
+
+@pytest.mark.parametrize("space", ["euclidean", "lorentz"])
+def test_embed_tree_gradient_search_starts_at_step_size(monkeypatch, space):
+    # Holding no L-BFGS pair, a phase takes gradient steps alone, and each
+    # search starts at step_size, whatever the cuts of the search before.
+    first = []
+    search = experiments._line_search
+
+    def recorded(evaluate, x, direction, mult, *args):
+        first.append(mult)
+        return search(evaluate, x, direction, mult, *args)
+
+    monkeypatch.setattr(experiments, "_LBFGS_PAIRS", 0)
+    monkeypatch.setattr(experiments, "_line_search", recorded)
+    out = embed_tree(TreeSpec(depth=5), EmbeddingRun(space=space, steps=40, seed=4))
+    assert sum(p.accepted + p.gave_up for p in out.phases) == len(first) == 40
+    assert first == [0.05] * 40
 
 
 def test_embed_tree_deterministic():

@@ -9,7 +9,7 @@ from geoattn.linalg import as_matrix, as_vector
 
 def _weights(m):
     """The kernels' softmax stage, shifted by the row max, with identity values."""
-    return softmax_rows(m, np.eye(m.shape[1]), None)
+    return softmax_rows(m, np.eye(m.shape[1]), True)
 
 
 def test_softmax_rows_sum_to_one():

@@ -158,15 +158,6 @@ def test_pairwise_matches_scalar_loop(c):
                 assert abs(d[i, j] - want) < 1e-12
 
 
-def test_pairwise_writes_into_out():
-    rng = np.random.default_rng(8)
-    x = _stacked([_rand_point(rng, 4, 2.0) for _ in range(5)])
-    y = _stacked([_rand_point(rng, 4, 2.0) for _ in range(3)])
-    out = np.empty((5, 3))
-    assert lorentz.pairwise_distance_matrix(*x, *y, 2.0, out=out) is out
-    assert np.array_equal(out, lorentz.pairwise_distance_matrix(*x, *y, 2.0))
-
-
 def test_pairwise_singleton_clip_floor():
     p = lorentz.exp_origin(np.array([1.0, 1.0]), 1.0)
     d = lorentz.pairwise_distance_matrix(*_stacked([p]), *_stacked([p]), 1.0)

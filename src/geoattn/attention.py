@@ -14,21 +14,22 @@
   each block's lift and distance pass.
 
 Every kernel, the Euclidean baseline included, runs in one skeleton,
-``_multihead``: per head it prepares the key slice once, in the form the
-kernel's score product consumes, and scores query rows in blocks of about
-``_BLOCK_BYTES`` (1 MiB), each block prepared where it is scored and
-written into one score buffer that every block of the call reuses, so
-apart from its inputs and its n x dv output a kernel holds
-O(rows * m + m * d) memory whatever n is.  One stage, ``softmax_rows``,
-the package's only softmax, exps a block in place, less each row's max
-where asked, and divides ``E @ v`` (numpy's ``matmul``, a module global
-that a tracer can wrap) by the row sums of E, on rows x dv entries, not
-rows x m.  No kernel spends a pass over the scores on the row max where a
-bound is known: Lorentz scores lie in (0, 1] and oblique ones under
--floor/tau_obl < 0, so both exp them as they are (oblique while its scores
-span less than ``_EXP_SPAN``), and the Euclidean product already subtracts
-each row's Cauchy-Schwarz bound, its keys carrying the scale 1/sqrt(d) and
-the bound's key factor as an extra column.  Otherwise (a mask, too wide a
+``_multihead``, as two stages: a key stage, run once per head, puts the
+key slice in the form the kernel's score product consumes, and a block
+stage prepares a block of query rows, about ``_BLOCK_BYTES`` (1 MiB) of
+scores, where it scores them, into one score buffer that every block of
+the call reuses.  So apart from its inputs and its n x dv output a
+kernel holds O(rows * m + m * d) memory whatever n is.  The skeleton
+then runs ``softmax_rows``, the package's only softmax: it exps a block
+in place, less each row's max where asked, and divides ``E @ v``
+(numpy's ``matmul``, a module global that a tracer can wrap) by the row
+sums of E, on rows x dv entries, not rows x m.  No kernel spends a pass
+over the scores on the row max where a bound is known: Lorentz scores
+lie in (0, 1] and oblique ones under -floor/tau_obl < 0, so both exp
+them as they are (oblique while its scores span less than
+``_EXP_SPAN``), and the Euclidean product already subtracts each row's
+Cauchy-Schwarz bound, its keys carrying the scale 1/sqrt(d) and the
+bound's key factor as an extra column.  Otherwise (a mask, too wide a
 span) the row max is subtracted.  Without it E serves column sums too
 (from BLAS, as ones @ E), so cao accumulates over blocks and is divided
 at the end.
@@ -38,9 +39,10 @@ Inputs (q, k, v and the mask) are never written.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 from numpy import matmul
@@ -86,7 +88,11 @@ class AttentionConfig:
     alpha: Optional[float] = None
 
     def __post_init__(self):
-        if self.heads < 1:
+        try:
+            heads = operator.index(self.heads)
+        except TypeError:
+            raise ValueError(f"heads must be an integer, got {self.heads!r}") from None
+        if heads < 1:
             raise ValueError(f"heads must be >= 1, got {self.heads}")
         if not (self.tau_obl > 0 and self.tau_lor > 0):
             raise ValueError(
@@ -186,23 +192,22 @@ def softmax_rows(scores: np.ndarray, vh: np.ndarray, row_max: bool) -> np.ndarra
 
 
 def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],
-               prepare_keys: Callable[[np.ndarray], tuple],
-               prepare: Callable[[np.ndarray], tuple],
-               block_scores: Callable[..., None], row_max: bool,
-               reverse: Optional[np.ndarray] = None,
+               prepare_keys: Callable[[np.ndarray], Any],
+               block_scores: Callable[[np.ndarray, np.ndarray, Any], None],
+               row_max: bool, reverse: Optional[np.ndarray] = None,
                names: tuple = ("q", "k")) -> np.ndarray:
     """Validation, head split, mask, softmax and value product of every kernel.
 
-    Per head, ``prepare_keys(kh)`` runs once on the key slice and returns
-    the key arguments of ``block_scores``, already in the form its product
-    consumes.  ``prepare(xh)`` returns a tuple of arrays aligned with the
-    rows of xh, each row prepared on its own; it runs once per block of
-    ``rows = max(1, _BLOCK_BYTES // (8 * m))`` query rows, never on all n.
-    One ``min(rows, n) x m`` score buffer serves every block of the call:
-    ``block_scores(out, *prepare(query_block), *keys)`` writes a block of
-    r rows into ``out``, the buffer's first r rows, the block's mask rows
-    are added in place, and ``softmax_rows`` with ``row_max`` (True under
-    a mask) gives its output rows.
+    A kernel has two stages.  The key stage, ``prepare_keys(kh)``, runs
+    once per head on the key slice and returns its keys, in whatever form
+    the kernel's score product consumes.  The block stage,
+    ``block_scores(out, query_block, keys)``, runs once per block of
+    ``rows = max(1, _BLOCK_BYTES // (8 * m))`` query rows, never on all n:
+    it prepares the block's rows (each on its own) and writes their r x m
+    scores into ``out``.  One ``min(rows, n) x m`` score buffer serves
+    every block of the call, ``out`` being its first r rows; the block's
+    mask rows are added in place, and ``softmax_rows`` with ``row_max``
+    (True under a mask) gives its output rows.
 
     ``names`` name q and k in errors.  Given ``reverse`` (m x d_q zeros),
     no row max and no mask, each block's E also adds ``E.T @ q_block``
@@ -229,13 +234,13 @@ def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],
     buf = np.empty((min(rows, n), m))
     rev = _head_slices(reverse, cfg.heads) if reverse is not None else [None] * cfg.heads
     for qh, kh, vh, oh, rh in zip(*(_head_slices(a, cfg.heads) for a in (q, k, v, out)), rev):
-        kp = prepare_keys(kh)
+        keys = prepare_keys(kh)
         colsum = np.zeros(m) if rh is not None else None
         for start in range(0, n, rows):
             blk = slice(start, start + rows)
             qb = qh[blk]
             scores = buf[:qb.shape[0]]
-            block_scores(scores, *prepare(qb), *kp)
+            block_scores(scores, qb, keys)
             if mask is not None:
                 scores += mask[blk]
             oh[blk] = softmax_rows(scores, vh, row_max)
@@ -244,7 +249,7 @@ def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],
                 rh += matmul(scores.T, qb)
         if rh is not None:
             rh /= colsum[:, None]
-        del kp  # free this head's keys before the next head prepares its own
+        del keys  # free this head's keys before the next head prepares its own
     return out
 
 
@@ -257,8 +262,8 @@ def oblique_attention(q, k, v, cfg: AttentionConfig,
     = weights @ v_head.  tau_obl = 1 reproduces plain softmax(-D).
     """
 
-    def block_scores(out, qn, kn):
-        oblique.pairwise_distances(qn, kn, out=out)
+    def block_scores(out, qb, kn):
+        oblique.pairwise_distances(oblique._unit_rows(qb)[0], kn, out=out)
         # One multiply by -1/tau: within 1 ulp of d / -tau.
         np.multiply(out, -1.0 / cfg.tau_obl, out=out)
 
@@ -266,11 +271,8 @@ def oblique_attention(q, k, v, cfg: AttentionConfig,
     # < 0, and each row's max is at least -(pi - floor) / tau.
     floor = math.acos(1.0 - oblique.EPS_CLIP)
     row_max = (math.pi - floor) / cfg.tau_obl >= _EXP_SPAN
-
-    def unit_rows(xh):
-        return oblique._unit_rows(xh)[:1]
-
-    return _multihead(q, k, v, cfg, mask, unit_rows, unit_rows, block_scores, row_max)
+    return _multihead(q, k, v, cfg, mask, lambda kh: oblique._unit_rows(kh)[0],
+                      block_scores, row_max)
 
 
 def oblique_self_attention(x, pos, emb: Optional[EmbedFn],
@@ -288,27 +290,24 @@ def oblique_self_attention(x, pos, emb: Optional[EmbedFn],
     return oblique_attention(qk, qk, x, cfg, mask=mask)
 
 
-def _lorentz_alpha(cfg: AttentionConfig, xh) -> float:
-    """The tangent scale: cfg.alpha, or 1/sqrt(head_dim) when it is None."""
-    return cfg.alpha if cfg.alpha is not None else 1.0 / math.sqrt(xh.shape[1])
-
-
-def _lorentz_lift(cfg: AttentionConfig, xh) -> tuple:
-    """One head's rows lifted once, with tangent scale alpha, as [s | t]."""
+def _lorentz_lift(cfg: AttentionConfig, xh) -> np.ndarray:
+    """One head's rows lifted once as [s | t], with tangent scale cfg.alpha,
+    or 1/sqrt(head_dim) when it is None."""
+    alpha = cfg.alpha if cfg.alpha is not None else 1.0 / math.sqrt(xh.shape[1])
     x = np.empty((xh.shape[0], xh.shape[1] + 1))
-    lorentz.lift_rows(xh, cfg.curvature, _lorentz_alpha(cfg, xh), out=x)
-    return (x,)
+    lorentz.lift_rows(xh, cfg.curvature, alpha, out=x)
+    return x
 
 
-def _lorentz_keys(cfg: AttentionConfig, kh):
+def _lorentz_keys(cfg: AttentionConfig, kh) -> np.ndarray:
     """One head's key slice lifted once and turned, in place, into [-c s | c t]."""
-    (x,) = _lorentz_lift(cfg, kh)
-    return (lorentz._keys(x, cfg.curvature, out=x),)
+    x = _lorentz_lift(cfg, kh)
+    return lorentz._keys(x, cfg.curvature, out=x)
 
 
-def _lorentz_scores(cfg: AttentionConfig, out, x, keys) -> None:
-    """exp(-D / tau_lor) of a lifted query block ``x``, written into ``out``."""
-    lorentz._distances(x, keys, cfg.curvature, out=out)
+def _lorentz_scores(cfg: AttentionConfig, out, qb, keys) -> None:
+    """exp(-D / tau_lor) of a query block ``qb``, lifted here, written into ``out``."""
+    lorentz._distances(_lorentz_lift(cfg, qb), keys, cfg.curvature, out=out)
     # One multiply by -1/tau: within 1 ulp of d / -tau.
     np.multiply(out, -1.0 / cfg.tau_lor, out=out)
     np.exp(out, out=out)
@@ -325,7 +324,7 @@ def lorentz_cross_attention(q, k, v, cfg: AttentionConfig,
     """
     # Scores lie in (0, 1]: exp needs no row max.
     return _multihead(q, k, v, cfg, mask, partial(_lorentz_keys, cfg),
-                      partial(_lorentz_lift, cfg), partial(_lorentz_scores, cfg), False)
+                      partial(_lorentz_scores, cfg), False)
 
 
 def bidirectional_attention(instance, context, cfg: AttentionConfig):
@@ -360,8 +359,7 @@ def bidirectional_attention(instance, context, cfg: AttentionConfig):
                          "one instance row and one context row")
     cao = np.zeros((context.shape[0], instance.shape[1]))
     oac = _multihead(instance, context, context, cfg, None, partial(_lorentz_keys, cfg),
-                     partial(_lorentz_lift, cfg), partial(_lorentz_scores, cfg), False,
-                     cao, ("instance", "context"))
+                     partial(_lorentz_scores, cfg), False, cao, ("instance", "context"))
     if pooled:
         half = context.shape[0] // 2
         cao = (cao[:half] + cao[half:]) / 2.0
@@ -378,7 +376,8 @@ def euclidean_attention(q, k, v, cfg: AttentionConfig,
     score of row i (Cauchy-Schwarz), so each row lies in [-2 B_i, 0] and
     the softmax needs no row max while 2 B_i is within ``_EXP_SPAN``.  A
     block with a wider row, or a norm that overflows, takes the plain
-    product and its row max instead.
+    product and its row max instead; a score of that product past the
+    float64 limit raises ``ValueError``.
     """
 
     def prepare_keys(kh):
@@ -388,7 +387,8 @@ def euclidean_attention(q, k, v, cfg: AttentionConfig,
         keys[:, -1] = -bound
         return keys, bound
 
-    def block_scores(out, qb, keys, bound):
+    def block_scores(out, qb, keys_bound):
+        keys, bound = keys_bound
         norms = np.sqrt(np.einsum("ij,ij->i", qb, qb))
         # Python floats: an inf or NaN product fails the test without a warning.
         if 2.0 * float(norms.max()) * bound <= _EXP_SPAN:
@@ -397,8 +397,10 @@ def euclidean_attention(q, k, v, cfg: AttentionConfig,
             packed[:, -1] = norms
             np.matmul(packed, keys.T, out=out)
         else:
-            np.matmul(qb, keys[:, :-1].T, out=out)
+            with np.errstate(over="ignore"):
+                np.matmul(qb, keys[:, :-1].T, out=out)
+            if not np.isfinite(out).all():
+                raise ValueError("a score q.k / sqrt(d) is past the float64 limit")
             out -= out.max(axis=1, keepdims=True)
 
-    return _multihead(q, k, v, cfg, mask, prepare_keys, lambda xh: (xh,),
-                      block_scores, False)
+    return _multihead(q, k, v, cfg, mask, prepare_keys, block_scores, False)

@@ -75,15 +75,12 @@ class TreeSpec:
 
     branching: int = 2
     depth: int = 5
-    edge_length: float = 1.0
 
     def __post_init__(self):
         if self.branching < 2:
             raise ValueError(f"branching must be >= 2, got {self.branching}")
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
-        if not (math.isfinite(self.edge_length) and self.edge_length > 0):
-            raise ValueError(f"edge_length must be finite and > 0, got {self.edge_length}")
         nodes = (self.branching ** (self.depth + 1) - 1) // (self.branching - 1)
         if nodes * nodes * 8 > sys.maxsize:
             count = nodes if nodes < 10 ** 30 else "more than 10^30"
@@ -165,7 +162,7 @@ class DescentRun:
 
 
 def tree_distance_matrix(spec: TreeSpec) -> np.ndarray:
-    """Hop-count distances scaled by edge_length, for all node pairs.
+    """Hop-count distances, as float64, for all node pairs.
 
     Closed form for the complete b-ary tree in BFS numbering, where node i
     has parent (i - 1) // b: hops(i, j) = depth_i + depth_j - 2 depth(lca).
@@ -185,7 +182,7 @@ def tree_distance_matrix(spec: TreeSpec) -> np.ndarray:
     lca = np.full((node.size, node.size), -1)
     for col in anc.T:
         lca += (col[:, None] == col) & (col >= 0)[:, None]
-    return float(spec.edge_length) * (depth[:, None] + depth - 2 * lca)
+    return (depth[:, None] + depth - 2 * lca).astype(np.float64)
 
 
 class _StressEval(NamedTuple):

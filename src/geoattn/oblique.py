@@ -104,13 +104,20 @@ def _unit_rows(v):
     """Each row of ``v`` scaled to unit norm, and the bool mask of dead rows.
 
     A row with norm < 1e-12 is dead: it cannot be normalized and becomes
-    e1.  ``v`` must have at least one column and is never written.
+    e1.  A row whose squared norm overflows is first scaled by its largest
+    absolute entry; every other row is normalized as it is.  ``v`` must be
+    finite, have at least one column, and is never written.
     """
-    norms = np.sqrt((v * v).sum(axis=1))
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((v * v).sum(axis=1))
     dead = norms < 1e-12
     out = v / np.where(dead, 1.0, norms)[:, None]
     out[dead] = 0.0
     out[dead, 0] = 1.0
+    big = np.isinf(norms)
+    if big.any():
+        w = v[big] / np.abs(v[big]).max(axis=1, keepdims=True)
+        out[big] = w / np.sqrt((w * w).sum(axis=1, keepdims=True))
     return out, dead
 
 

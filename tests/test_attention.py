@@ -16,8 +16,10 @@ KERNELS = [oblique_attention, lorentz_cross_attention, euclidean_attention]
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="heads"):
-        AttentionConfig(heads=0)
+    for heads in (0, 2.5, 4.0):
+        with pytest.raises(ValueError, match="heads"):
+            AttentionConfig(heads=heads)
+    assert AttentionConfig(heads=np.int64(2)).heads == 2
     with pytest.raises(ValueError, match="temperatures"):
         AttentionConfig(tau_lor=0.0)
     with pytest.raises(ValueError, match="curvature"):
@@ -245,7 +247,8 @@ def test_lorentz_lift_past_float64_limit_raises():
 
 @pytest.mark.filterwarnings("error")  # an overflow or invalid-value warning fails
 def test_config_envelope_gives_finite_output_or_names_float64_limit():
-    # every AttentionConfig field at its extremes, at three input scales
+    # every AttentionConfig field at its extremes, at four input scales;
+    # at 1e160 the squared norms and q.k overflow
     rng = np.random.default_rng(0)
     base = rng.normal(size=(3, 6, 8))
 
@@ -255,7 +258,7 @@ def test_config_envelope_gives_finite_output_or_names_float64_limit():
     calls = limits = 0
     for heads, tau_obl, tau_lor, c, alpha, scale in itertools.product(
             (1, 2, 4), (1e-3, 1.0, 1e3), (1e-3, 0.1, 1e3), (1e-3, 1.0, 1e3),
-            (None, 1e-3, 10.0), (1e-6, 1.0, 1e4)):
+            (None, 1e-3, 10.0), (1e-6, 1.0, 1e4, 1e160)):
         cfg = AttentionConfig(heads=heads, tau_obl=tau_obl, tau_lor=tau_lor,
                               curvature=c, alpha=alpha)
         q, k, v = scale * base
@@ -269,7 +272,7 @@ def test_config_envelope_gives_finite_output_or_names_float64_limit():
                 continue
             for o in out if isinstance(out, tuple) else (out,):
                 assert np.isfinite(o).all(), (cfg, scale)
-    assert calls == 2916 and 0 < limits < calls
+    assert calls == 3888 and 0 < limits < calls
 
 
 def _bidirectional_draws(seed):

@@ -23,11 +23,11 @@ def test_tree_distance_matrix_depth1():
 
 
 def test_tree_distance_matrix_shape_and_symmetry():
-    spec = TreeSpec(branching=3, depth=2, edge_length=0.5)
-    t = tree_distance_matrix(spec)
+    t = tree_distance_matrix(TreeSpec(branching=3, depth=2))
     assert t.shape == (13, 13)  # 1 + 3 + 9 nodes
+    assert t.dtype == np.float64
     assert np.array_equal(t, t.T)
-    assert t.max() == 0.5 * 4  # leaf to leaf through the root
+    assert t.max() == 4.0  # leaf to leaf through the root
 
 
 def _bfs_tree_distances(spec):
@@ -55,17 +55,18 @@ def _bfs_tree_distances(spec):
                     hops[nb] = hops[node] + 1
                     queue.append(nb)
         for dst, h in hops.items():
-            t[src, dst] = spec.edge_length * h
+            t[src, dst] = h
     return t
 
 
-@pytest.mark.parametrize("branching, depth, edge_length", [
-    (2, 1, 1.0), (2, 5, 1.0), (3, 2, 0.5), (3, 4, 1.0), (4, 3, 1.0),
-    (2, 8, 1.0), (5, 2, 1.0),
+@pytest.mark.parametrize("branching, depth", [
+    (2, 1), (2, 5), (3, 2), (3, 4), (4, 3), (2, 8), (5, 2),
 ])
-def test_tree_distance_matrix_matches_bfs(branching, depth, edge_length):
-    spec = TreeSpec(branching=branching, depth=depth, edge_length=edge_length)
-    assert np.array_equal(tree_distance_matrix(spec), _bfs_tree_distances(spec))
+def test_tree_distance_matrix_matches_bfs(branching, depth):
+    spec = TreeSpec(branching=branching, depth=depth)
+    t = tree_distance_matrix(spec)
+    assert t.dtype == np.float64
+    assert np.array_equal(t, _bfs_tree_distances(spec))
 
 
 def test_import_loads_no_third_party_module_but_numpy():
@@ -87,9 +88,6 @@ def test_spec_validation():
         TreeSpec(branching=1)
     with pytest.raises(ValueError, match="depth"):
         TreeSpec(depth=0)
-    for edge_length in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="edge_length"):
-            TreeSpec(edge_length=edge_length)
 
 
 @pytest.mark.parametrize("branching, depth, nodes", [

@@ -42,6 +42,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -232,7 +233,7 @@ def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],
         row_max = True
     out = np.empty((n, v.shape[1]))
     buf = np.empty((min(rows, n), m))
-    rev = _head_slices(reverse, cfg.heads) if reverse is not None else [None] * cfg.heads
+    rev = _head_slices(reverse, cfg.heads) if reverse is not None else repeat(None)
     for qh, kh, vh, oh, rh in zip(*(_head_slices(a, cfg.heads) for a in (q, k, v, out)), rev):
         keys = prepare_keys(kh)
         colsum = np.zeros(m) if rh is not None else None

@@ -31,10 +31,13 @@ def test_config_validation():
 
 @pytest.mark.parametrize("kernel", [*KERNELS, bidirectional_attention])
 def test_kernels_reject_indivisible_heads(kernel):
-    cfg = AttentionConfig(heads=3)
+    # A head count past the feature dim is rejected before anything is
+    # allocated per head.
     x = np.ones((4, 8))
-    with pytest.raises(ValueError, match="divisible"):
-        kernel(x, x, cfg) if kernel is bidirectional_attention else kernel(x, x, x, cfg)
+    for heads in (3, 2 ** 62):
+        cfg = AttentionConfig(heads=heads)
+        with pytest.raises(ValueError, match="divisible"):
+            kernel(x, x, cfg) if kernel is bidirectional_attention else kernel(x, x, x, cfg)
 
 
 def test_fourier_pe_values():

@@ -54,15 +54,12 @@ from .linalg import as_matrix
 __all__ = [
     "AttentionConfig",
     "fourier_pe",
-    "default_embed",
     "oblique_attention",
     "oblique_self_attention",
     "lorentz_cross_attention",
     "bidirectional_attention",
     "euclidean_attention",
 ]
-
-EmbedFn = Callable[[np.ndarray, Optional[np.ndarray]], np.ndarray]
 
 # Target size of one query block's score array; see _multihead.
 _BLOCK_BYTES = 1 << 20
@@ -74,19 +71,17 @@ _EXP_SPAN = 700.0
 
 @dataclass(frozen=True)
 class AttentionConfig:
-    """Shared configuration for both kernels.
+    """Shared configuration for the four kernels.
 
-    ``alpha`` is the tangent scale used when lifting onto the hyperboloid:
-    finite and > 0, or ``None`` for 1/sqrt(head_dim).  The clip floors are
-    not settings: they are the constants ``oblique.EPS_CLIP`` and
-    ``lorentz.EPS_CLIP``.
+    The clip floors are not settings: they are the constants
+    ``oblique.EPS_CLIP`` and ``lorentz.EPS_CLIP``.  Nor is the Lorentz
+    tangent scale, always 1/sqrt(head_dim).
     """
 
     heads: int = 4
     tau_obl: float = 1.0
     tau_lor: float = 0.1
     curvature: float = 1.0
-    alpha: Optional[float] = None
 
     def __post_init__(self):
         try:
@@ -101,8 +96,6 @@ class AttentionConfig:
                 f"tau_lor={self.tau_lor}"
             )
         lorentz.check_curvature(self.curvature)
-        if self.alpha is not None and not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be None or finite and > 0, got {self.alpha}")
 
 
 def fourier_pe(pos, num_freqs: int) -> np.ndarray:
@@ -111,7 +104,14 @@ def fourier_pe(pos, num_freqs: int) -> np.ndarray:
     Per coordinate x and frequency f_j = 2^j (j = 0..num_freqs-1), emits
     sin(f_j x), cos(f_j x), interleaved coordinate-major:
     [sin(f_0 x_0), cos(f_0 x_0), sin(f_1 x_0), ..., sin(f_0 x_1), ...].
+    ``num_freqs`` is an integer >= 0.
     """
+    try:
+        num_freqs = operator.index(num_freqs)
+    except TypeError:
+        raise ValueError(f"num_freqs must be an integer, got {num_freqs!r}") from None
+    if num_freqs < 0:
+        raise ValueError(f"num_freqs must be >= 0, got {num_freqs}")
     pos = as_matrix(pos, name="positions")
     if pos.shape[1] != 3:
         raise ValueError(f"positions must be n x 3, got {pos.shape}")
@@ -120,22 +120,6 @@ def fourier_pe(pos, num_freqs: int) -> np.ndarray:
     phases = pos[:, :, None] * freqs[None, None, :]
     pairs = np.stack([np.sin(phases), np.cos(phases)], axis=-1)
     return pairs.reshape(pos.shape[0], 3 * 2 * num_freqs)
-
-
-def default_embed(num_freqs: int = 4) -> EmbedFn:
-    """Identity-plus-positional-encoding embedding for tests and demos.
-
-    Concatenates the features with the Fourier encoding of the positions;
-    with no positions it is the identity.
-    """
-
-    def embed(x: np.ndarray, pos: Optional[np.ndarray]) -> np.ndarray:
-        x = as_matrix(x, name="features")
-        if pos is None:
-            return x
-        return np.concatenate([x, fourier_pe(pos, num_freqs)], axis=1)
-
-    return embed
 
 
 def _head_slices(m: np.ndarray, heads: int):
@@ -276,27 +260,26 @@ def oblique_attention(q, k, v, cfg: AttentionConfig,
                       block_scores, row_max)
 
 
-def oblique_self_attention(x, pos, emb: Optional[EmbedFn],
-                           cfg: AttentionConfig,
+def oblique_self_attention(x, pos, cfg: AttentionConfig,
                            mask: Optional[np.ndarray] = None) -> np.ndarray:
-    """Self attention: q = k = embedded-and-projected features, v = x."""
-    x = as_matrix(x, name="x")
-    if emb is None:
-        emb = default_embed()
-    qk = as_matrix(emb(x, pos), name="embedded features")
-    if qk.shape[0] != x.shape[0]:
-        raise ValueError(
-            f"embedding changed the row count: {x.shape[0]} -> {qk.shape[0]}"
-        )
+    """Self attention: q = k = [x | fourier_pe(pos, 4)], or x alone when
+    ``pos`` is None, and v = x.
+
+    Another embedding is ``qk = emb(x, pos); oblique_attention(qk, qk, x, cfg)``.
+    """
+    qk = x = as_matrix(x, name="x")
+    if pos is not None:
+        pe = fourier_pe(pos, 4)
+        if pe.shape[0] != x.shape[0]:
+            raise ValueError(f"x has {x.shape[0]} rows but positions have {pe.shape[0]}")
+        qk = np.concatenate([x, pe], axis=1)
     return oblique_attention(qk, qk, x, cfg, mask=mask)
 
 
 def _lorentz_lift(cfg: AttentionConfig, xh) -> np.ndarray:
-    """One head's rows lifted once as [s | t], with tangent scale cfg.alpha,
-    or 1/sqrt(head_dim) when it is None."""
-    alpha = cfg.alpha if cfg.alpha is not None else 1.0 / math.sqrt(xh.shape[1])
+    """One head's rows lifted once as [s | t], with tangent scale 1/sqrt(head_dim)."""
     x = np.empty((xh.shape[0], xh.shape[1] + 1))
-    lorentz.lift_rows(xh, cfg.curvature, alpha, out=x)
+    lorentz.lift_rows(xh, cfg.curvature, 1.0 / math.sqrt(xh.shape[1]), out=x)
     return x
 
 
@@ -319,7 +302,7 @@ def lorentz_cross_attention(q, k, v, cfg: AttentionConfig,
     """Cross attention through hyperbolic geodesic distances.
 
     Per head: q/k row slices are lifted onto the hyperboloid with tangent
-    scale alpha (default 1/sqrt(head_dim)), D is the pairwise geodesic
+    scale 1/sqrt(head_dim), D is the pairwise geodesic
     distance matrix, and A = softmax(exp(-D / tau_lor)) - the double
     exponential, exactly as specified.  Values are never lifted.
     """

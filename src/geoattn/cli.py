@@ -25,10 +25,6 @@ _BENCH_FIELDS = ["kernel", "n", "m", "d", "heads", "space",
 _SIZE_GUARD = 2 ** 24  # n * m cap before any allocation
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("GEOATTN_SEED", "0"))
-
-
 def _parse_items(flag: str, text: str, parse, kind: str, skip_blank: bool = False):
     """Parse a comma-separated flag value; a bad item's error names the flag."""
     values = []
@@ -182,7 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="geoattn",
                                 description="Geodesic attention kernels: "
                                             "verification, benchmarks, experiments")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    # argparse converts a string default with ``type``, so a bad
+    # GEOATTN_SEED is a usage error that names --seed.
+    p.add_argument("--seed", type=int, default=os.environ.get("GEOATTN_SEED", "0"))
     sub = p.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run the invariant/property suite")

@@ -82,8 +82,8 @@ def _oblique_dist(a, b):
     return math.acos(dot)
 
 
-def _lift_row(row, c, alpha):
-    v = [alpha * t for t in row]
+def _lift_row(row, c, scale):
+    v = [scale * t for t in row]
     r = math.sqrt(sum(t * t for t in v))
     t = math.sqrt(c) * r
     factor = math.sinh(t) / t if t > 0 else 1.0
@@ -144,9 +144,9 @@ def naive_attention_reference(q, k, v, space: str, cfg) -> np.ndarray:
             ]
         else:
             c = cfg.curvature
-            alpha = cfg.alpha if cfg.alpha is not None else 1.0 / math.sqrt(dq)
-            qp = [_lift_row(row, c, alpha) for row in qh]
-            kp = [_lift_row(row, c, alpha) for row in kh]
+            tangent = 1.0 / math.sqrt(dq)
+            qp = [_lift_row(row, c, tangent) for row in qh]
+            kp = [_lift_row(row, c, tangent) for row in kh]
             scores = [
                 [math.exp(-_lorentz_dist(qp[i], kp[j], c) / cfg.tau_lor)
                  for j in range(m)]

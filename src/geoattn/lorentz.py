@@ -27,8 +27,8 @@ Numerical conventions:
   :func:`pairwise_distance_matrix` are checked wrappers.  A lift writes
   its rows once, as [s | t], into the buffer the distance product reads,
   and ``_keys`` turns lifted rows into that product's keys [-c s | c t].
-  ``_lift`` also returns its row factors sqrt(c) r and sinh(sqrt(c) r) /
-  (sqrt(c) r), which ``_distance_grads`` takes instead of computing them
+  ``_lift`` also returns its row factors t = sqrt(c) |scale| r and
+  sinh(t) / t, which ``_distance_grads`` takes instead of computing them
   again.  The point API (:func:`exp_origin`, :func:`geodesic_distance`,
   :func:`distance_gradient`, which take and give tangent vectors as plain
   1-D arrays) is their checked one-row case: it checks its inputs but is
@@ -266,10 +266,10 @@ def lift_rows(m: np.ndarray, c: float, scale: float = 1.0,
               out: Optional[np.ndarray] = None):
     """Lift each row of ``m`` through the exponential map at the origin.
 
-    Returns (space, time) arrays; ``scale`` plays the role of the tangent
-    scale alpha and must be finite.  Vectorized counterpart of mapping
-    each row separately; the factor is :func:`_sinhc`, Taylor branch
-    included.
+    Returns (space, time) arrays; ``scale`` is the tangent scale (the
+    attention kernels pass 1/sqrt(head_dim)) and must be finite.
+    Vectorized counterpart of mapping each row separately; the factor is
+    :func:`_sinhc`, Taylor branch included.
 
     The squared norm of a lifted row's space part is sinh^2(sqrt(c) r) / c,
     which overflows float64 once sqrt(c) r passes

@@ -192,10 +192,10 @@ def test_criterion_08_attention_algebra():
     for bump in (1e-3, 0.1, 1.0):
         d2 = d.copy()
         d2[1, 4] += bump
-        w_obl = softmax_rows(-d / cfg.tau_obl, eye, None)[1, 4]
-        w_obl2 = softmax_rows(-d2 / cfg.tau_obl, eye, None)[1, 4]
-        w_lor = softmax_rows(np.exp(-d / cfg.tau_lor), eye, None)[1, 4]
-        w_lor2 = softmax_rows(np.exp(-d2 / cfg.tau_lor), eye, None)[1, 4]
+        w_obl = softmax_rows(-d / cfg.tau_obl, eye, True)[1, 4]
+        w_obl2 = softmax_rows(-d2 / cfg.tau_obl, eye, True)[1, 4]
+        w_lor = softmax_rows(np.exp(-d / cfg.tau_lor), eye, True)[1, 4]
+        w_lor2 = softmax_rows(np.exp(-d2 / cfg.tau_lor), eye, True)[1, 4]
         mono_ok &= w_obl2 < w_obl and w_lor2 < w_lor
     ok = row_err < 1e-12 and perm_err < 1e-12 and mono_ok
     _report(8, "attention algebra", ok,

@@ -7,7 +7,7 @@ import pytest
 
 from geoattn import attention, lorentz, oblique
 from geoattn.attention import (AttentionConfig, bidirectional_attention,
-                               default_embed, euclidean_attention, fourier_pe,
+                               euclidean_attention, fourier_pe,
                                lorentz_cross_attention, oblique_attention,
                                oblique_self_attention)
 from geoattn.diffcheck import naive_attention_reference
@@ -24,9 +24,6 @@ def test_config_validation():
         AttentionConfig(tau_lor=0.0)
     with pytest.raises(ValueError, match="curvature"):
         AttentionConfig(curvature=-1.0)
-    for alpha in (float("nan"), float("inf"), 0.0, -1.0):
-        with pytest.raises(ValueError, match="alpha"):
-            AttentionConfig(alpha=alpha)
 
 
 @pytest.mark.parametrize("kernel", [*KERNELS, bidirectional_attention])
@@ -57,8 +54,13 @@ def test_fourier_pe_pad_truncate():
     pos = np.zeros((3, 3))
     for num_freqs in (1, 2, 5):
         assert fourier_pe(pos, num_freqs).shape == (3, 6 * num_freqs)
+    assert fourier_pe(pos, np.int64(2)).shape == (3, 12)
+    assert fourier_pe(pos, 0).shape == (3, 0)
     with pytest.raises(ValueError, match="n x 3"):
         fourier_pe(np.zeros((2, 2)), 2)
+    for num_freqs in (-1, 2.5, 2.0, None):
+        with pytest.raises(ValueError, match="num_freqs"):
+            fourier_pe(pos, num_freqs)
 
 
 @pytest.mark.parametrize("heads", [1, 4])
@@ -110,7 +112,7 @@ def test_euclidean_matches_naive_reference(heads):
 def test_lorentz_two_point_example():
     # one feature, antipodal tangents at unit radius: geodesic distances
     # are (clip floor, 1.0), giving row weights softmax(e^0, e^-1)
-    cfg = AttentionConfig(heads=1, tau_lor=1.0, alpha=1.0, curvature=1.0)
+    cfg = AttentionConfig(heads=1, tau_lor=1.0, curvature=1.0)
     q = np.array([[0.5], [-0.5]])
     v = np.array([[1.0], [0.0]])
     out = lorentz_cross_attention(q, q, v, cfg)
@@ -123,17 +125,17 @@ def test_self_attention_uses_raw_values():
     x = rng.normal(size=(6, 4))
     pos = rng.normal(size=(6, 3))
     cfg = AttentionConfig(heads=2)
-    emb = default_embed(num_freqs=1)
-    got = oblique_self_attention(x, pos, emb, cfg)
-    qk = emb(x, pos)
-    assert np.array_equal(got, oblique_attention(qk, qk, x, cfg))
+    qk = np.concatenate([x, fourier_pe(pos, 4)], axis=1)
+    assert np.array_equal(oblique_self_attention(x, pos, cfg),
+                          oblique_attention(qk, qk, x, cfg))
+    assert np.array_equal(oblique_self_attention(x, None, cfg),
+                          oblique_attention(x, x, x, cfg))
 
 
-def test_self_attention_embedding_must_keep_rows():
+def test_self_attention_positions_must_match_rows():
     cfg = AttentionConfig(heads=1)
-    with pytest.raises(ValueError, match="row count"):
-        oblique_self_attention(np.ones((3, 2)), None,
-                               lambda x, pos: np.ones((4, 2)), cfg)
+    with pytest.raises(ValueError, match="x has 3 rows but positions have 4"):
+        oblique_self_attention(np.ones((3, 2)), np.ones((4, 3)), cfg)
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -242,16 +244,18 @@ def test_kernels_write_no_input(kernel, monkeypatch):
 
 
 def test_lorentz_lift_past_float64_limit_raises():
-    cfg = AttentionConfig(heads=1, alpha=1.0, curvature=1.0)
-    q = np.array([[0.3, 0.4], [600.0, 800.0]])  # sqrt(c) r = 1000
+    cfg = AttentionConfig(heads=1, curvature=1.0)
+    # tangent scale 1/sqrt(2): sqrt(c) r = 1000
+    q = np.array([[0.3, 0.4], [600.0 * math.sqrt(2), 800.0 * math.sqrt(2)]])
     with pytest.raises(ValueError, match="largest sqrt.*is 1000, past the float64 limit"):
         lorentz_cross_attention(q, q, q, cfg)
 
 
 @pytest.mark.filterwarnings("error")  # an overflow or invalid-value warning fails
 def test_config_envelope_gives_finite_output_or_names_float64_limit():
-    # every AttentionConfig field at its extremes, at four input scales;
-    # at 1e160 the squared norms and q.k overflow
+    # every AttentionConfig field at its extremes, at six input scales:
+    # 1e-9 gives tiny lifts, 30 large ones (finite up to c = 1, past the
+    # limit at c = 1e3), and at 1e160 the squared norms and q.k overflow
     rng = np.random.default_rng(0)
     base = rng.normal(size=(3, 6, 8))
 
@@ -259,11 +263,11 @@ def test_config_envelope_gives_finite_output_or_names_float64_limit():
         return bidirectional_attention(q, [k[:3], k[3:]], cfg)
 
     calls = limits = 0
-    for heads, tau_obl, tau_lor, c, alpha, scale in itertools.product(
+    for heads, tau_obl, tau_lor, c, scale in itertools.product(
             (1, 2, 4), (1e-3, 1.0, 1e3), (1e-3, 0.1, 1e3), (1e-3, 1.0, 1e3),
-            (None, 1e-3, 10.0), (1e-6, 1.0, 1e4, 1e160)):
+            (1e-9, 1e-6, 1.0, 30.0, 1e4, 1e160)):
         cfg = AttentionConfig(heads=heads, tau_obl=tau_obl, tau_lor=tau_lor,
-                              curvature=c, alpha=alpha)
+                              curvature=c)
         q, k, v = scale * base
         for kernel in (*KERNELS, bidirectional):
             calls += 1
@@ -275,7 +279,7 @@ def test_config_envelope_gives_finite_output_or_names_float64_limit():
                 continue
             for o in out if isinstance(out, tuple) else (out,):
                 assert np.isfinite(o).all(), (cfg, scale)
-    assert calls == 3888 and 0 < limits < calls
+    assert calls == 1944 and 0 < limits < calls
 
 
 def _bidirectional_draws(seed):
@@ -342,16 +346,17 @@ def test_bidirectional_feature_dims_must_match():
         bidirectional_attention(np.ones((5, 4)), (np.ones((3, 6)), np.ones((3, 6))), cfg)
 
 
-@pytest.mark.parametrize("alpha", [None, 0.7])
+@pytest.mark.parametrize("scale", [1.0, 0.7 * math.sqrt(16)])
 @pytest.mark.parametrize("curvature", [1.0, 30.0])
-def test_bidirectional_matches_per_direction_calls(alpha, curvature):
+def test_bidirectional_matches_per_direction_calls(scale, curvature):
     # large enough that the column softmax and the value product may sum
     # in another order than the separate calls do; at c = 30 a row's key
-    # lift carries c and its query lift does not
+    # lift carries c and its query lift does not.  The second scale lifts
+    # the 16-wide heads with tangent scale 0.7.
     rng = np.random.default_rng(63)
-    inst = rng.normal(size=(512, 64))
-    s0, s1 = rng.normal(size=(2, 16, 64))
-    cfg = AttentionConfig(heads=4, alpha=alpha, curvature=curvature)
+    inst = scale * rng.normal(size=(512, 64))
+    s0, s1 = scale * rng.normal(size=(2, 16, 64))
+    cfg = AttentionConfig(heads=4, curvature=curvature)
     oac, cao = bidirectional_attention(inst, (s0, s1), cfg)
     stacked = np.vstack([s0, s1])
     assert np.abs(oac - lorentz_cross_attention(inst, stacked, stacked, cfg)).max() <= 1e-12

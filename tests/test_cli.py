@@ -181,7 +181,15 @@ def test_seed_env_override(monkeypatch):
     parser = cli.build_parser()
     args = parser.parse_args(["verify"])
     # parser defaults are bound at build time, so rebuild after setenv
-    assert cli._default_seed() == 123
+    assert args.seed == 123
+
+
+def test_bad_seed_env_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("GEOATTN_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_value_error_becomes_exit_1(capsys, monkeypatch):

@@ -104,7 +104,9 @@ def fourier_pe(pos, num_freqs: int) -> np.ndarray:
     Per coordinate x and frequency f_j = 2^j (j = 0..num_freqs-1), emits
     sin(f_j x), cos(f_j x), interleaved coordinate-major:
     [sin(f_0 x_0), cos(f_0 x_0), sin(f_1 x_0), ..., sin(f_0 x_1), ...].
-    ``num_freqs`` is an integer >= 0.
+    ``num_freqs`` is an integer >= 0.  Positions whose phase f_j x passes
+    the float64 limit raise ValueError, naming the largest |x| and the
+    first such j.
     """
     try:
         num_freqs = operator.index(num_freqs)
@@ -115,9 +117,16 @@ def fourier_pe(pos, num_freqs: int) -> np.ndarray:
     pos = as_matrix(pos, name="positions")
     if pos.shape[1] != 3:
         raise ValueError(f"positions must be n x 3, got {pos.shape}")
-    freqs = 2.0 ** np.arange(num_freqs)
-    # shape n x 3 x num_freqs
-    phases = pos[:, :, None] * freqs[None, None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        freqs = 2.0 ** np.arange(num_freqs)
+        # shape n x 3 x num_freqs
+        phases = pos[:, :, None] * freqs[None, None, :]
+    overflow = ~np.isfinite(phases).all(axis=(0, 1))
+    if overflow.any():
+        raise ValueError(
+            f"positions up to |x| = {np.abs(pos).max():.4g} times the frequency "
+            f"2^{int(overflow.argmax())} pass the float64 limit "
+            f"{np.finfo(np.float64).max:.4g}")
     pairs = np.stack([np.sin(phases), np.cos(phases)], axis=-1)
     return pairs.reshape(pos.shape[0], 3 * 2 * num_freqs)
 

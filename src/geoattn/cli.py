@@ -15,14 +15,17 @@ import time
 
 import numpy as np
 
-from . import experiments, lorentz
+from . import attention, experiments, lorentz
 from .attention import (AttentionConfig, euclidean_attention,
                         lorentz_cross_attention, oblique_attention)
 from .verify import run_properties
 
 _BENCH_FIELDS = ["kernel", "n", "m", "d", "heads", "space",
                  "mean_ns", "p50_ns", "p95_ns", "repeats"]
-_SIZE_GUARD = 2 ** 24  # n * m cap before any allocation
+# Cap, checked before any allocation, on the float64 entries bench holds at
+# once: q, k and v, one n x d output, a head's keys (at most m x (d + 1))
+# and the score buffer of _multihead, at most max(_BLOCK_BYTES / 8, m).
+_SIZE_GUARD = 2 ** 24
 
 
 def _parse_items(flag: str, text: str, parse, kind: str, skip_blank: bool = False):
@@ -63,9 +66,11 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     if args.repeats < 1:
         raise ValueError(f"--repeats must be at least 1, got {args.repeats}")
-    if args.n * args.m > _SIZE_GUARD:
-        print(f"n*m = {args.n * args.m} exceeds the {_SIZE_GUARD} guard",
-              file=sys.stderr)
+    n, m, d = args.n, args.m, args.d
+    held = 2 * n * d + 2 * m * d + m * (d + 1) + max(attention._BLOCK_BYTES // 8, m)
+    if held > _SIZE_GUARD:
+        print(f"n={n}, m={m}, d={d} would hold {held} float64 entries, past the "
+              f"{_SIZE_GUARD} guard", file=sys.stderr)
         return 1
     cfg = AttentionConfig(heads=args.heads, tau_obl=args.tau,
                           curvature=args.curvature)

@@ -26,9 +26,10 @@ rejected multiplier to the minimiser of a quadratic fitted to the stress,
 its slope along the direction and the rejected trial's stress, clamped to
 0.1-0.5 of the old one (Nocedal & Wright 2006, section 3.5).  The step
 budget is a cap: the stops that end a phase sooner, and their tolerances,
-are stated once, at ``_STALL_RTOL``.  A phase that does not give up hands
-its last evaluation to the next, whose targets reuse its distances, and
-the last phase's is the final one.  The Lorentz arm takes its lift, keys,
+are stated once, at ``_STALL_RTOL``.  One function, ``_expansion_phase``,
+runs every phase and holds the one live evaluation: a phase that does not
+give up leaves it to the next, whose targets reuse its distances, and the
+last phase's is the final one.  The Lorentz arm takes its lift, keys,
 distances (clip floor included) and gradient from lorentz; the gradient is
 lorentz._distance_grads with weights err, doubled; the tests check it
 against a plain-math per-pair sum and against finite differences.  A trial
@@ -378,76 +379,76 @@ _LBFGS_PAIRS = 8
 _MOVE_CAP = 0.5
 
 
-def _expansion_phase(x, carry, lam, targets, evaluate, gradient, move_cap,
-                     steps, step_size, rtol):
-    """One phase of :func:`embed_tree` from ``x`` against ``targets``, with
-    the stops stated at ``_STALL_RTOL`` at tolerance ``rtol``.
+def _expansion_phase(x, t, evaluate, gradient, move_cap, steps, step_size):
+    """The expansion schedule of :func:`embed_tree` from ``x``: phase i
+    descends against ``_EXPANSION_PHASES[i] * t`` for at most
+    (steps + i) // 4 accepted steps, so the phases sum to ``steps``, with
+    the stops stated at ``_STALL_RTOL``.
 
-    ``carry`` is a list that holds at most one evaluation.  On entry it may
-    hold x's evaluation from the phase before, which is popped so that no
-    other reference keeps it alive during a search; its distances serve the
-    new targets instead of a new pass.  On return it holds the evaluation
-    of the returned point, unless the phase gave up, as a give-up's last
-    evaluation is a rejected trial's.  A start whose stress is not finite
-    (a Lorentz start past the lift's limit) raises ValueError.  Returns
-    the phase's last point and its :class:`PhaseTrace`.  The phase's pairs
-    and arrays are freed on return, before the next targets.
+    ``ev`` is the one evaluation alive between searches.  Each phase
+    re-targets it, its distances serving the new targets instead of a new
+    pass; a give-up drops it, as its last evaluation is a rejected trial's,
+    and the next phase evaluates its start afresh.  A start whose stress is
+    not finite (a Lorentz start past the lift's limit) raises ValueError.
+    Returns the last point, its evaluation against the last targets,
+    1.0 * t (None when the last phase gave up), and one :class:`PhaseTrace`
+    per phase.  The pairs and the last targets are freed on return, so
+    that they are not alive beside the final distortion's temporaries.
     """
-    at = functools.partial(evaluate, targets=targets)
-    pairs = deque(maxlen=_LBFGS_PAIRS)  # (s, y, 1 / s.y), oldest first
-    last = None  # the last accepted point and its gradient
-    if carry:
-        ev = carry.pop()
-        ev = _stress_eval(ev.d, targets, ev.parts)
-    else:
-        ev = at(x)
-    stress = start_stress = ev.stress
-    if not math.isfinite(stress):
-        raise ValueError(
-            "stress diverged to NaN/Inf at the start point; try a smaller curvature"
-        )
-    accepted = evaluations = backoffs = gave_up = converged = stalled = 0
-    final_step = 0.0
-    for _ in range(steps):
-        grad = gradient(x, ev)
-        if last is not None:
-            s, y = x - last[0], grad - last[1]
-            sy = float(np.vdot(s, y))
-            if sy > 0.0:
-                pairs.append((s, y, 1.0 / sy))
-        last = x, grad
-        if pairs:
-            direction = _lbfgs_direction(grad, pairs)
-            slope = float(np.vdot(grad, direction))
-            # The first stop stated at _STALL_RTOL; the window below is the second.
-            if 0.0 <= -slope <= 2.0 * rtol * stress:
+    phases, ev = [], None
+    for i, lam in enumerate(_EXPANSION_PHASES):
+        rtol = _STALL_RTOL if i == len(_EXPANSION_PHASES) - 1 else _PHASE_RTOL
+        targets = lam * t
+        at = functools.partial(evaluate, targets=targets)
+        ev = at(x) if ev is None else _stress_eval(ev.d, targets, ev.parts)
+        stress = start_stress = ev.stress
+        if not math.isfinite(stress):
+            raise ValueError(
+                "stress diverged to NaN/Inf at the start point; try a smaller curvature"
+            )
+        pairs = deque(maxlen=_LBFGS_PAIRS)  # (s, y, 1 / s.y), oldest first
+        last = None  # the last accepted point and its gradient
+        accepted = evaluations = backoffs = gave_up = converged = stalled = 0
+        final_step = 0.0
+        for _ in range((steps + i) // len(_EXPANSION_PHASES)):
+            grad = gradient(x, ev)
+            if last is not None:
+                s, y = x - last[0], grad - last[1]
+                sy = float(np.vdot(s, y))
+                if sy > 0.0:
+                    pairs.append((s, y, 1.0 / sy))
+            last = x, grad
+            if pairs:
+                direction = _lbfgs_direction(grad, pairs)
+                slope = float(np.vdot(grad, direction))
+                # The first stop stated at _STALL_RTOL; the window below is the second.
+                if 0.0 <= -slope <= 2.0 * rtol * stress:
+                    converged = 1
+                    break
+                peak = float(np.abs(direction).max())
+                mult = 1.0 if peak <= move_cap else move_cap / peak
+            else:
+                direction, mult = -grad, step_size
+                slope = -float(np.vdot(grad, grad))
+            ev = None  # keep one evaluation alive during a search, not two
+            trial, ev, mult, tries = _line_search(at, x, direction, mult, stress, slope)
+            evaluations += 1 + tries
+            backoffs += tries
+            if not ev.stress <= stress:
+                gave_up, ev = 1, None
+                break
+            x = trial
+            final_step = mult
+            change = abs(stress - ev.stress)
+            stalled = stalled + 1 if change <= rtol * stress else 0
+            stress = ev.stress
+            accepted += 1
+            if stalled == _STALL_STEPS:
                 converged = 1
                 break
-            peak = float(np.abs(direction).max())
-            mult = 1.0 if peak <= move_cap else move_cap / peak
-        else:
-            direction, mult = -grad, step_size
-            slope = -float(np.vdot(grad, grad))
-        ev = None  # keep one evaluation alive during a search, not two
-        trial, ev, mult, tries = _line_search(at, x, direction, mult, stress, slope)
-        evaluations += 1 + tries
-        backoffs += tries
-        if not ev.stress <= stress:
-            gave_up = 1
-            break
-        x = trial
-        final_step = mult
-        change = abs(stress - ev.stress)
-        stalled = stalled + 1 if change <= rtol * stress else 0
-        stress = ev.stress
-        accepted += 1
-        if stalled == _STALL_STEPS:
-            converged = 1
-            break
-    if not gave_up:
-        carry.append(ev)
-    return x, PhaseTrace(lam, accepted, evaluations, backoffs, gave_up,
-                         converged, start_stress, stress, final_step)
+        phases.append(PhaseTrace(lam, accepted, evaluations, backoffs, gave_up,
+                                 converged, start_stress, stress, final_step))
+    return x, ev, phases
 
 
 def embed_tree(spec: TreeSpec, run: EmbeddingRun) -> EmbeddingRun:
@@ -482,10 +483,11 @@ def embed_tree(spec: TreeSpec, run: EmbeddingRun) -> EmbeddingRun:
     Each stress evaluation is one pairwise-distance pass.  An accepted
     trial point's evaluation is kept and its gradient reuses it, so no
     point's distances are computed twice; a rejected trial's is dropped.
-    A phase that does not give up hands its last evaluation to the next
-    phase, which only recomputes the errors against its own targets, and
-    the last phase's evaluation gives the final stress and distortion; after
-    a give-up the point is evaluated afresh.
+    :func:`_expansion_phase` runs every phase and holds the one live
+    evaluation: a phase that does not give up leaves it to the next, which
+    only recomputes the errors against its own targets, and the last
+    phase's gives the final stress and distortion; after a give-up the
+    point is evaluated afresh.
     ``phases`` in the result holds one :class:`PhaseTrace` per phase.
     Deterministic given the seed.  Raises ValueError when
     ``run.backtracking`` is not True, and when the seeded start's stress is
@@ -514,18 +516,10 @@ def embed_tree(spec: TreeSpec, run: EmbeddingRun) -> EmbeddingRun:
     rng = np.random.default_rng(run.seed)
     x = rng.normal(scale=0.1, size=(t.shape[0], run.dim))
 
-    phases = []
-    carry = []  # the evaluation one phase hands the next, see _expansion_phase
-    for i, lam in enumerate(_EXPANSION_PHASES):
-        # Phase i takes (steps + i) // 4 steps, so the phases sum to steps.
-        rtol = _STALL_RTOL if i == len(_EXPANSION_PHASES) - 1 else _PHASE_RTOL
-        x, trace = _expansion_phase(x, carry, lam, lam * t, evaluate, gradient,
-                                    move_cap, (run.steps + i) // len(_EXPANSION_PHASES),
-                                    run.step_size, rtol)
-        phases.append(trace)
-    # The last phase's targets are 1.0 * t, equal to t, so its evaluation is
-    # the final one.
-    final = carry.pop() if carry else evaluate(x, t)
+    x, final, phases = _expansion_phase(x, t, evaluate, gradient, move_cap,
+                                        run.steps, run.step_size)
+    if final is None:  # the last phase gave up
+        final = evaluate(x, t)
     mean_rel, worst = _distortion(final.d, t)
     return dataclasses.replace(
         run, final_distortion=mean_rel, worst_ratio=worst,

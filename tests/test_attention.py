@@ -61,6 +61,13 @@ def test_fourier_pe_pad_truncate():
     for num_freqs in (-1, 2.5, 2.0, None):
         with pytest.raises(ValueError, match="num_freqs"):
             fourier_pe(pos, num_freqs)
+    # A phase past the float64 limit is named, not a NaN encoding (or an
+    # overflow warning under -W error).
+    for x, j in ((1e308, 1), (3e307, 3), (-3e307, 3)):
+        with pytest.raises(ValueError, match=rf"frequency 2\^{j} pass the float64 limit") as err:
+            fourier_pe([[0.0, x, 0.0]], 4)
+        assert f"|x| = {abs(x):.4g}" in str(err.value)
+    assert np.isfinite(fourier_pe([[2e307, 0.0, 0.0]], 4)).all()
 
 
 @pytest.mark.parametrize("heads", [1, 4])

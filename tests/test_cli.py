@@ -54,6 +54,13 @@ def test_bench_size_guard(capsys):
     assert "guard" in capsys.readouterr().err
 
 
+def test_bench_size_guard_counts_what_bench_holds(capsys):
+    # n * m = 2^22 is under the guard, but q and the output alone hold
+    # 2 * 2^25 float64 entries.
+    assert cli.main(["bench", "--n", "4194304", "--m", "1", "--d", "8"]) == 1
+    assert "guard" in capsys.readouterr().err
+
+
 def test_bench_rejects_zero_repeats(capsys):
     assert cli.main(["bench", "--n", "4", "--m", "4", "--d", "4",
                      "--repeats", "0"]) == 1

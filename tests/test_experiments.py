@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from collections import deque
 
 import numpy as np
@@ -600,13 +601,20 @@ def test_embed_tree_stops_keep_the_stress_of_a_full_budget(monkeypatch, space):
 
 
 def _count_distance_passes(monkeypatch, space):
-    calls = []
+    """Wrap the distance pass of ``space``.  The returned list gets one entry
+    per pass: how many distance arrays of earlier passes are alive as it
+    starts."""
+    calls, refs = [], []
     name = f"_{space}_distances"
     helper = getattr(experiments, name)
 
     def counted(*args, **kwargs):
-        calls.append(None)
-        return helper(*args, **kwargs)
+        refs[:] = [r for r in refs if r() is not None]
+        calls.append(len(refs))
+        ev = helper(*args, **kwargs)
+        if ev.d is not None:
+            refs.append(weakref.ref(ev.d))
+        return ev
 
     monkeypatch.setattr(experiments, name, counted)
     return calls
@@ -625,6 +633,39 @@ def test_embed_tree_hands_each_phase_its_last_evaluation(monkeypatch, space, ste
     spent = [not (p.converged or p.gave_up) for p in out.phases]
     assert any(spent) == (steps < 3000)
     assert out.phases[-1].end_stress == out.final_stress
+
+
+@pytest.mark.parametrize("steps", [3000, 8])
+@pytest.mark.parametrize("space, c", [("euclidean", 1.0), ("lorentz", 1.0),
+                                      ("lorentz", 30.0), ("lorentz", 1000.0)])
+def test_embed_tree_keeps_one_evaluation_alive(monkeypatch, space, c, steps):
+    # No earlier distance array is alive when a distance pass starts: the
+    # one live evaluation is dropped before each search, and no caller of
+    # the phase loop holds a reference to it.
+    calls = _count_distance_passes(monkeypatch, space)
+    embed_tree(TreeSpec(depth=5),
+               EmbeddingRun(space=space, curvature=c, steps=steps, seed=0))
+    assert len(calls) > 4 and not any(calls)
+
+
+@pytest.mark.parametrize("space", ["euclidean", "lorentz"])
+def test_embed_tree_peak_memory(space):
+    # At depth 7 (n = 255) a run holds the tree distances, one phase's
+    # targets, one evaluation's distances and errors and a pass's
+    # temporaries: about 6.5 n x n float64 arrays at its peak.  The last
+    # phase's targets kept alive through the final distortion, or an
+    # evaluation handed back to the caller between phases, takes it past 7.
+    run = EmbeddingRun(space=space, steps=3000, seed=0)
+    embed_tree(TreeSpec(depth=2), run)  # numpy's one-time allocations
+    n = 255
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        embed_tree(TreeSpec(depth=7), run)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * n * n * 8
 
 
 def test_embed_tree_does_not_hand_on_a_give_ups_evaluation(monkeypatch):

@@ -656,7 +656,8 @@ def test_embed_tree_peak_memory(space):
     # phase's targets kept alive through the final distortion, or an
     # evaluation handed back to the caller between phases, takes it past 7.
     run = EmbeddingRun(space=space, steps=3000, seed=0)
-    embed_tree(TreeSpec(depth=2), run)  # numpy's one-time allocations
+    # A first run's imports (numpy.random) are not the run's allocations.
+    embed_tree(TreeSpec(depth=2), run)
     n = 255
     tracemalloc.start()
     try:

@@ -16,23 +16,28 @@
 Every kernel, the Euclidean baseline included, runs in one skeleton,
 ``_multihead``, as two stages: a key stage, run once per head, puts the
 key slice in the form the kernel's score product consumes, and a block
-stage prepares a block of query rows, about ``_BLOCK_BYTES`` (1 MiB) of
-scores, where it scores them, into one score buffer that every block of
-the call reuses.  So apart from its inputs and its n x dv output a
-kernel holds O(rows * m + m * d) memory whatever n is.  The skeleton
-then runs ``softmax_rows``, the package's only softmax: it exps a block
-in place, less each row's max where asked, and divides ``E @ v``
-(numpy's ``matmul``, a module global that a tracer can wrap) by the row
-sums of E, on rows x dv entries, not rows x m.  No kernel spends a pass
-over the scores on the row max where a bound is known: Lorentz scores
-lie in (0, 1] and oblique ones under -floor/tau_obl < 0, so both exp
-them as they are (oblique while its scores span less than
-``_EXP_SPAN``), and the Euclidean product already subtracts each row's
-Cauchy-Schwarz bound, its keys carrying the scale 1/sqrt(d) and the
-bound's key factor as an extra column.  Otherwise (a mask, too wide a
-span) the row max is subtracted.  Without it E serves column sums too
-(from BLAS, as ones @ E), so cao accumulates over blocks and is divided
-at the end.
+stage prepares a block of query rows, at most ``_BLOCK_BYTES`` (1 MiB) of
+scores and at most ``_BLOCK_ROWS`` (512) rows, where it scores them, into
+one score buffer that every block of the call reuses: ``rows =
+max(1, min(512, _BLOCK_BYTES // (8 * m)))``.  The row cap keeps a skinny
+head's products (64 keys, 16 columns) within OpenBLAS's small-matrix
+path, M * N * K <= 10^6: E @ v took 34 ns/row at 976 rows and 64 ns/row
+from 977 rows up (OpenBLAS 0.3.31, 1 thread).  So apart from its inputs
+and its n x dv output a kernel holds O(rows * m + m * d) memory whatever
+n is.  The skeleton then runs ``softmax_rows``, the package's only
+softmax: it exps a block in place, less each row's max where asked, and
+divides ``E @ v`` (numpy's ``matmul``, a module global that a tracer can
+wrap) by the row sums of E (from BLAS, as E @ ones), on rows x dv
+entries, not rows x m, writing the quotient straight into the head's
+output rows.  No kernel spends a pass over the scores on the row max
+where a bound is known: Lorentz scores lie in (0, 1] and oblique ones
+under -floor/tau_obl < 0, so both exp them as they are (oblique while
+its scores span less than ``_EXP_SPAN``), and the Euclidean product
+already subtracts each row's Cauchy-Schwarz bound, its keys carrying the
+scale 1/sqrt(d) and the bound's key factor as an extra column.
+Otherwise (a mask, too wide a span) the row max is subtracted.  Without
+it E serves column sums too (from BLAS, as ones @ E), so cao accumulates
+over blocks and is divided at the end.
 Inputs (q, k, v and the mask) are never written.
 """
 
@@ -63,6 +68,10 @@ __all__ = [
 
 # Target size of one query block's score array; see _multihead.
 _BLOCK_BYTES = 1 << 20
+
+# Cap on the query rows of one block, below OpenBLAS's small-matrix
+# bound for skinny heads; see _multihead.
+_BLOCK_ROWS = 512
 
 # exp(-_EXP_SPAN) is a normal float64, so a row whose max is at least
 # -_EXP_SPAN keeps a normal row sum without the row max subtracted.
@@ -168,21 +177,32 @@ def _check_mask(mask, shape, rows: int) -> Optional[np.ndarray]:
     return mask
 
 
-def softmax_rows(scores: np.ndarray, vh: np.ndarray, row_max: bool) -> np.ndarray:
+def softmax_rows(scores: np.ndarray, vh: np.ndarray, row_max: bool,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
     """Row softmax of ``scores`` times ``vh``, as (E @ vh) / rowsum(E).
 
     E = exp(scores - each row's max) with ``row_max``, else exp(scores),
     overwrites ``scores``, which holds E on return; with ``vh`` the
     identity the result is the softmax weights themselves.  Without
     ``row_max`` every score must be at most 1 (the kernels' are) and
-    every row's max at least -``_EXP_SPAN``.
+    every row's max at least -``_EXP_SPAN``.  The row sums come from
+    BLAS, as E @ ones, and the quotient is written into ``out`` (any
+    rows x dv view, such as a head's output rows) and returned, or into
+    a new array without it.  ``_multihead`` passes blocks of at most
+    ``_block_rows(m)`` rows (512 for m <= 256 keys), so a skinny head's
+    E @ vh stays under OpenBLAS's small-matrix bound, M * N * K <= 10^6.
     """
     if row_max:
         scores -= scores.max(axis=1, keepdims=True)
     np.exp(scores, out=scores)
-    out = matmul(scores, vh)
-    out /= scores.sum(axis=1, keepdims=True)
-    return out
+    sums = scores @ np.ones(scores.shape[1])
+    return np.divide(matmul(scores, vh), sums[:, None], out=out)
+
+
+def _block_rows(m: int) -> int:
+    """Query rows per block for ``m`` keys: at most ``_BLOCK_BYTES`` of
+    scores and at most ``_BLOCK_ROWS`` rows, at least one row."""
+    return max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // (8 * m)))
 
 
 def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],
@@ -196,12 +216,17 @@ def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],
     once per head on the key slice and returns its keys, in whatever form
     the kernel's score product consumes.  The block stage,
     ``block_scores(out, query_block, keys)``, runs once per block of
-    ``rows = max(1, _BLOCK_BYTES // (8 * m))`` query rows, never on all n:
-    it prepares the block's rows (each on its own) and writes their r x m
-    scores into ``out``.  One ``min(rows, n) x m`` score buffer serves
-    every block of the call, ``out`` being its first r rows; the block's
-    mask rows are added in place, and ``softmax_rows`` with ``row_max``
-    (True under a mask) gives its output rows.
+    ``rows = _block_rows(m) = max(1, min(512, _BLOCK_BYTES // (8 * m)))``
+    query rows, never on all n: it prepares the block's rows (each on its
+    own) and writes their r x m scores into ``out``.  The 512-row cap
+    keeps every product of a skinny head's block (64 keys, 16 columns:
+    about 5.2e5 multiply-adds) under OpenBLAS's small-matrix bound of
+    M * N * K <= 10^6; at 2048 rows each product was packed and took about
+    1.75x as long.  One ``min(rows, n) x m`` score buffer serves every
+    block of the call, ``out`` being its first r rows; the block's mask
+    rows are added in place, and ``softmax_rows`` with ``row_max`` (True
+    under a mask) writes its output rows straight into the head's slice
+    of the output.
 
     ``names`` name q and k in errors.  Given ``reverse`` (m x d_q zeros),
     no row max and no mask, each block's E also adds ``E.T @ q_block``
@@ -220,7 +245,7 @@ def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],
     n, m = q.shape[0], k.shape[0]
     if m == 0:
         raise ValueError(f"{kn} has no rows: attention needs at least one key")
-    rows = max(1, _BLOCK_BYTES // (8 * m))
+    rows = _block_rows(m)
     mask = _check_mask(mask, (n, m), rows)
     if mask is not None:
         row_max = True
@@ -237,7 +262,7 @@ def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],
             block_scores(scores, qb, keys)
             if mask is not None:
                 scores += mask[blk]
-            oh[blk] = softmax_rows(scores, vh, row_max)
+            softmax_rows(scores, vh, row_max, out=oh[blk])
             if rh is not None:
                 colsum += np.ones(qb.shape[0]) @ scores
                 rh += matmul(scores.T, qb)

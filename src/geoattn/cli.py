@@ -24,8 +24,14 @@ _BENCH_FIELDS = ["kernel", "n", "m", "d", "heads", "space",
                  "mean_ns", "p50_ns", "p95_ns", "repeats"]
 # Cap, checked before any allocation, on the float64 entries bench holds at
 # once: q, k and v, one n x d output, a head's keys (at most m x (d + 1))
-# and the score buffer of _multihead, at most max(_BLOCK_BYTES / 8, m).
+# and the score buffer of _multihead, min(rows, n) x m for its block rows.
 _SIZE_GUARD = 2 ** 24
+# Cap, checked with it, on bench's work: three kernels, each run 3 + repeats
+# times, each call scoring n * m pairs at about heads + d / 32 units a pair
+# (a distance per head, a product per 32 feature columns).  A unit took
+# 3.6-5.3 ns from d = 8 to 2048 and 1 to 256 heads (1 BLAS thread), so the
+# cap is about a minute: --n 7700 --m 7700 --d 8, just under it, ran in 47 s.
+_WORK_GUARD = 10 ** 10
 
 
 def _parse_items(flag: str, text: str, parse, kind: str, skip_blank: bool = False):
@@ -66,11 +72,18 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     if args.repeats < 1:
         raise ValueError(f"--repeats must be at least 1, got {args.repeats}")
-    n, m, d = args.n, args.m, args.d
-    held = 2 * n * d + 2 * m * d + m * (d + 1) + max(attention._BLOCK_BYTES // 8, m)
+    n, m, d, heads, repeats = args.n, args.m, args.d, args.heads, args.repeats
+    held = 2 * n * d + 2 * m * d + m * (d + 1) + min(attention._block_rows(m), n) * m
     if held > _SIZE_GUARD:
         print(f"n={n}, m={m}, d={d} would hold {held} float64 entries, past the "
               f"{_SIZE_GUARD} guard", file=sys.stderr)
+        return 1
+    work = n * m * (heads + d / 32) * 3 * (3 + repeats)
+    if work > _WORK_GUARD:
+        print(f"n={n}, m={m}, d={d}, heads={heads}, repeats={repeats} would take "
+              f"{work:.3g} units of work (n * m * (heads + d / 32) * 3 kernels * "
+              f"(3 + repeats) calls), past the {_WORK_GUARD:.3g} work guard",
+              file=sys.stderr)
         return 1
     cfg = AttentionConfig(heads=args.heads, tau_obl=args.tau,
                           curvature=args.curvature)

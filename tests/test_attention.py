@@ -219,16 +219,17 @@ def test_mask_minus_inf_drops_a_key(kernel):
 
 def _checked_stage(monkeypatch, inputs):
     """Wrap the softmax-value stage; each call records that it may write
-    only its own score block: the block shares no memory with ``inputs``
-    and the values it reads are left as they were."""
+    only its own score block and output rows: neither shares memory with
+    ``inputs``, and the values it reads are left as they were."""
     stage, calls = attention.softmax_rows, []
 
-    def checked(scores, vh, row_max):
-        owned = not any(np.shares_memory(scores, a) for a in inputs)
+    def checked(scores, vh, row_max, out=None):
+        owned = not any(np.shares_memory(w, a) for w in (scores, out) if w is not None
+                        for a in inputs)
         vh_before = vh.copy()
-        out = stage(scores, vh, row_max)
+        result = stage(scores, vh, row_max, out=out)
         calls.append(owned and np.array_equal(vh, vh_before))
-        return out
+        return result
 
     monkeypatch.setattr(attention, "softmax_rows", checked)
     return calls
@@ -401,18 +402,17 @@ def test_bidirectional_one_distance_pass_per_head(two_slice, monkeypatch):
     assert counts == {"distance_calls": 4, "lifted_rows": 4 * (9 + n_ctx)}
 
 
-@pytest.mark.parametrize("two_slice", [False, True])
-def test_bidirectional_blocks_match_per_direction_calls(two_slice, monkeypatch):
-    # 32 context rows and 64-row blocks: 300 instance rows are 4 x 64 + 44
-    monkeypatch.setattr(attention, "_BLOCK_BYTES", 8 * 32 * 64)
+def _check_bidirectional_blocks(monkeypatch, rng, n, slice_rows, blocks_per_head,
+                                two_slice):
+    """bidirectional_attention on n instance rows, in ``blocks_per_head``
+    blocks per head, against separate per-direction calls."""
     blocks = _checked_stage(monkeypatch, ())
-    rng = np.random.default_rng(65)
-    inst = rng.normal(size=(300, 16))
-    s0, s1 = rng.normal(size=(2, 16, 16))
+    inst = rng.normal(size=(n, 16))
+    s0, s1 = rng.normal(size=(2, slice_rows, 16))
     stacked = np.vstack([s0, s1])
     cfg = AttentionConfig(heads=4)
     oac, cao = bidirectional_attention(inst, (s0, s1) if two_slice else stacked, cfg)
-    assert len(blocks) == 4 * 5
+    assert len(blocks) == 4 * blocks_per_head
     assert np.abs(oac - lorentz_cross_attention(inst, stacked, stacked, cfg)).max() <= 1e-12
     if two_slice:
         want = (lorentz_cross_attention(s0, inst, inst, cfg)
@@ -422,15 +422,32 @@ def test_bidirectional_blocks_match_per_direction_calls(two_slice, monkeypatch):
     assert np.abs(cao - want).max() <= 1e-12
 
 
+@pytest.mark.parametrize("two_slice", [False, True])
+def test_bidirectional_blocks_match_per_direction_calls(two_slice, monkeypatch):
+    # 32 context rows and 64-row blocks: 300 instance rows are 4 x 64 + 44
+    monkeypatch.setattr(attention, "_BLOCK_BYTES", 8 * 32 * 64)
+    _check_bidirectional_blocks(monkeypatch, np.random.default_rng(65), 300, 16, 5,
+                                two_slice)
+
+
+@pytest.mark.parametrize("two_slice", [False, True])
+def test_bidirectional_blocks_at_the_row_cap_match_per_direction_calls(two_slice,
+                                                                      monkeypatch):
+    # 64 context rows and the unpatched 512-row cap: 1100 instance rows are
+    # 512 + 512 + 76
+    _check_bidirectional_blocks(monkeypatch, np.random.default_rng(69), 1100, 32, 3,
+                                two_slice)
+
+
 @pytest.mark.parametrize("case", ["euclidean", "oblique", "lorentz", "masked", "bidirectional"])
 def test_score_blocks_share_one_buffer(case, monkeypatch):
     # 32 keys and 8-row blocks: 20 query rows are 8 + 8 + 4 per head
     monkeypatch.setattr(attention, "_BLOCK_BYTES", 8 * 32 * 8)
     stage, blocks = attention.softmax_rows, []
 
-    def recorded(scores, vh, row_max):
+    def recorded(scores, vh, row_max, out=None):
         blocks.append(scores)
-        return stage(scores, vh, row_max)
+        return stage(scores, vh, row_max, out=out)
 
     monkeypatch.setattr(attention, "softmax_rows", recorded)
     rng = np.random.default_rng(66)
@@ -448,6 +465,42 @@ def test_score_blocks_share_one_buffer(case, monkeypatch):
         kernel(q, k, v, cfg, mask=mask)
     assert [b.shape for b in blocks] == [(8, 32), (8, 32), (4, 32)] * 2
     assert all(np.shares_memory(b, blocks[0]) for b in blocks)
+
+
+@pytest.mark.parametrize("m, n, rows", [
+    (64, 1100, [512, 512, 76]),   # the 512-row cap, not _BLOCK_BYTES's 2048 rows
+    (1024, 300, [128, 128, 44]),  # _BLOCK_BYTES's 128 rows, under the cap
+])
+def test_block_rows_are_capped(m, n, rows, monkeypatch):
+    stage, shapes = attention.softmax_rows, []
+
+    def recorded(scores, vh, row_max, out=None):
+        shapes.append(scores.shape)
+        return stage(scores, vh, row_max, out=out)
+
+    monkeypatch.setattr(attention, "softmax_rows", recorded)
+    rng = np.random.default_rng(67)
+    q = rng.normal(size=(n, 8))
+    k, v = rng.normal(size=(2, m, 8))
+    lorentz_cross_attention(q, k, v, AttentionConfig(heads=2))
+    assert shapes == [(r, m) for r in rows] * 2
+
+
+def test_softmax_rows_writes_into_a_strided_view():
+    rng = np.random.default_rng(68)
+    scores = -rng.random((37, 64))
+    vh = rng.normal(size=(64, 48))[:, 16:32]
+    e = np.exp(scores)
+    want = (e @ vh) / e.sum(axis=1, keepdims=True)
+    target = np.zeros((37, 48))
+    view = target[:, 16:32]
+    assert attention.softmax_rows(scores.copy(), vh, False, out=view) is view
+    np.testing.assert_allclose(view, want, rtol=4 * np.finfo(float).eps, atol=0)
+    assert not target[:, :16].any() and not target[:, 32:].any()
+    block = scores.copy()
+    fresh = attention.softmax_rows(block, vh, False)
+    assert not any(np.shares_memory(fresh, a) for a in (block, vh, target))
+    np.testing.assert_allclose(fresh, want, rtol=4 * np.finfo(float).eps, atol=0)
 
 
 def test_shape_validation():

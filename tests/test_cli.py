@@ -61,6 +61,22 @@ def test_bench_size_guard_counts_what_bench_holds(capsys):
     assert "guard" in capsys.readouterr().err
 
 
+def test_bench_work_guard_refuses_before_running(capsys, monkeypatch):
+    # About 2.8M float64 entries pass the size guard, but 13 calls of each
+    # kernel on 65536^2 pairs would take most of an hour.
+    def never(*args, **kwargs):
+        raise AssertionError("bench ran a kernel or drew inputs")
+
+    for name in ("euclidean_attention", "oblique_attention", "lorentz_cross_attention"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.setattr(cli.np.random, "default_rng", never)
+    assert cli.main(["bench", "--n", "65536", "--m", "65536", "--d", "8"]) == 1
+    err = capsys.readouterr().err
+    assert "work guard" in err
+    for part in ("n=65536", "m=65536", "repeats=10", f"{cli._WORK_GUARD:.3g}"):
+        assert part in err
+
+
 def test_bench_rejects_zero_repeats(capsys):
     assert cli.main(["bench", "--n", "4", "--m", "4", "--d", "4",
                      "--repeats", "0"]) == 1

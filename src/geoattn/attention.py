@@ -19,12 +19,12 @@ key slice in the form the kernel's score product consumes, and a block
 stage prepares a block of query rows, at most ``_BLOCK_BYTES`` (1 MiB) of
 scores and at most ``_BLOCK_ROWS`` (512) rows, where it scores them, into
 one score buffer that every block of the call reuses: ``rows =
-max(1, min(512, _BLOCK_BYTES // (8 * m)))``.  The row cap keeps a skinny
-head's products (64 keys, 16 columns) within OpenBLAS's small-matrix
-path, M * N * K <= 10^6: E @ v took 34 ns/row at 976 rows and 64 ns/row
-from 977 rows up (OpenBLAS 0.3.31, 1 thread).  So apart from its inputs
+max(1, min(512, _BLOCK_BYTES // (8 * m)))``.  So apart from its inputs
 and its n x dv output a kernel holds O(rows * m + m * d) memory whatever
-n is.  The skeleton then runs ``softmax_rows``, the package's only
+n is.  The row cap keeps a skinny head's products (64 keys, 16 columns)
+within OpenBLAS's small-matrix path, M * N * K <= 10^6: E @ v took
+34 ns/row at 976 rows and 60 ns/row from 977 rows up (OpenBLAS 0.3.31,
+1 thread).  The skeleton then runs ``softmax_rows``, the package's only
 softmax: it exps a block in place, less each row's max where asked, and
 divides ``E @ v`` (numpy's ``matmul``, a module global that a tracer can
 wrap) by the row sums of E (from BLAS, as E @ ones), on rows x dv

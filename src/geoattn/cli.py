@@ -29,8 +29,9 @@ _SIZE_GUARD = 2 ** 24
 # Cap, checked with it, on bench's work: three kernels, each run 3 + repeats
 # times, each call scoring n * m pairs at about heads + d / 32 units a pair
 # (a distance per head, a product per 32 feature columns).  A unit took
-# 3.6-5.3 ns from d = 8 to 2048 and 1 to 256 heads (1 BLAS thread), so the
-# cap is about a minute: --n 7700 --m 7700 --d 8, just under it, ran in 47 s.
+# 3.6-5.3 ns from d = 8 to 2048 and 1 to 256 heads (1 BLAS thread, 2-vCPU
+# Xeon VM), so the cap is about a minute: --n 7700 --m 7700 --d 8, just
+# under it, ran in 47 s.
 _WORK_GUARD = 10 ** 10
 
 
@@ -73,7 +74,10 @@ def cmd_bench(args) -> int:
     if args.repeats < 1:
         raise ValueError(f"--repeats must be at least 1, got {args.repeats}")
     n, m, d, heads, repeats = args.n, args.m, args.d, args.heads, args.repeats
-    held = 2 * n * d + 2 * m * d + m * (d + 1) + min(attention._block_rows(m), n) * m
+    # max(m, 1): with no keys _multihead raises its named error, not a
+    # division by zero here
+    score_rows = min(attention._block_rows(max(m, 1)), n)
+    held = 2 * n * d + 2 * m * d + m * (d + 1) + score_rows * m
     if held > _SIZE_GUARD:
         print(f"n={n}, m={m}, d={d} would hold {held} float64 entries, past the "
               f"{_SIZE_GUARD} guard", file=sys.stderr)

@@ -77,6 +77,11 @@ def test_bench_work_guard_refuses_before_running(capsys, monkeypatch):
         assert part in err
 
 
+def test_bench_without_keys_is_a_named_error(capsys):
+    assert cli.main(["bench", "--n", "4", "--m", "0", "--d", "4"]) == 1
+    assert "k has no rows" in capsys.readouterr().err
+
+
 def test_bench_rejects_zero_repeats(capsys):
     assert cli.main(["bench", "--n", "4", "--m", "4", "--d", "4",
                      "--repeats", "0"]) == 1

@@ -21,8 +21,10 @@ scores and at most ``_BLOCK_ROWS`` (512) rows, where it scores them, into
 one score buffer that every block of the call reuses: ``rows =
 max(1, min(512, _BLOCK_BYTES // (8 * m)))``.  So apart from its inputs
 and its n x dv output a kernel holds O(rows * m + m * d) memory whatever
-n is.  The row cap keeps a skinny head's products (64 keys, 16 columns)
-within OpenBLAS's small-matrix path, M * N * K <= 10^6: E @ v took
+n is; ``footprint`` counts those entries, and ``geoattn bench``'s size
+guard adds only its q, k and v to them.  The row cap keeps a skinny
+head's products (64 keys, 16 columns) within OpenBLAS's small-matrix
+path, M * N * K <= 10^6: E @ v took
 34 ns/row at 976 rows and 60 ns/row from 977 rows up (OpenBLAS 0.3.31,
 1 thread).  The skeleton then runs ``softmax_rows``, the package's only
 softmax: it exps a block in place, less each row's max where asked, and
@@ -64,6 +66,7 @@ __all__ = [
     "lorentz_cross_attention",
     "bidirectional_attention",
     "euclidean_attention",
+    "footprint",
 ]
 
 # Target size of one query block's score array; see _multihead.
@@ -203,6 +206,15 @@ def _block_rows(m: int) -> int:
     """Query rows per block for ``m`` keys: at most ``_BLOCK_BYTES`` of
     scores and at most ``_BLOCK_ROWS`` rows, at least one row."""
     return max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // (8 * m)))
+
+
+def footprint(n: int, m: int, d: int) -> int:
+    """Float64 entries one kernel call on n x d queries and m x d keys and
+    values holds besides its inputs: the n x d output, one head's keys (at
+    most m x (d + 1)) and the ``min(rows, n) x m`` score buffer of
+    ``_multihead``, none without keys."""
+    scores = min(_block_rows(m), n) * m if m > 0 else 0
+    return n * d + m * (d + 1) + scores
 
 
 def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],

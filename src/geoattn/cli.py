@@ -1,7 +1,8 @@
 """Command-line surface: verify, bench, tree-embed, descent.
 
 Exit codes: 0 success, 1 failure or an ``error:`` line on stderr, 2 usage error.
-GEOATTN_SEED overrides the default seed.  All file outputs are UTF-8.
+GEOATTN_SEED overrides the default seed.  Every file is written here,
+through ``_emit``, as UTF-8; the library modules write none.
 """
 
 from __future__ import annotations
@@ -15,16 +16,15 @@ import time
 
 import numpy as np
 
-from . import attention, experiments, lorentz
-from .attention import (AttentionConfig, euclidean_attention,
+from . import experiments, lorentz
+from .attention import (AttentionConfig, euclidean_attention, footprint,
                         lorentz_cross_attention, oblique_attention)
 from .verify import run_properties
 
 _BENCH_FIELDS = ["kernel", "n", "m", "d", "heads", "space",
                  "mean_ns", "p50_ns", "p95_ns", "repeats"]
 # Cap, checked before any allocation, on the float64 entries bench holds at
-# once: q, k and v, one n x d output, a head's keys (at most m x (d + 1))
-# and the score buffer of _multihead, min(rows, n) x m for its block rows.
+# once: the q, k and v it draws and attention.footprint of one kernel call.
 _SIZE_GUARD = 2 ** 24
 # Cap, checked with it, on bench's work: three kernels, each run 3 + repeats
 # times, each call scoring n * m pairs at about heads + d / 32 units a pair
@@ -71,13 +71,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.repeats < 1:
-        raise ValueError(f"--repeats must be at least 1, got {args.repeats}")
     n, m, d, heads, repeats = args.n, args.m, args.d, args.heads, args.repeats
-    # max(m, 1): with no keys _multihead raises its named error, not a
-    # division by zero here
-    score_rows = min(attention._block_rows(max(m, 1)), n)
-    held = 2 * n * d + 2 * m * d + m * (d + 1) + score_rows * m
+    held = n * d + 2 * m * d + footprint(n, m, d)
     if held > _SIZE_GUARD:
         print(f"n={n}, m={m}, d={d} would hold {held} float64 entries, past the "
               f"{_SIZE_GUARD} guard", file=sys.stderr)
@@ -183,15 +178,19 @@ def cmd_tree_embed(args) -> int:
 def cmd_descent(args) -> int:
     run = experiments.descent_demo(experiments.DescentRun(
         condition_number=args.condition_number, tol=args.tol, seed=args.seed))
-    paths = experiments.export_trajectories(run, args.out_dir)
     ratio = run.iters_oblique / max(run.iters_unconstrained, 1)
     print(f"unconstrained iterations: {run.iters_unconstrained} "
           f"(converged={run.converged_unconstrained})")
     print(f"oblique iterations:       {run.iters_oblique} "
           f"(converged={run.converged_oblique})")
     print(f"oblique/unconstrained ratio: {ratio:.4f}")
-    for p in paths:
-        print(f"wrote {p}")
+    for name, traj in (("descent_unconstrained.csv", run.trajectory_unconstrained),
+                       ("descent_oblique.csv", run.trajectory_oblique)):
+        path = os.path.join(args.out_dir, name)
+        records = [{"iter": it, "x": x, "y": y, "f": f}
+                   for it, (x, y, f) in enumerate(traj)]
+        _emit(records, ["iter", "x", "y", "f"], "csv", path)
+        print(f"wrote {path}")
     ok = run.converged_unconstrained and run.converged_oblique
     return 0 if ok else 1
 
@@ -214,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--m", type=int, default=256)
     b.add_argument("--d", type=int, default=256)
     b.add_argument("--heads", type=int, default=4)
-    b.add_argument("--tau", type=float, default=1.0)
+    b.add_argument("--tau", type=float, default=1.0,
+                   help="tau_obl of the oblique kernel; tau_lor keeps its default")
     b.add_argument("--curvature", type=float, default=1.0)
     b.add_argument("--repeats", type=int, default=10)
     b.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -226,15 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--depth", type=int, default=5)
     t.add_argument("--dim", type=int, default=2)
     t.add_argument("--steps", type=int, default=3000,
-                   help="cap on descent steps, split over the four expansion "
-                        "phases; a phase stops sooner by the rules stated at "
-                        "_STALL_RTOL in geoattn/experiments.py")
+                   help="cap on accepted descent steps; see "
+                        "geoattn.experiments.embed_tree")
     t.add_argument("--step-size", type=float, default=0.05,
-                   help="first multiplier of each phase's first step, a "
-                        "gradient step, cut on each backoff to a quadratic "
-                        "model's minimiser (L-BFGS steps start at 1, no "
-                        "coordinate moving more than 0.5, or 0.5/sqrt(c) for "
-                        "lorentz)")
+                   help="first multiplier of each phase's gradient step; see "
+                        "geoattn.experiments.embed_tree")
     t.add_argument("--seeds", default="0,333,777")
     t.add_argument("--curvature", default="1.0",
                    help="comma-separated curvature sweep for the lorentz arms")
@@ -250,11 +246,30 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_args(args) -> None:
+    """Refuse a bad size or a missing output location before any work."""
+    opts = vars(args)
+    for flag in ("n", "m", "d"):
+        if opts.get(flag, 0) < 0:
+            raise ValueError(f"--{flag} must be >= 0, got {opts[flag]}")
+    if opts.get("repeats", 1) < 1:
+        raise ValueError(f"--repeats must be at least 1, got {args.repeats}")
+    if opts.get("output"):
+        folder = os.path.dirname(args.output) or "."
+        if not os.path.isdir(folder):
+            raise ValueError(f"--output {args.output!r}: directory {folder!r} "
+                             f"does not exist")
+    if "out_dir" in opts and not os.path.isdir(args.out_dir):
+        raise ValueError(f"--out-dir {args.out_dir!r} does not exist or is not "
+                         f"a directory")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_args(args)
         return args.fn(args)
-    except (ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,7 +13,8 @@ Two experiments:
   the landscape, giving a near-straight descent path; the demo claims only
   this qualitative effect.
 
-Both experiments are deterministic given their seed.  In the tree
+Both experiments are deterministic given their seed, and both compute
+without writing a file: ``geoattn`` writes their records.  In the tree
 embedding each stress evaluation is one vectorized pairwise-distance pass,
 and the gradient at an accepted point reuses that pass instead of computing
 the distances again.  Each step searches, with monotone backtracking, along
@@ -42,7 +43,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import os
+import operator
 import sys
 from collections import deque
 from dataclasses import dataclass, field
@@ -61,15 +62,23 @@ __all__ = [
     "tree_distance_matrix",
     "embed_tree",
     "descent_demo",
-    "export_trajectories",
 ]
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int, or a ValueError that names the field."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
 class TreeSpec:
     """A complete ``branching``-ary tree of the given depth.
 
-    Its (b^(depth+1) - 1) / (b - 1) nodes are counted in Python ints, and a
+    Both fields must be integers (a ValueError names the field).  Its
+    (b^(depth+1) - 1) / (b - 1) nodes are counted in Python ints, and a
     tree whose n x n float64 distance matrix cannot exist (n * n * 8 bytes
     past ``sys.maxsize``) is rejected, so no int64 count can wrap.
     """
@@ -78,15 +87,16 @@ class TreeSpec:
     depth: int = 5
 
     def __post_init__(self):
-        if self.branching < 2:
-            raise ValueError(f"branching must be >= 2, got {self.branching}")
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
-        nodes = (self.branching ** (self.depth + 1) - 1) // (self.branching - 1)
+        b, depth = _integer("branching", self.branching), _integer("depth", self.depth)
+        if b < 2:
+            raise ValueError(f"branching must be >= 2, got {b}")
+        if depth < 1:
+            raise ValueError(f"depth must be >= 1, got {depth}")
+        nodes = (b ** (depth + 1) - 1) // (b - 1)
         if nodes * nodes * 8 > sys.maxsize:
             count = nodes if nodes < 10 ** 30 else "more than 10^30"
             raise ValueError(
-                f"a tree with branching {self.branching} and depth {self.depth} "
+                f"a tree with branching {b} and depth {depth} "
                 f"has {count} nodes; an n x n float64 distance matrix of that "
                 f"size exceeds sys.maxsize bytes"
             )
@@ -489,16 +499,19 @@ def embed_tree(spec: TreeSpec, run: EmbeddingRun) -> EmbeddingRun:
     phase's gives the final stress and distortion; after a give-up the
     point is evaluated afresh.
     ``phases`` in the result holds one :class:`PhaseTrace` per phase.
-    Deterministic given the seed.  Raises ValueError when
+    Deterministic given the seed.  Raises ValueError, naming the field,
+    when ``run.dim``, ``run.steps`` or ``run.seed`` is not an integer or
     ``run.backtracking`` is not True, and when the seeded start's stress is
     not finite (a Lorentz start past the lift's float64 limit).
     """
-    if run.dim < 2:
-        raise ValueError(f"embedding dim must be >= 2, got {run.dim}")
+    dim, steps = _integer("dim", run.dim), _integer("steps", run.steps)
+    seed = _integer("seed", run.seed)
+    if dim < 2:
+        raise ValueError(f"embedding dim must be >= 2, got {dim}")
     if not (math.isfinite(run.step_size) and run.step_size > 0):
         raise ValueError(f"step_size must be finite and > 0, got {run.step_size}")
-    if run.steps < 0:
-        raise ValueError(f"steps must be >= 0, got {run.steps}")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     if run.space not in ("euclidean", "lorentz"):
         raise ValueError(f"unknown space {run.space!r}")
     if run.backtracking is not True:
@@ -513,11 +526,11 @@ def embed_tree(spec: TreeSpec, run: EmbeddingRun) -> EmbeddingRun:
         gradient = _lorentz_stress_grad
         move_cap = _MOVE_CAP / math.sqrt(c)
     t = tree_distance_matrix(spec)
-    rng = np.random.default_rng(run.seed)
-    x = rng.normal(scale=0.1, size=(t.shape[0], run.dim))
+    rng = np.random.default_rng(seed)
+    x = rng.normal(scale=0.1, size=(t.shape[0], dim))
 
     x, final, phases = _expansion_phase(x, t, evaluate, gradient, move_cap,
-                                        run.steps, run.step_size)
+                                        steps, run.step_size)
     if final is None:  # the last phase gave up
         final = evaluate(x, t)
     mean_rel, worst = _distortion(final.d, t)
@@ -555,7 +568,7 @@ def descent_demo(run: DescentRun) -> DescentRun:
     h - lambda_min <= tol (the restricted objective's minimum is
     lambda_min = 1, not 0).  Both arms take the step 1 / (2 kappa).
     Non-convergence at the iteration cap, ``_DESCENT_MAX_ITERS``, is
-    flagged, not raised.
+    flagged, not raised; a seed that is not an integer raises ValueError.
     """
     kappa = run.condition_number
     if not (math.isfinite(kappa) and kappa >= 1):
@@ -564,7 +577,7 @@ def descent_demo(run: DescentRun) -> DescentRun:
         raise ValueError(f"tol must be >= 0, got {run.tol}")
     a_diag = np.array([1.0, kappa])
     step = 1.0 / (2.0 * kappa)
-    rng = np.random.default_rng(run.seed)
+    rng = np.random.default_rng(_integer("seed", run.seed))
     theta = rng.uniform(0.0, 2.0 * math.pi)
     x0 = 2.0 * np.array([math.cos(theta), math.sin(theta)])
 
@@ -583,24 +596,3 @@ def descent_demo(run: DescentRun) -> DescentRun:
         run, trajectory_unconstrained=plane[0], iters_unconstrained=plane[1],
         converged_unconstrained=plane[2], trajectory_oblique=circle[0],
         iters_oblique=circle[1], converged_oblique=circle[2])
-
-
-def export_trajectories(run: DescentRun, out_dir) -> list:
-    """Write one ``iter,x,y,f`` CSV per arm into ``out_dir``.
-
-    Returns the written paths.  Values round-trip at 17 significant digits.
-    """
-    if not os.path.isdir(out_dir):
-        raise ValueError(f"output directory does not exist: {out_dir}")
-    paths = []
-    for name, traj in (
-        ("descent_unconstrained.csv", run.trajectory_unconstrained),
-        ("descent_oblique.csv", run.trajectory_oblique),
-    ):
-        path = os.path.join(out_dir, name)
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("iter,x,y,f\n")
-            for it, (x, y, fv) in enumerate(traj):
-                f.write(f"{it},{x:.17g},{y:.17g},{fv:.17g}\n")
-        paths.append(path)
-    return paths

@@ -61,15 +61,20 @@ def test_bench_size_guard_counts_what_bench_holds(capsys):
     assert "guard" in capsys.readouterr().err
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("the command started its work")
+
+
+def _no_bench_work(monkeypatch):
+    for name in ("euclidean_attention", "oblique_attention", "lorentz_cross_attention"):
+        monkeypatch.setattr(cli, name, _never)
+    monkeypatch.setattr(cli.np.random, "default_rng", _never)
+
+
 def test_bench_work_guard_refuses_before_running(capsys, monkeypatch):
     # About 2.8M float64 entries pass the size guard, but 13 calls of each
     # kernel on 65536^2 pairs would take most of an hour.
-    def never(*args, **kwargs):
-        raise AssertionError("bench ran a kernel or drew inputs")
-
-    for name in ("euclidean_attention", "oblique_attention", "lorentz_cross_attention"):
-        monkeypatch.setattr(cli, name, never)
-    monkeypatch.setattr(cli.np.random, "default_rng", never)
+    _no_bench_work(monkeypatch)
     assert cli.main(["bench", "--n", "65536", "--m", "65536", "--d", "8"]) == 1
     err = capsys.readouterr().err
     assert "work guard" in err
@@ -193,9 +198,59 @@ def test_descent_at_large_condition_number_writes_both_arms(tmp_path, capsys):
     assert (tmp_path / "descent_oblique.csv").exists()
 
 
-def test_descent_missing_dir(tmp_path, capsys):
-    assert cli.main(["descent", "--out-dir", str(tmp_path / "nope")]) == 1
-    assert "does not exist" in capsys.readouterr().err
+def test_descent_csvs_hold_every_trajectory_point(tmp_path, capsys):
+    assert cli.main(["--seed", "3", "descent", "--out-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    run = experiments.descent_demo(experiments.DescentRun(seed=3))
+    for name, traj in (("descent_unconstrained.csv", run.trajectory_unconstrained),
+                       ("descent_oblique.csv", run.trajectory_oblique)):
+        path = tmp_path / name
+        assert f"wrote {path}" in out
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "iter,x,y,f"
+        assert len(lines) == 1 + len(traj)
+        first = lines[1].split(",")
+        assert first[0] == "0"
+        assert float(first[3]) == traj[0][2]
+        # 17 significant digits round-trip every value
+        assert [tuple(map(float, l.split(",")[1:])) for l in lines[1:]] == traj
+
+
+def test_descent_missing_dir(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.experiments, "descent_demo", _never)
+    missing = tmp_path / "nope"
+    assert cli.main(["descent", "--out-dir", str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out-dir") and "does not exist" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["bench", "--n", "4", "--m", "4", "--d", "4"],
+    ["tree-embed", "--depth", "2", "--seeds", "0"],
+])
+def test_missing_output_directory_is_refused_before_any_work(command, tmp_path, capsys,
+                                                             monkeypatch):
+    _no_bench_work(monkeypatch)
+    monkeypatch.setattr(cli.experiments, "embed_tree", _never)
+    target = tmp_path / "missing" / "out.csv"
+    assert cli.main(command + ["--output", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --output") and "does not exist" in err
+
+
+@pytest.mark.parametrize("flag", ["--n", "--m", "--d"])
+def test_bench_refuses_a_negative_size(flag, capsys, monkeypatch):
+    _no_bench_work(monkeypatch)
+    sizes = {"--n": "4", "--m": "4", "--d": "4", flag: "-5"}
+    assert cli.main(["bench"] + [a for kv in sizes.items() for a in kv]) == 1
+    assert f"error: {flag} must be >= 0, got -5" in capsys.readouterr().err
+
+
+def test_failed_write_is_an_error_line(tmp_path, capsys):
+    # The directory exists, but the output names the directory itself.
+    assert cli.main(["bench", "--n", "4", "--m", "4", "--d", "4", "--heads", "1",
+                     "--repeats", "1", "--output", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_usage_error_exit_code():

@@ -13,8 +13,7 @@ import geoattn
 from geoattn import experiments, lorentz
 from geoattn.diffcheck import _lift_row, _lorentz_dist, finite_diff_gradient
 from geoattn.experiments import (DescentRun, EmbeddingRun, TreeSpec,
-                                 descent_demo, embed_tree, export_trajectories,
-                                 tree_distance_matrix)
+                                 descent_demo, embed_tree, tree_distance_matrix)
 
 
 def test_tree_distance_matrix_depth1():
@@ -729,18 +728,15 @@ def test_descent_demo_oblique_arm_at_large_condition_number(kappa):
     assert run.trajectory_oblique[-1][2] - 1.0 <= run.tol
 
 
-def test_export_trajectories(tmp_path):
-    run = descent_demo(DescentRun(seed=3))
-    paths = export_trajectories(run, tmp_path)
-    assert len(paths) == 2
-    for path, traj in zip(paths, (run.trajectory_unconstrained,
-                                  run.trajectory_oblique)):
-        with open(path, encoding="utf-8") as f:
-            lines = f.read().splitlines()
-        assert lines[0] == "iter,x,y,f"
-        assert len(lines) == 1 + len(traj)
-        first = lines[1].split(",")
-        assert first[0] == "0"
-        assert float(first[3]) == traj[0][2]
-    with pytest.raises(ValueError, match="does not exist"):
-        export_trajectories(run, tmp_path / "missing")
+@pytest.mark.parametrize("field, make", [
+    ("branching", lambda: TreeSpec(branching=2.5)),
+    ("depth", lambda: TreeSpec(depth=2.5)),
+    ("dim", lambda: embed_tree(TreeSpec(depth=1), EmbeddingRun(dim=2.0))),
+    ("steps", lambda: embed_tree(TreeSpec(depth=1), EmbeddingRun(steps=10.5))),
+    ("seed", lambda: embed_tree(TreeSpec(depth=1), EmbeddingRun(seed=1.5))),
+    ("seed", lambda: descent_demo(DescentRun(seed=1.5))),
+], ids=["TreeSpec.branching", "TreeSpec.depth", "EmbeddingRun.dim",
+        "EmbeddingRun.steps", "EmbeddingRun.seed", "DescentRun.seed"])
+def test_integer_fields_name_themselves(field, make):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        make()

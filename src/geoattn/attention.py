@@ -21,10 +21,8 @@ scores and at most ``_BLOCK_ROWS`` (512) rows, where it scores them, into
 one score buffer that every block of the call reuses: ``rows =
 max(1, min(512, _BLOCK_BYTES // (8 * m)))``.  So apart from its inputs
 and its n x dv output a kernel holds O(rows * m + m * d) memory whatever
-n is; ``footprint`` counts those entries, and ``geoattn bench``'s size
-guard adds only its q, k and v to them.  The row cap keeps a skinny
-head's products (64 keys, 16 columns) within OpenBLAS's small-matrix
-path, M * N * K <= 10^6: E @ v took
+n is.  The row cap keeps a skinny head's products (64 keys, 16 columns)
+within OpenBLAS's small-matrix path, M * N * K <= 10^6: E @ v took
 34 ns/row at 976 rows and 60 ns/row from 977 rows up (OpenBLAS 0.3.31,
 1 thread).  The skeleton then runs ``softmax_rows``, the package's only
 softmax: it exps a block in place, less each row's max where asked, and
@@ -40,13 +38,14 @@ scale 1/sqrt(d) and the bound's key factor as an extra column.
 Otherwise (a mask, too wide a span) the row max is subtracted.  Without
 it E serves column sums too (from BLAS, as ones @ E), so cao accumulates
 over blocks and is divided at the end.
+``footprint`` counts the entries a call holds besides its inputs, and
+``geoattn bench``'s size guard adds only its q, k and v to that count.
 Inputs (q, k, v and the mask) are never written.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
@@ -56,7 +55,7 @@ import numpy as np
 from numpy import matmul
 
 from . import lorentz, oblique
-from .linalg import as_matrix
+from .linalg import as_index, as_matrix
 
 __all__ = [
     "AttentionConfig",
@@ -96,11 +95,7 @@ class AttentionConfig:
     curvature: float = 1.0
 
     def __post_init__(self):
-        try:
-            heads = operator.index(self.heads)
-        except TypeError:
-            raise ValueError(f"heads must be an integer, got {self.heads!r}") from None
-        if heads < 1:
+        if as_index(self.heads, "heads") < 1:
             raise ValueError(f"heads must be >= 1, got {self.heads}")
         if not (self.tau_obl > 0 and self.tau_lor > 0):
             raise ValueError(
@@ -120,10 +115,7 @@ def fourier_pe(pos, num_freqs: int) -> np.ndarray:
     the float64 limit raise ValueError, naming the largest |x| and the
     first such j.
     """
-    try:
-        num_freqs = operator.index(num_freqs)
-    except TypeError:
-        raise ValueError(f"num_freqs must be an integer, got {num_freqs!r}") from None
+    num_freqs = as_index(num_freqs, "num_freqs")
     if num_freqs < 0:
         raise ValueError(f"num_freqs must be >= 0, got {num_freqs}")
     pos = as_matrix(pos, name="positions")

@@ -43,7 +43,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import operator
 import sys
 from collections import deque
 from dataclasses import dataclass, field
@@ -52,6 +51,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import lorentz, oblique
+from .linalg import as_index
 from .lorentz import check_curvature
 
 __all__ = [
@@ -63,14 +63,6 @@ __all__ = [
     "embed_tree",
     "descent_demo",
 ]
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int, or a ValueError that names the field."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -87,7 +79,7 @@ class TreeSpec:
     depth: int = 5
 
     def __post_init__(self):
-        b, depth = _integer("branching", self.branching), _integer("depth", self.depth)
+        b, depth = as_index(self.branching, "branching"), as_index(self.depth, "depth")
         if b < 2:
             raise ValueError(f"branching must be >= 2, got {b}")
         if depth < 1:
@@ -504,8 +496,8 @@ def embed_tree(spec: TreeSpec, run: EmbeddingRun) -> EmbeddingRun:
     ``run.backtracking`` is not True, and when the seeded start's stress is
     not finite (a Lorentz start past the lift's float64 limit).
     """
-    dim, steps = _integer("dim", run.dim), _integer("steps", run.steps)
-    seed = _integer("seed", run.seed)
+    dim, steps = as_index(run.dim, "dim"), as_index(run.steps, "steps")
+    seed = as_index(run.seed, "seed")
     if dim < 2:
         raise ValueError(f"embedding dim must be >= 2, got {dim}")
     if not (math.isfinite(run.step_size) and run.step_size > 0):
@@ -577,7 +569,7 @@ def descent_demo(run: DescentRun) -> DescentRun:
         raise ValueError(f"tol must be >= 0, got {run.tol}")
     a_diag = np.array([1.0, kappa])
     step = 1.0 / (2.0 * kappa)
-    rng = np.random.default_rng(_integer("seed", run.seed))
+    rng = np.random.default_rng(as_index(run.seed, "seed"))
     theta = rng.uniform(0.0, 2.0 * math.pi)
     x0 = 2.0 * np.array([math.cos(theta), math.sin(theta)])
 

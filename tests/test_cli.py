@@ -218,8 +218,7 @@ def test_descent_csvs_hold_every_trajectory_point(tmp_path, capsys):
 
 def test_descent_missing_dir(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.experiments, "descent_demo", _never)
-    missing = tmp_path / "nope"
-    assert cli.main(["descent", "--out-dir", str(missing)]) == 1
+    assert cli.main(["descent", "--out-dir", str(tmp_path / "nope")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: --out-dir") and "does not exist" in err
 

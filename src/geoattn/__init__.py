@@ -6,7 +6,8 @@ Submodules:
 * ``oblique``: product-of-spheres manifold: projection, geodesic distance,
   tangent projection, retraction.
 * ``lorentz``: hyperboloid model: exp/log maps at the origin, geodesic
-  distance and its gradient, each written once for stacked rows.
+  distance and its gradient, each written once for stacked rows [s | t];
+  a point is one such row.
 * ``attention``: every kernel and the bidirectional wiring, on one skeleton
   whose ``softmax_rows`` stage is the package's only softmax.
 * ``diffcheck``: finite differences and the scalar reference kernels.

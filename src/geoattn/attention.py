@@ -212,8 +212,7 @@ def footprint(n: int, m: int, d: int) -> int:
 def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],
                prepare_keys: Callable[[np.ndarray], Any],
                block_scores: Callable[[np.ndarray, np.ndarray, Any], None],
-               row_max: bool, reverse: Optional[np.ndarray] = None,
-               names: tuple = ("q", "k")) -> np.ndarray:
+               row_max: bool, reverse: bool = False, names: tuple = ("q", "k")):
     """Validation, head split, mask, softmax and value product of every kernel.
 
     A kernel has two stages.  The key stage, ``prepare_keys(kh)``, runs
@@ -232,13 +231,20 @@ def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],
     under a mask) writes its output rows straight into the head's slice
     of the output.
 
-    ``names`` name q and k in errors.  Given ``reverse`` (m x d_q zeros),
-    no row max and no mask, each block's E also adds ``E.T @ q_block``
-    to the head's slice of it and its column sums ``ones @ E`` to sums
-    that divide it at the end: the key-to-query attention with q as values.
+    ``names`` name q and k in errors, and v that is k is checked once, as
+    k.  With ``reverse``, no row max and no mask, q needs a row, and the
+    call returns (out, rev): each block's E adds ``E.T @ q_block`` to the
+    head's slice of the m x d_q ``rev`` and its column sums ``ones @ E`` to
+    sums that divide it at the end, the key-to-query attention with q as
+    values.
     """
     qn, kn = names
-    q, k, v = as_matrix(q, name=qn), as_matrix(k, name=kn), as_matrix(v, name="v")
+    shared = v is k
+    q, k = as_matrix(q, name=qn), as_matrix(k, name=kn)
+    v = k if shared else as_matrix(v, name="v")
+    if reverse and q.shape[0] == 0:
+        raise ValueError(f"{qn} has no rows: both directions need at least "
+                         f"one {qn} row and one {kn} row")
     if q.shape[1] != k.shape[1]:
         raise ValueError(f"{qn}/{kn} feature dims differ: {q.shape[1]} vs {k.shape[1]}")
     if q.shape[1] == 0:
@@ -255,8 +261,10 @@ def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],
         row_max = True
     out = np.empty((n, v.shape[1]))
     buf = np.empty((min(rows, n), m))
-    rev = _head_slices(reverse, cfg.heads) if reverse is not None else repeat(None)
-    for qh, kh, vh, oh, rh in zip(*(_head_slices(a, cfg.heads) for a in (q, k, v, out)), rev):
+    rev = np.zeros((m, q.shape[1])) if reverse else None
+    rev_heads = _head_slices(rev, cfg.heads) if reverse else repeat(None)
+    for qh, kh, vh, oh, rh in zip(*(_head_slices(a, cfg.heads) for a in (q, k, v, out)),
+                                  rev_heads):
         keys = prepare_keys(kh)
         colsum = np.zeros(m) if rh is not None else None
         for start in range(0, n, rows):
@@ -273,7 +281,7 @@ def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],
         if rh is not None:
             rh /= colsum[:, None]
         del keys  # free this head's keys before the next head prepares its own
-    return out
+    return (out, rev) if reverse else out
 
 
 def oblique_attention(q, k, v, cfg: AttentionConfig,
@@ -365,23 +373,17 @@ def bidirectional_attention(instance, context, cfg: AttentionConfig):
     oac = (E @ context) / rowsum(E) per block, and cao = (sum of
     E.T @ instance) / (sum of colsum(E)).
     This equals separate ``lorentz_cross_attention`` calls per direction
-    up to the summation order of those sums.
+    up to the summation order of those sums.  ``_multihead`` checks the
+    instance and the context, once each.
     """
-    instance = as_matrix(instance, name="instance")
     pooled = isinstance(context, (list, tuple))
     if pooled:
         slices = [as_matrix(s, name="context slice") for s in context]
         if len(slices) != 2 or slices[0].shape != slices[1].shape:
             raise ValueError("two-slice context must be two equally-shaped matrices")
         context = np.concatenate(slices, axis=0)
-    else:
-        context = as_matrix(context, name="context")
-    if instance.shape[0] == 0:
-        raise ValueError("instance has no rows: both directions need at least "
-                         "one instance row and one context row")
-    cao = np.zeros((context.shape[0], instance.shape[1]))
-    oac = _multihead(instance, context, context, cfg, None, partial(_lorentz_keys, cfg),
-                     partial(_lorentz_scores, cfg), False, cao, ("instance", "context"))
+    oac, cao = _multihead(instance, context, context, cfg, None, partial(_lorentz_keys, cfg),
+                          partial(_lorentz_scores, cfg), False, True, ("instance", "context"))
     if pooled:
         half = context.shape[0] // 2
         cao = (cao[:half] + cao[half:]) / 2.0

@@ -29,10 +29,10 @@ Numerical conventions:
   and ``_keys`` turns lifted rows into that product's keys [-c s | c t].
   ``_lift`` also returns its row factors t = sqrt(c) |scale| r and
   sinh(t) / t, which ``_distance_grads`` takes instead of computing them
-  again.  The point API (:func:`exp_origin`, :func:`geodesic_distance`,
-  :func:`distance_gradient`, which take and give tangent vectors as plain
-  1-D arrays) is their checked one-row case: it checks its inputs but is
-  not an independent oracle for them; ``diffcheck``'s scalar loops are.
+  again.  A point is one such row [s | t], as a 1-D array.  The point API
+  (:func:`exp_origin`, :func:`geodesic_distance`, :func:`distance_gradient`
+  and the rest) is its checked one-row case, not an independent oracle
+  for it; ``diffcheck``'s scalar loops are.
 * Hyperboloid membership is checked with a scale-normalized residual
   |<x,x>_L + 1/c| / max(1, x_time^2).  Far from the origin x_time^2 can
   exceed 1e50 and an absolute residual below rounding error of x_time is
@@ -44,17 +44,15 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .linalg import as_vector
+from .linalg import as_index, as_vector
 
 __all__ = [
     "MIN_CURVATURE",
     "EPS_CLIP",
-    "LorentzPoint",
     "check_curvature",
     "origin",
     "hyperboloid_residual",
@@ -88,42 +86,37 @@ def check_curvature(c: float) -> float:
     return c
 
 
-@dataclass(frozen=True)
-class LorentzPoint:
-    """A point on the hyperboloid, split into space and time components."""
-
-    space: np.ndarray
-    time: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "space", as_vector(self.space, name="space part"))
-        object.__setattr__(self, "time", float(self.time))
-
-    @property
-    def dim(self) -> int:
-        return self.space.shape[0]
-
-
-def origin(n: int, c: float) -> LorentzPoint:
-    """The hyperboloid origin O = [0, 1/sqrt(c)]."""
+def origin(n: int, c: float) -> np.ndarray:
+    """The hyperboloid origin O = [0 | 1/sqrt(c)], a row of n + 1 entries."""
     c = check_curvature(c)
-    return LorentzPoint(np.zeros(n), 1.0 / math.sqrt(c))
+    return np.append(np.zeros(as_index(n, "n")), 1.0 / math.sqrt(c))
 
 
-def hyperboloid_residual(x: LorentzPoint, c: float) -> float:
-    """Scale-normalized membership residual |<x,x>_L + 1/c| / max(1, time^2)."""
-    c = check_curvature(c)
-    raw = abs(float(np.dot(x.space, x.space)) - x.time * x.time + 1.0 / c)
-    return raw / max(1.0, x.time * x.time)
-
-
-def _require_on_manifold(x: LorentzPoint, c: float, what: str) -> None:
-    res = hyperboloid_residual(x, c)
-    if res > _MEMBERSHIP_TOL or x.time <= 0:
+def _point(x, c: float, name: str, on_sheet: bool):
+    """``x`` checked as a finite row [s | t], and its residual: finite, and
+    at most ``_MEMBERSHIP_TOL`` with t > 0 ``on_sheet``.  The test is
+    NaN-safe: [1e200 | 1e200], whose squares overflow, fails it."""
+    x = as_vector(x, name=name)
+    if x.size == 0:
+        raise ValueError(f"{name} is empty: a point [s | t] has at least its time")
+    s, t = x[:-1], float(x[-1])
+    with np.errstate(over="ignore"):
+        ss = float(np.dot(s, s))
+    res = abs(ss - t * t + 1.0 / c) / max(1.0, t * t)
+    tol = _MEMBERSHIP_TOL if on_sheet else sys.float_info.max
+    if not res <= tol or on_sheet and t <= 0:
         raise ValueError(
-            f"{what}: point off the hyperboloid (normalized residual {res:.3e}, "
-            f"time {x.time:.6g})"
+            f"{name} is off the hyperboloid (normalized residual {res:.3e}, "
+            f"time {t:.6g})"
         )
+    return x, res
+
+
+def hyperboloid_residual(x, c: float) -> float:
+    """Scale-normalized membership residual |<x,x>_L + 1/c| / max(1, t^2)
+    of the row x = [s | t]; a residual past the float64 limit raises."""
+    c = check_curvature(c)
+    return _point(x, c, "hyperboloid_residual: x", False)[1]
 
 
 def _sinhc(t):
@@ -177,44 +170,41 @@ def _lift(m: np.ndarray, c: float, scale: float, out: np.ndarray, what: str):
     return space, np.sqrt(time * time + 1.0 / c, out=time), t, sc
 
 
-def exp_origin(u, c: float) -> LorentzPoint:
+def exp_origin(u, c: float) -> np.ndarray:
     """Exponential map at the origin: the one-row case of :func:`lift_rows`.
 
-    space = sinh(sqrt(c) r) / (sqrt(c) r) * u with r = ||u||; time comes
-    from the same factor.  Past the float64 limit it raises the same
-    ValueError as :func:`lift_rows`, naming ``exp_origin``.
+    Returns the row [s | t] with s = sinh(sqrt(c) r) / (sqrt(c) r) * u,
+    r = ||u||, and t from the same factor.  Past the float64 limit it
+    raises the same ValueError as :func:`lift_rows`, naming ``exp_origin``.
     """
     c = check_curvature(c)
-    u = as_vector(u, name="tangent")
-    space, time = _lift(u[None], c, 1.0, np.empty((1, u.size + 1)), "exp_origin")[:2]
-    return LorentzPoint(space[0], time[0])
+    u = as_vector(u, name="exp_origin: u")
+    x = np.empty((1, u.size + 1))
+    _lift(u[None], c, 1.0, x, "exp_origin")
+    return x[0]
 
 
-def log_origin(x: LorentzPoint, c: float) -> np.ndarray:
+def log_origin(x, c: float) -> np.ndarray:
     """Logarithmic map at the origin, inverse of :func:`exp_origin`.
 
-    Returns the tangent vector asinh(s)/s * x_space with
-    s = sqrt(c) ||x_space||.  Equals the arcosh form since
-    -c <x, O>_L = sqrt(1 + s^2).
+    Returns the tangent vector asinh(q)/q * s of the row x = [s | t],
+    with q = sqrt(c) ||s||.  Equals the arcosh form since
+    -c <x, O>_L = sqrt(1 + q^2).
     """
     c = check_curvature(c)
-    _require_on_manifold(x, c, "log_origin")
-    s = math.sqrt(c) * float(np.linalg.norm(x.space))
-    return _asinhc(s) * x.space
+    s = _point(x, c, "log_origin: x", True)[0][:-1]
+    return _asinhc(math.sqrt(c) * float(np.linalg.norm(s))) * s
 
 
-def geodesic_distance(x: LorentzPoint, y: LorentzPoint, c: float) -> float:
-    """Geodesic distance, the checked one-row case of the pairwise matrix.
-
-    Computed by :func:`pairwise_distance_matrix`, clip floor included.
-    """
+def geodesic_distance(x, y, c: float) -> float:
+    """Geodesic distance between the rows x and y, the checked one-row case
+    of :func:`_distances`, clip floor included."""
     c = check_curvature(c)
-    _require_on_manifold(x, c, "geodesic_distance (first argument)")
-    _require_on_manifold(y, c, "geodesic_distance (second argument)")
-    if x.dim != y.dim:
-        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    return float(pairwise_distance_matrix(x.space[None], [x.time],
-                                          y.space[None], [y.time], c)[0, 0])
+    x = _point(x, c, "geodesic_distance: x", True)[0]
+    y = _point(y, c, "geodesic_distance: y", True)[0]
+    if x.shape != y.shape:
+        raise ValueError(f"dimension mismatch: {x.size - 1} vs {y.size - 1}")
+    return float(_distances(x[None], _keys(y[None], c), c)[0, 0])
 
 
 def pairwise_distance_matrix(space_x: np.ndarray, time_x: np.ndarray,
@@ -227,7 +217,8 @@ def pairwise_distance_matrix(space_x: np.ndarray, time_x: np.ndarray,
     distance arcosh(1 + eps)/sqrt(c) instead of NaN.
 
     The product, clip, arcosh and scale run in :func:`_distances`; this
-    checked wrapper packs both sides for it.
+    wrapper packs both sides for it.  It checks ``c`` but not that the
+    components are finite: they come from :func:`lift_rows`.
     """
     c = check_curvature(c)
     keys = np.column_stack((space_y, time_y))
@@ -278,7 +269,8 @@ def lift_rows(m: np.ndarray, c: float, scale: float = 1.0,
 
     The rows are written once, as [space | time], into ``out`` (n x (d+1),
     numpy-style) or a fresh array, and space and time are its column
-    views.  ``m`` is never written.
+    views.  ``m`` is never written.  ``c`` and ``scale`` are checked, but
+    not that ``m`` is finite.
     """
     c = check_curvature(c)
     scale = float(scale)
@@ -350,8 +342,8 @@ def distance_gradient(u, w, c: float) -> np.ndarray:
     (the clip floor included), which raise.
     """
     c = check_curvature(c)
-    u = as_vector(u, name="tangent")
-    w = as_vector(w, name="tangent")
+    u = as_vector(u, name="distance_gradient: u")
+    w = as_vector(w, name="distance_gradient: w")
     if u.shape != w.shape:
         raise ValueError(f"tangent shape mismatch: {u.shape} vs {w.shape}")
     x = np.empty((2, u.size + 1))

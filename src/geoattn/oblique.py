@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import as_matrix, as_vector
 
 __all__ = [
     "EPS_CLIP",
@@ -197,9 +197,10 @@ def distance_gradient(q_row, k_row) -> np.ndarray:
 
     d/dq arccos(t) = -k / sqrt(1 - t^2) with t the clipped dot product;
     clipping keeps the magnitude finite at coincident or antipodal pairs.
+    Both rows must be finite and 1-D.
     """
-    q = np.asarray(q_row, dtype=np.float64)
-    k = np.asarray(k_row, dtype=np.float64)
+    q = as_vector(q_row, name="q row")
+    k = as_vector(k_row, name="k row")
     if q.shape != k.shape:
         raise ValueError(f"shape mismatch: {q.shape} vs {k.shape}")
     t = float(_clip(np.dot(q, k)))

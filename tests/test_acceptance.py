@@ -47,8 +47,8 @@ def test_criterion_01_manifold_invariants():
         p = lorentz.exp_origin(u, c)
         res = lorentz.hyperboloid_residual(p, c)
         worst_res = max(worst_res, res)
-        if p.time <= 1e3:
-            raw = abs(float(p.space @ p.space) - p.time ** 2 + 1.0 / c)
+        if p[-1] <= 1e3:
+            raw = abs(float(p[:-1] @ p[:-1]) - p[-1] ** 2 + 1.0 / c)
             worst_abs_near = max(worst_abs_near, raw)
     elapsed = time.time() - t0
     ok = worst_norm < 1e-12 and worst_res < 1e-9 and worst_abs_near < 1e-9 \

@@ -346,6 +346,32 @@ def test_bidirectional_writes_no_input(monkeypatch):
         assert np.array_equal(got, want)
 
 
+def test_each_input_is_checked_once(monkeypatch):
+    # A context that serves as keys and values is checked once, as k, and
+    # the bidirectional wrapper leaves the instance and a single context to
+    # _multihead; two slices are checked each, then their stack once.
+    names = []
+    check = attention.as_matrix
+
+    def counted(data, name="matrix"):
+        names.append(name)
+        return check(data, name)
+
+    monkeypatch.setattr(attention, "as_matrix", counted)
+    rng = np.random.default_rng(66)
+    inst, ctx = rng.normal(size=(5, 4)), rng.normal(size=(6, 4))
+    cfg = AttentionConfig(heads=2)
+    for run, want in (
+            (lambda: bidirectional_attention(inst, ctx, cfg), ["instance", "context"]),
+            (lambda: bidirectional_attention(inst, (ctx, ctx), cfg),
+             ["context slice", "context slice", "instance", "context"]),
+            (lambda: lorentz_cross_attention(inst, ctx, ctx, cfg), ["q", "k"]),
+            (lambda: lorentz_cross_attention(inst, ctx, ctx.copy(), cfg), ["q", "k", "v"])):
+        names.clear()
+        run()
+        assert names == want
+
+
 def test_bidirectional_feature_dims_must_match():
     cfg = AttentionConfig(heads=2)
     with pytest.raises(ValueError, match="instance/context feature dims differ: 4 vs 6"):

@@ -1,10 +1,41 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from geoattn import lorentz, oblique
 from geoattn.attention import softmax_rows
 from geoattn.linalg import as_matrix, as_vector
+
+O2 = lorentz.origin(2, 1.0)
+U = np.array([0.3, -0.4])
+ROWS = np.array([[0.6, 0.8], [1.0, 0.0]])
+
+# (call taking the argument under test, a valid value of it, its name in errors)
+POINT_AND_MANIFOLD_API = {
+    "lorentz.exp_origin": (lambda a: lorentz.exp_origin(a, 1.0), U, "exp_origin: u"),
+    "lorentz.log_origin": (lambda a: lorentz.log_origin(a, 1.0), O2, "log_origin: x"),
+    "lorentz.geodesic_distance-x": (lambda a: lorentz.geodesic_distance(a, O2, 1.0), O2,
+                                    "geodesic_distance: x"),
+    "lorentz.geodesic_distance-y": (lambda a: lorentz.geodesic_distance(O2, a, 1.0), O2,
+                                    "geodesic_distance: y"),
+    "lorentz.hyperboloid_residual": (lambda a: lorentz.hyperboloid_residual(a, 1.0), O2,
+                                     "hyperboloid_residual: x"),
+    "lorentz.distance_gradient-u": (lambda a: lorentz.distance_gradient(a, -U, 1.0), U,
+                                    "distance_gradient: u"),
+    "lorentz.distance_gradient-w": (lambda a: lorentz.distance_gradient(U, a, 1.0), -U,
+                                    "distance_gradient: w"),
+    "oblique.project": (oblique.project, ROWS, "projection input"),
+    "oblique.pairwise_distances-q": (lambda a: oblique.pairwise_distances(a, ROWS), ROWS,
+                                     "q rows"),
+    "oblique.pairwise_distances-k": (lambda a: oblique.pairwise_distances(ROWS, a), ROWS,
+                                     "k rows"),
+    "oblique.distance_gradient-q": (lambda a: oblique.distance_gradient(a, ROWS[1]), ROWS[0],
+                                    "q row"),
+    "oblique.distance_gradient-k": (lambda a: oblique.distance_gradient(ROWS[0], a), ROWS[1],
+                                    "k row"),
+}
 
 
 def _weights(m):
@@ -47,3 +78,32 @@ def test_as_vector_rejects_bad_input():
         as_vector(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="NaN or Inf"):
         as_vector([math.inf])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("api", POINT_AND_MANIFOLD_API)
+def test_point_and_manifold_api_name_a_non_finite_argument(api, bad):
+    # The last entry is a Lorentz point's time, which a split point type
+    # once let through unchecked.  lift_rows and pairwise_distance_matrix
+    # check c and scale only: their rows come from the lift.
+    call, good, name = POINT_AND_MANIFOLD_API[api]
+    call(good)
+    spoiled = np.array(good, dtype=np.float64)
+    spoiled.flat[-1] = bad
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} contains NaN or Inf entries$"):
+        call(spoiled)
+
+
+@pytest.mark.filterwarnings("error")  # raises before any overflow warning
+@pytest.mark.parametrize("api", ["lorentz.log_origin", "lorentz.geodesic_distance-x",
+                                 "lorentz.geodesic_distance-y",
+                                 "lorentz.hyperboloid_residual"])
+@pytest.mark.parametrize("point", [[0.0, 1e200, 1e200], [0.0, 1e200, 1.0]])
+def test_point_whose_residual_overflows_is_off_the_hyperboloid(api, point):
+    # Finite entries whose squares pass the float64 limit give a NaN or inf
+    # residual, which fails the membership test instead of passing it.
+    call, _, name = POINT_AND_MANIFOLD_API[api]
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} is off the hyperboloid "
+                                         r"\(normalized residual (nan|inf), "):
+        call(np.array(point))

@@ -30,12 +30,15 @@ def test_origin_is_on_manifold():
     for c in (1e-3, 0.5, 1.0, 10.0):
         o = lorentz.origin(4, c)
         assert lorentz.hyperboloid_residual(o, c) < 1e-15
-        assert o.time == 1.0 / math.sqrt(c)
+        assert o.shape == (5,) and not o[:-1].any() and o[-1] == 1.0 / math.sqrt(c)
+    assert lorentz.origin(np.int64(2), 1.0).shape == (3,)
+    with pytest.raises(ValueError, match="n must be an integer, got 2.0"):
+        lorentz.origin(2.0, 1.0)
 
 
 def test_lorentz_inner_against_origin():
     # -<x, o>_L = cosh 1, read back through the distance arcosh(-c <x, o>_L)
-    x = lorentz.LorentzPoint(np.array([SINH_1]), COSH_1)
+    x = np.array([SINH_1, COSH_1])
     o = lorentz.origin(1, 1.0)
     assert abs(math.cosh(lorentz.geodesic_distance(x, o, 1.0)) - COSH_1) < 1e-12
     with pytest.raises(ValueError, match="dimension mismatch"):
@@ -44,9 +47,10 @@ def test_lorentz_inner_against_origin():
 
 def test_exp_origin_unit_tangent():
     p = lorentz.exp_origin(np.array([1.0, 0.0, 0.0]), 1.0)
-    assert abs(p.space[0] - SINH_1) < 1e-12
-    assert abs(p.space[1]) == 0.0 and abs(p.space[2]) == 0.0
-    assert abs(p.time - COSH_1) < 1e-12
+    assert p.shape == (4,)
+    assert abs(p[0] - SINH_1) < 1e-12
+    assert abs(p[1]) == 0.0 and abs(p[2]) == 0.0
+    assert abs(p[3] - COSH_1) < 1e-12
 
 
 def test_exp_origin_membership_sweep():
@@ -60,7 +64,7 @@ def test_exp_origin_membership_sweep():
 
 
 def test_log_origin_example():
-    x = lorentz.LorentzPoint(np.array([SINH_2]), math.cosh(2.0))
+    x = np.array([SINH_2, math.cosh(2.0)])
     u = lorentz.log_origin(x, 1.0)
     assert abs(u[0] - 2.0) < 1e-9
 
@@ -131,11 +135,12 @@ def test_curvature_scaling():
 
 
 def _stacked(points):
-    return np.stack([p.space for p in points]), np.array([p.time for p in points])
+    rows = np.stack(points)
+    return rows[:, :-1], rows[:, -1]
 
 
 def _scalar(p):
-    return p.space.tolist(), p.time
+    return p[:-1].tolist(), p[-1]
 
 
 @pytest.mark.parametrize("c", [1e-3, 1.0, 30.0])
@@ -150,7 +155,7 @@ def test_pairwise_matches_scalar_loop(c):
                 # -c <x, x>_L is 1 up to rounding of order eps * c * time^2,
                 # which the arcosh magnifies to its square root (ROADMAP
                 # item 4), so the self-distance is bounded, not compared
-                noise = 8.0 * np.finfo(float).eps * c * xs[i].time ** 2
+                noise = 8.0 * np.finfo(float).eps * c * xs[i][-1] ** 2
                 assert np.arccosh(1.0 + 1e-15) / math.sqrt(c) <= d[i, i]
                 assert d[i, i] <= np.arccosh(1.0 + max(noise, 1e-15)) / math.sqrt(c)
             else:
@@ -188,7 +193,7 @@ def test_lift_writes_no_input(scale):
     m_before, u_before = m.copy(), u.copy()
     space, _ = lorentz.lift_rows(m, 2.0, scale=scale)
     p = lorentz.exp_origin(u, 2.0)
-    assert not np.shares_memory(space, m) and not np.shares_memory(p.space, u)
+    assert not np.shares_memory(space, m) and not np.shares_memory(p, u)
     assert np.array_equal(m, m_before) and np.array_equal(u, u_before)
 
 
@@ -224,7 +229,7 @@ def test_exp_origin_is_the_one_row_lift(c):
     for u in (np.zeros(3), np.array([5e-5, 0.0, 0.0]), *rng.normal(size=(5, 3))):
         p = lorentz.exp_origin(u, c)
         space, time = lorentz.lift_rows(u[None], c)
-        assert np.array_equal(p.space, space[0]) and p.time == time[0]
+        assert np.array_equal(p[:-1], space[0]) and p[-1] == time[0]
 
 
 @pytest.mark.parametrize("c", [1e-3, 1.0, 30.0])
@@ -241,8 +246,7 @@ def test_lift_rows_residual_stays_at_rounding_level(c, scale):
     m = dirs * (radii / (math.sqrt(c) * abs(scale)))[:, None]
     space, time = lorentz.lift_rows(m, c, scale=scale)
     assert np.all(time > 0) and np.all(np.sign(space) == np.sign(scale * m))
-    res = [lorentz.hyperboloid_residual(lorentz.LorentzPoint(s, t), c)
-           for s, t in zip(space, time)]
+    res = [lorentz.hyperboloid_residual(x, c) for x in np.column_stack((space, time))]
     assert max(res) <= 4 * (d + 1) * np.finfo(float).eps
 
 
@@ -323,7 +327,7 @@ def test_exp_origin_past_float64_limit_raises(c, t):
 def test_exp_origin_keeps_finite_output_below_float64_limit(c):
     u = np.array([0.6, 0.8]) * 350.0 / math.sqrt(c)
     p = lorentz.exp_origin(u, c)
-    assert np.isfinite(p.space).all() and math.isfinite(p.time)
+    assert np.isfinite(p).all()
     assert lorentz.hyperboloid_residual(p, c) <= 1e-12
 
 
@@ -381,8 +385,8 @@ def test_distance_gradient_past_float64_limit_raises(c, t, far_first):
 
 
 def test_off_manifold_rejected():
-    bad = lorentz.LorentzPoint(np.array([1.0, 0.0]), 1.0)  # residual = 1
-    with pytest.raises(ValueError, match="off the hyperboloid"):
+    bad = np.array([1.0, 0.0, 1.0])  # residual = 1
+    with pytest.raises(ValueError, match="geodesic_distance: x is off the hyperboloid"):
         lorentz.geodesic_distance(bad, lorentz.origin(2, 1.0), 1.0)
-    with pytest.raises(ValueError, match="off the hyperboloid"):
+    with pytest.raises(ValueError, match="log_origin: x is off the hyperboloid"):
         lorentz.log_origin(bad, 1.0)

@@ -183,6 +183,15 @@ def test_retract_first_order():
     assert np.abs(norms - 1.0).max() < 1e-12
 
 
+def test_distance_gradient_validates_its_rows():
+    with pytest.raises(ValueError, match="q row contains NaN or Inf entries"):
+        oblique.distance_gradient([math.nan, 0.0], [1.0, 0.0])
+    with pytest.raises(ValueError, match="k row contains NaN or Inf entries"):
+        oblique.distance_gradient([1.0, 0.0], [0.0, math.inf])
+    with pytest.raises(ValueError, match=r"q row must be 1-D, got shape \(1, 2\)"):
+        oblique.distance_gradient([[1.0, 0.0]], [[0.0, 1.0]])
+
+
 def test_distance_gradient_matches_finite_differences():
     rng = np.random.default_rng(12)
     for _ in range(20):

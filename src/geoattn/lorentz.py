@@ -88,8 +88,10 @@ def check_curvature(c: float) -> float:
 
 def origin(n: int, c: float) -> np.ndarray:
     """The hyperboloid origin O = [0 | 1/sqrt(c)], a row of n + 1 entries."""
-    c = check_curvature(c)
-    return np.append(np.zeros(as_index(n, "n")), 1.0 / math.sqrt(c))
+    c, n = check_curvature(c), as_index(n, "n")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    return np.append(np.zeros(n), 1.0 / math.sqrt(c))
 
 
 def _point(x, c: float, name: str, on_sheet: bool):

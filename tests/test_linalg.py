@@ -84,9 +84,9 @@ def test_as_vector_rejects_bad_input():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("api", POINT_AND_MANIFOLD_API)
 def test_point_and_manifold_api_name_a_non_finite_argument(api, bad):
-    # The last entry is a Lorentz point's time, which a split point type
-    # once let through unchecked.  lift_rows and pairwise_distance_matrix
-    # check c and scale only: their rows come from the lift.
+    # The last entry is a Lorentz point's time.  lift_rows and
+    # pairwise_distance_matrix check c and scale only: their rows come
+    # from the lift.
     call, good, name = POINT_AND_MANIFOLD_API[api]
     call(good)
     spoiled = np.array(good, dtype=np.float64)

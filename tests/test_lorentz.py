@@ -34,6 +34,8 @@ def test_origin_is_on_manifold():
     assert lorentz.origin(np.int64(2), 1.0).shape == (3,)
     with pytest.raises(ValueError, match="n must be an integer, got 2.0"):
         lorentz.origin(2.0, 1.0)
+    with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+        lorentz.origin(-1, 1.0)
 
 
 def test_lorentz_inner_against_origin():
@@ -329,6 +331,20 @@ def test_exp_origin_keeps_finite_output_below_float64_limit(c):
     p = lorentz.exp_origin(u, c)
     assert np.isfinite(p).all()
     assert lorentz.hyperboloid_residual(p, c) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c", [1e-3, 1.0, 30.0])
+def test_point_api_takes_exp_origin_rows_up_to_the_float64_limit(c):
+    # The lift limit keeps |s|^2 and t^2 finite, so the membership check,
+    # which refuses squares that overflow, takes every row exp_origin gives.
+    limit = math.asinh(math.sqrt(c) * math.sqrt(np.finfo(float).max))
+    u = np.array([0.6, 0.8]) * limit * (1.0 - 1e-15) / math.sqrt(c)
+    r = float(np.linalg.norm(u))
+    p = lorentz.exp_origin(u, c)
+    assert lorentz.hyperboloid_residual(p, c) <= 1e-12
+    assert np.abs(lorentz.log_origin(p, c) - u).max() <= 1e-12 * r
+    assert abs(lorentz.geodesic_distance(lorentz.origin(2, c), p, c) - r) <= 1e-12 * r
 
 
 def test_distance_gradient_matches_finite_differences():

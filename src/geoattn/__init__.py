@@ -4,7 +4,8 @@ Submodules:
 
 * ``linalg``: input validation into finite float64 arrays.
 * ``oblique``: product-of-spheres manifold: projection, geodesic distance,
-  tangent projection, retraction.
+  tangent projection, retraction; a configuration is a plain array with
+  unit columns, checked at every call.
 * ``lorentz``: hyperboloid model: exp/log maps at the origin, geodesic
   distance and its gradient, each written once for stacked rows [s | t];
   a point is one such row.

@@ -46,6 +46,7 @@ Inputs (q, k, v and the mask) are never written.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
@@ -75,6 +76,9 @@ _BLOCK_BYTES = 1 << 20
 # bound for skinny heads; see _multihead.
 _BLOCK_ROWS = 512
 
+# The largest finite Lorentz distance at c = 1: arccosh of the float64 max.
+_ACOSH_MAX = float(np.arccosh(sys.float_info.max))
+
 # exp(-_EXP_SPAN) is a normal float64, so a row whose max is at least
 # -_EXP_SPAN keeps a normal row sum without the row max subtracted.
 _EXP_SPAN = 700.0
@@ -87,6 +91,12 @@ class AttentionConfig:
     The clip floors are not settings: they are the constants
     ``oblique.EPS_CLIP`` and ``lorentz.EPS_CLIP``.  Nor is the Lorentz
     tangent scale, always 1/sqrt(head_dim).
+
+    A kernel scores a distance D as D * (-1 / tau), so each temperature
+    must keep its kernel's largest distance times 1 / tau finite, or a
+    ``ValueError`` names it: pi for oblique (tau_obl >= about 1.7e-308),
+    and for Lorentz arccosh(float64 max) / sqrt(c), the largest finite
+    distance (tau_lor >= about 4e-306 at c = 1, 1.3e-304 at c = 1e-3).
     """
 
     heads: int = 4
@@ -102,7 +112,14 @@ class AttentionConfig:
                 f"temperatures must be positive, got tau_obl={self.tau_obl}, "
                 f"tau_lor={self.tau_lor}"
             )
-        lorentz.check_curvature(self.curvature)
+        c = lorentz.check_curvature(self.curvature)
+        for name, tau, d_max in (("tau_obl", self.tau_obl, math.pi),
+                                 ("tau_lor", self.tau_lor, _ACOSH_MAX / math.sqrt(c))):
+            if not math.isfinite(d_max * (1.0 / tau)):
+                raise ValueError(
+                    f"{name} = {tau} is too small: distances up to {d_max:.6g} "
+                    f"times 1/{name} pass the float64 limit; it must be at least "
+                    f"about {d_max / sys.float_info.max:.3g}")
 
 
 def fourier_pe(pos, num_freqs: int) -> np.ndarray:

@@ -52,6 +52,9 @@ def _parse_seeds(text: str) -> list[int]:
     seeds = _parse_items("--seeds", text, int, "an integer", skip_blank=True)
     if not seeds:
         raise ValueError(f"--seeds names no seed, got {text!r}")
+    for seed in seeds:
+        if seed < 0:
+            raise ValueError(f"--seeds item {seed} must be >= 0, got {text!r}")
     return seeds
 
 
@@ -247,8 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_args(args) -> None:
-    """Refuse a bad size or a missing output location before any work."""
+    """Refuse a bad seed or size or a missing output location before any work."""
     opts = vars(args)
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed} (GEOATTN_SEED "
+                         f"sets its default)")
     for flag in ("n", "m", "d"):
         if opts.get(flag, 0) < 0:
             raise ValueError(f"--{flag} must be >= 0, got {opts[flag]}")

@@ -164,6 +164,14 @@ class DescentRun:
     trajectory_oblique: list = field(default_factory=list)
 
 
+def _seed(value) -> int:
+    """``value`` checked as a seed, an integer >= 0; else ValueError naming it."""
+    seed = as_index(value, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def tree_distance_matrix(spec: TreeSpec) -> np.ndarray:
     """Hop-count distances, as float64, for all node pairs.
 
@@ -492,12 +500,13 @@ def embed_tree(spec: TreeSpec, run: EmbeddingRun) -> EmbeddingRun:
     point is evaluated afresh.
     ``phases`` in the result holds one :class:`PhaseTrace` per phase.
     Deterministic given the seed.  Raises ValueError, naming the field,
-    when ``run.dim``, ``run.steps`` or ``run.seed`` is not an integer or
-    ``run.backtracking`` is not True, and when the seeded start's stress is
-    not finite (a Lorentz start past the lift's float64 limit).
+    when ``run.dim``, ``run.steps`` or ``run.seed`` is not an integer,
+    ``run.seed`` is negative or ``run.backtracking`` is not True, and when
+    the seeded start's stress is not finite (a Lorentz start past the
+    lift's float64 limit).
     """
     dim, steps = as_index(run.dim, "dim"), as_index(run.steps, "steps")
-    seed = as_index(run.seed, "seed")
+    seed = _seed(run.seed)
     if dim < 2:
         raise ValueError(f"embedding dim must be >= 2, got {dim}")
     if not (math.isfinite(run.step_size) and run.step_size > 0):
@@ -560,7 +569,7 @@ def descent_demo(run: DescentRun) -> DescentRun:
     h - lambda_min <= tol (the restricted objective's minimum is
     lambda_min = 1, not 0).  Both arms take the step 1 / (2 kappa).
     Non-convergence at the iteration cap, ``_DESCENT_MAX_ITERS``, is
-    flagged, not raised; a seed that is not an integer raises ValueError.
+    flagged, not raised; a seed that is not an integer >= 0 raises ValueError.
     """
     kappa = run.condition_number
     if not (math.isfinite(kappa) and kappa >= 1):
@@ -569,7 +578,7 @@ def descent_demo(run: DescentRun) -> DescentRun:
         raise ValueError(f"tol must be >= 0, got {run.tol}")
     a_diag = np.array([1.0, kappa])
     step = 1.0 / (2.0 * kappa)
-    rng = np.random.default_rng(as_index(run.seed, "seed"))
+    rng = np.random.default_rng(_seed(run.seed))
     theta = rng.uniform(0.0, 2.0 * math.pi)
     x0 = 2.0 * np.array([math.cos(theta), math.sin(theta)])
 
@@ -577,12 +586,12 @@ def descent_demo(run: DescentRun) -> DescentRun:
         return float(xy[0]), float(xy[1]), float(xy @ (a_diag * xy))
 
     def circle_step(w):
-        grad = (2.0 * a_diag * w.inner[:, 0]).reshape(2, 1)
-        return oblique.retract(oblique.tangent_project(w, -grad), step)
+        grad = (2.0 * a_diag * w[:, 0]).reshape(2, 1)
+        return oblique.retract(w, oblique.tangent_project(w, -grad), step)
 
     plane = _descend(x0, value, lambda x: x - step * 2.0 * a_diag * x, 0.0, run.tol)
     # The direction variable on the unit circle.
-    circle = _descend(oblique.project(x0.reshape(2, 1)), lambda w: value(w.inner[:, 0]),
+    circle = _descend(oblique.project(x0.reshape(2, 1))[0], lambda w: value(w[:, 0]),
                       circle_step, float(a_diag.min()), run.tol)
     return dataclasses.replace(
         run, trajectory_unconstrained=plane[0], iters_unconstrained=plane[1],

@@ -13,14 +13,18 @@ clip floor is documented and tested, not hidden.
 
 Rows are normalized once, in the private ``_unit_rows``, which returns the
 unit rows and a bool mask of dead rows (set to e1).  The attention kernels
-call it directly; :func:`project` is its checked column case and builds
-the validated :class:`ObliqueMatrix`.
+call it directly; :func:`project` is its checked column case.
+
+A configuration is a plain n x g float64 array with unit columns, and a
+tangent vector at it a plain array of the same shape.  The manifold API
+(:func:`geodesic_distance`, :func:`tangent_project`, :func:`retract`)
+checks each such argument at every call, so an array changed after
+:func:`project` returned it is refused, not trusted.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -29,8 +33,6 @@ from .linalg import as_matrix, as_vector
 
 __all__ = [
     "EPS_CLIP",
-    "ObliqueMatrix",
-    "ObliqueTangent",
     "project",
     "geodesic_distance",
     "pairwise_distances",
@@ -43,61 +45,9 @@ EPS_CLIP = 1e-4
 
 # Column norms this close to 1 count as on-manifold.
 _NORM_TOL = 1e-12
-# |w_i . delta_i| / max(1, |delta_i|) below this counts as tangent.
+# |w_i . xi_i| / max(1, |xi_i|) at most this counts as tangent: the
+# rounding tangent_project leaves grows with |xi_i| once it passes 1.
 _TANGENT_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class ObliqueMatrix:
-    """An n x g matrix with unit-norm columns.
-
-    ``degenerate`` flags columns that were zero (or near-zero) before
-    projection and were replaced by e1.
-    """
-
-    inner: np.ndarray
-    degenerate: tuple[bool, ...] = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        m = as_matrix(self.inner, name="oblique matrix")
-        norms = np.sqrt((m * m).sum(axis=0))
-        if np.abs(norms - 1.0).max(initial=0.0) > _NORM_TOL:
-            worst = float(np.abs(norms - 1.0).max())
-            raise ValueError(
-                f"columns are not unit-norm (max |norm - 1| = {worst:.3e})"
-            )
-        object.__setattr__(self, "inner", m)
-        if self.degenerate is None:
-            object.__setattr__(self, "degenerate", (False,) * m.shape[1])
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.inner.shape
-
-
-@dataclass(frozen=True)
-class ObliqueTangent:
-    """A tangent vector at ``base``: each column orthogonal to the base column."""
-
-    base: ObliqueMatrix
-    delta: np.ndarray
-
-    def __post_init__(self):
-        d = as_matrix(self.delta, name="tangent delta")
-        if d.shape != self.base.shape:
-            raise ValueError(
-                f"tangent shape {d.shape} does not match base {self.base.shape}"
-            )
-        # The rounding left by tangent_project grows with |g_i|, so the dot
-        # product is judged relative to the column's norm once it passes 1.
-        dots = np.abs((self.base.inner * d).sum(axis=0))
-        dots /= np.maximum(1.0, np.sqrt((d * d).sum(axis=0)))
-        if dots.max(initial=0.0) > _TANGENT_TOL:
-            raise ValueError(
-                f"delta is not tangent (max |w_i . d_i| / max(1, |d_i|) = "
-                f"{dots.max():.3e})"
-            )
-        object.__setattr__(self, "delta", d)
 
 
 def _unit_rows(v):
@@ -121,38 +71,52 @@ def _unit_rows(v):
     return out, dead
 
 
-def project(m) -> ObliqueMatrix:
-    """Normalize each column to unit norm.
+def project(m) -> tuple[np.ndarray, np.ndarray]:
+    """Normalize each column to unit norm: returns (w, degenerate).
 
-    Columns with norm < 1e-12 cannot be normalized; they are replaced
-    by the unit vector e1 and flagged in ``degenerate``.  Attention pipelines
-    must not abort on a single dead feature.  An input with no rows has no
-    unit vector to give and raises ``ValueError``.  This is the checked
-    column case of the kernels' row function: the columns of ``m`` are
-    its rows.
+    ``w`` is a new array, never a view of ``m``.  Columns with norm
+    < 1e-12 cannot be normalized; they are replaced by the unit vector e1
+    and flagged in the bool mask ``degenerate``.  Attention pipelines must
+    not abort on a single dead feature.  An input with no rows has no unit
+    vector to give and raises ``ValueError``.  This is the checked column
+    case of the kernels' row function: the columns of ``m`` are its rows.
     """
     m = as_matrix(m, name="projection input")
     if m.shape[0] == 0:
         raise ValueError("projection input has no rows: a zero-width column has "
                          "no unit vector")
     out, dead = _unit_rows(m.T)
-    return ObliqueMatrix(out.T, degenerate=tuple(dead.tolist()))
+    return out.T, dead
+
+
+def _point(w, name: str) -> np.ndarray:
+    """``w`` checked as a finite 2-D array whose columns have unit norm
+    within ``_NORM_TOL``.  The test is NaN-safe: [[1e200], [0]], whose
+    squared norm overflows, fails it."""
+    w = as_matrix(w, name=name)
+    with np.errstate(over="ignore"):
+        err = float(np.abs(np.sqrt((w * w).sum(axis=0)) - 1.0).max(initial=0.0))
+    if not err <= _NORM_TOL:
+        raise ValueError(f"{name} columns are not unit-norm (max |norm - 1| = {err:.3e})")
+    return w
 
 
 def _clip(t, out=None):
     return np.clip(t, -1.0 + EPS_CLIP, 1.0 - EPS_CLIP, out=out)
 
 
-def geodesic_distance(q: ObliqueMatrix, k: ObliqueMatrix) -> float:
+def geodesic_distance(q, k) -> float:
     """sqrt(sum_i arccos^2(q_i . k_i)) over the g column pairs.
 
     Each column-wise dot product is clipped to [-1 + eps, 1 - eps] before
     arccos, so identical configurations have distance sqrt(g) * arccos(1 - eps)
     rather than 0 (the clip floor).
     """
+    q = _point(q, "geodesic_distance: q")
+    k = _point(k, "geodesic_distance: k")
     if q.shape != k.shape:
         raise ValueError(f"shape mismatch: {q.shape} vs {k.shape}")
-    dots = _clip((q.inner * k.inner).sum(axis=0))
+    dots = _clip((q * k).sum(axis=0))
     return float(np.sqrt((np.arccos(dots) ** 2).sum()))
 
 
@@ -174,22 +138,52 @@ def pairwise_distances(q_rows, k_rows, out: Optional[np.ndarray] = None) -> np.n
     return np.arccos(_clip(d, out=d), out=d)
 
 
-def tangent_project(w: ObliqueMatrix, grad) -> ObliqueTangent:
+def tangent_project(w, grad) -> np.ndarray:
     """Project an ambient gradient onto the tangent space at ``w``.
 
     Per column: xi_i = g_i - (w_i . g_i) w_i.  By the orthogonal
-    decomposition this never increases the Frobenius norm.
+    decomposition this never increases the Frobenius norm.  A result past
+    the float64 limit raises ``ValueError``.
     """
-    g = as_matrix(grad, name="gradient")
+    w = _point(w, "tangent_project: w")
+    g = as_matrix(grad, name="tangent_project: grad")
     if g.shape != w.shape:
         raise ValueError(f"shape mismatch: w {w.shape} vs grad {g.shape}")
-    dots = (w.inner * g).sum(axis=0)
-    return ObliqueTangent(w, g - w.inner * dots)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xi = g - w * (w * g).sum(axis=0)
+    if not np.isfinite(xi).all():
+        raise ValueError("tangent_project: the projection of grad is past the "
+                         "float64 limit")
+    return xi
 
 
-def retract(t: ObliqueTangent, step: float) -> ObliqueMatrix:
-    """Metric-projection retraction: renormalize base + step * delta."""
-    return project(t.base.inner + step * t.delta)
+def retract(w, xi, step: float) -> np.ndarray:
+    """Metric-projection retraction: renormalize w + step * xi.
+
+    ``xi`` must be tangent at ``w`` within ``_TANGENT_TOL``, ``step`` finite
+    and w + step * xi within the float64 limit, or ``ValueError`` names
+    the breach.
+    """
+    w = _point(w, "retract: w")
+    xi = as_matrix(xi, name="retract: xi")
+    if xi.shape != w.shape:
+        raise ValueError(f"retract: shape mismatch: w {w.shape} vs xi {xi.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        dots = np.abs((w * xi).sum(axis=0))
+        dots /= np.maximum(1.0, np.sqrt((xi * xi).sum(axis=0)))
+    worst = float(dots.max(initial=0.0))
+    if not worst <= _TANGENT_TOL:
+        raise ValueError(f"retract: xi is not tangent at w (max |w_i . xi_i| / "
+                         f"max(1, |xi_i|) = {worst:.3e})")
+    step = float(step)
+    if not math.isfinite(step):
+        raise ValueError(f"retract: step must be finite, got {step}")
+    with np.errstate(over="ignore"):
+        moved = w + step * xi
+    if not np.isfinite(moved).all():
+        raise ValueError(f"retract: w + step * xi is past the float64 limit "
+                         f"(step {step:g})")
+    return project(moved)[0]
 
 
 def distance_gradient(q_row, k_row) -> np.ndarray:

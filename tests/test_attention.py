@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,28 @@ def test_config_validation():
         AttentionConfig(tau_lor=0.0)
     with pytest.raises(ValueError, match="curvature"):
         AttentionConfig(curvature=-1.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("curvature", [1e-3, 1.0, 30.0])
+@pytest.mark.parametrize("tau", [1e-300, 2e-308, 1e-308, 1e-320, 5e-324])
+def test_tiny_temperature_gives_finite_output_or_names_itself(tau, curvature):
+    # Row 0 of q is antipodal to row 0 of k: oblique's largest distance.
+    rng = np.random.default_rng(41)
+    k, v = rng.normal(size=(2, 6, 8))
+    q = np.vstack([-k[:1], rng.normal(size=(4, 8))])
+    floor = {"tau_obl": math.pi / sys.float_info.max,
+             "tau_lor": float(np.arccosh(sys.float_info.max)) / math.sqrt(curvature)
+             / sys.float_info.max}
+    for field, kernel in (("tau_obl", lambda cfg: [oblique_attention(q, k, v, cfg)]),
+                          ("tau_lor", lambda cfg: [lorentz_cross_attention(q, k, v, cfg)]),
+                          ("tau_lor", lambda cfg: bidirectional_attention(q, k, cfg))):
+        if tau < floor[field]:
+            with pytest.raises(ValueError, match=rf"^{field} = {tau!r} is too small: "):
+                AttentionConfig(heads=2, curvature=curvature, **{field: tau})
+            continue
+        for out in kernel(AttentionConfig(heads=2, curvature=curvature, **{field: tau})):
+            assert np.isfinite(out).all()
 
 
 @pytest.mark.parametrize("kernel", [*KERNELS, bidirectional_attention])
@@ -643,7 +666,6 @@ def test_query_blocks_prepare_keys_once_per_head(monkeypatch):
     # The kernels normalize rows and lift keys into their packed layout
     # directly: they call none of these checked wrappers.
     monkeypatch.setattr(oblique, "project", None)
-    monkeypatch.setattr(oblique, "ObliqueMatrix", None)
     monkeypatch.setattr(lorentz, "pairwise_distance_matrix", None)
     cfg = AttentionConfig(heads=heads)
     lorentz_cross_attention(q, k, v, cfg)

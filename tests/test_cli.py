@@ -111,6 +111,27 @@ def test_tree_embed_names_flag_and_item_of_malformed_list(capsys, flag, value, m
     assert f"error: {message}" in captured.err
 
 
+@pytest.mark.parametrize("argv, env, message", [
+    (["--seed", "-1", "descent"], None,
+     "--seed must be >= 0, got -1 (GEOATTN_SEED sets its default)"),
+    (["verify"], "-3", "--seed must be >= 0, got -3 (GEOATTN_SEED sets its default)"),
+    (["tree-embed", "--depth", "2", "--seeds", "0,-1"], None,
+     "--seeds item -1 must be >= 0, got '0,-1'"),
+], ids=["flag", "environment", "seed-list"])
+def test_negative_seed_is_refused_before_any_work(argv, env, message, capsys, monkeypatch,
+                                                  tmp_path):
+    if env is not None:
+        monkeypatch.setenv("GEOATTN_SEED", env)
+    monkeypatch.chdir(tmp_path)
+    for name in ("embed_tree", "descent_demo"):
+        monkeypatch.setattr(cli.experiments, name, _never)
+    monkeypatch.setattr(cli, "run_properties", _never)
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_tree_embed_checks_curvatures_before_any_arm(capsys):
     assert cli.main(["tree-embed", "--depth", "2", "--steps", "100", "--seeds", "0",
                      "--curvature", "1.0,0"]) == 1

@@ -728,6 +728,26 @@ def test_descent_demo_oblique_arm_at_large_condition_number(kappa):
     assert run.trajectory_oblique[-1][2] - 1.0 <= run.tol
 
 
+@pytest.mark.parametrize("kappa", [100.0, 1e6, 1e7])
+def test_descent_demo_oblique_points_stay_on_the_circle(kappa):
+    # The oblique arm runs tangent_project and retract at every step: each
+    # recorded point is a unit vector, and each step lowers f.
+    for seed in (0, 1, 333, 777):
+        traj = descent_demo(DescentRun(seed=seed, condition_number=kappa)).trajectory_oblique
+        assert max(abs(math.hypot(x, y) - 1.0) for x, y, _ in traj) <= 1e-15
+        fs = [f for _, _, f in traj]
+        assert all(b < a for a, b in zip(fs, fs[1:]))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: embed_tree(TreeSpec(depth=1), EmbeddingRun(seed=-1)),
+    lambda: descent_demo(DescentRun(seed=-1)),
+], ids=["EmbeddingRun.seed", "DescentRun.seed"])
+def test_negative_seed_names_itself(make):
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        make()
+
+
 @pytest.mark.parametrize("field, make", [
     ("branching", lambda: TreeSpec(branching=2.5)),
     ("depth", lambda: TreeSpec(depth=2.5)),

@@ -11,6 +11,9 @@ from geoattn.linalg import as_matrix, as_vector
 O2 = lorentz.origin(2, 1.0)
 U = np.array([0.3, -0.4])
 ROWS = np.array([[0.6, 0.8], [1.0, 0.0]])
+# A configuration with unit columns, and a tangent vector at it.
+W = ROWS.T
+XI = np.array([[-0.8, 0.0], [0.6, 1.0]])
 
 # (call taking the argument under test, a valid value of it, its name in errors)
 POINT_AND_MANIFOLD_API = {
@@ -27,6 +30,17 @@ POINT_AND_MANIFOLD_API = {
     "lorentz.distance_gradient-w": (lambda a: lorentz.distance_gradient(U, a, 1.0), -U,
                                     "distance_gradient: w"),
     "oblique.project": (oblique.project, ROWS, "projection input"),
+    "oblique.geodesic_distance-q": (lambda a: oblique.geodesic_distance(a, W), W,
+                                    "geodesic_distance: q"),
+    "oblique.geodesic_distance-k": (lambda a: oblique.geodesic_distance(W, a), W,
+                                    "geodesic_distance: k"),
+    "oblique.tangent_project-w": (lambda a: oblique.tangent_project(a, ROWS), W,
+                                  "tangent_project: w"),
+    "oblique.tangent_project-grad": (lambda a: oblique.tangent_project(W, a), ROWS,
+                                     "tangent_project: grad"),
+    "oblique.retract-w": (lambda a: oblique.retract(a, np.zeros((2, 2)), 0.1), W,
+                          "retract: w"),
+    "oblique.retract-xi": (lambda a: oblique.retract(W, a, 0.1), XI, "retract: xi"),
     "oblique.pairwise_distances-q": (lambda a: oblique.pairwise_distances(a, ROWS), ROWS,
                                      "q rows"),
     "oblique.pairwise_distances-k": (lambda a: oblique.pairwise_distances(ROWS, a), ROWS,

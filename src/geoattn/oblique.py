@@ -97,7 +97,8 @@ def _point(w, name: str) -> np.ndarray:
     with np.errstate(over="ignore"):
         err = float(np.abs(np.sqrt((w * w).sum(axis=0)) - 1.0).max(initial=0.0))
     if not err <= _NORM_TOL:
-        raise ValueError(f"{name} columns are not unit-norm (max |norm - 1| = {err:.3e})")
+        raise ValueError(f"{name} columns are not unit-norm "
+                         f"(max |norm - 1| = {err:.3e})")
     return w
 
 
@@ -115,7 +116,8 @@ def geodesic_distance(q, k) -> float:
     q = _point(q, "geodesic_distance: q")
     k = _point(k, "geodesic_distance: k")
     if q.shape != k.shape:
-        raise ValueError(f"shape mismatch: {q.shape} vs {k.shape}")
+        raise ValueError(f"geodesic_distance: shape mismatch: q {q.shape} "
+                         f"vs k {k.shape}")
     dots = _clip((q * k).sum(axis=0))
     return float(np.sqrt((np.arccos(dots) ** 2).sum()))
 
@@ -148,7 +150,8 @@ def tangent_project(w, grad) -> np.ndarray:
     w = _point(w, "tangent_project: w")
     g = as_matrix(grad, name="tangent_project: grad")
     if g.shape != w.shape:
-        raise ValueError(f"shape mismatch: w {w.shape} vs grad {g.shape}")
+        raise ValueError(f"tangent_project: shape mismatch: w {w.shape} "
+                         f"vs grad {g.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         xi = g - w * (w * g).sum(axis=0)
     if not np.isfinite(xi).all():

@@ -17,12 +17,16 @@ Both experiments are deterministic given their seed, and both compute
 without writing a file: ``geoattn`` writes their records.  In the tree
 embedding each stress evaluation is one vectorized pairwise-distance pass,
 and the gradient at an accepted point reuses that pass instead of computing
-the distances again.  Each step searches, with monotone backtracking, along
-an L-BFGS direction (Liu & Nocedal 1989) from the phase's last 8 point and
-gradient differences, its first trial capped so that no coordinate moves
-more than 0.5 (0.5 / sqrt(c) for Lorentz); a step with no pair yet, a
-phase's first, takes the gradient step at ``step_size`` instead, and a
-search that finds no descent gives the phase up.  Backtracking cuts a
+the distances again.  An evaluation forms its errors err = d - lam * t in
+place from the tree distances t and the phase's scale lam, without a
+targets array, so a run holds about 4.2 n x n arrays at its peak: t, one
+evaluation's d and err, and one gradient temporary.  Each step searches,
+with monotone backtracking, along an L-BFGS direction (Liu & Nocedal 1989)
+from the phase's last 8 point and gradient differences, its first trial
+capped so that no coordinate moves more than 0.5 (0.5 / sqrt(c) for
+Lorentz); a step with no pair yet, a phase's first, takes the gradient
+step at ``step_size`` instead, and a search that finds no descent gives
+the phase up.  Backtracking cuts a
 rejected multiplier to the minimiser of a quadratic fitted to the stress,
 its slope along the direction and the rejected trial's stress, clamped to
 0.1-0.5 of the old one (Nocedal & Wright 2006, section 3.5).  The step
@@ -177,23 +181,34 @@ def tree_distance_matrix(spec: TreeSpec) -> np.ndarray:
 
     Closed form for the complete b-ary tree in BFS numbering, where node i
     has parent (i - 1) // b: hops(i, j) = depth_i + depth_j - 2 depth(lca).
-    Column l of the ancestor table holds each node's ancestor at level l
+    Row l of the ancestor table holds each node's ancestor at level l
     (-1 at levels deeper than the node), and the lca's depth is one less than
-    the number of levels on which two nodes' ancestors agree.
+    the number of levels on which two nodes' ancestors agree.  Besides the
+    result, the pass holds one n x n bool mask.
     """
     b, levels = spec.branching, spec.depth + 1
     first = (b ** np.arange(levels + 1) - 1) // (b - 1)  # first node of each level
     node = np.arange(first[-1])
     depth = np.searchsorted(first, node, side="right") - 1
-    anc = np.empty((node.size, levels), dtype=np.int64)
-    anc[:, -1] = np.where(depth == levels - 1, node, -1)
+    anc = np.empty((levels, node.size), dtype=np.int64)
+    anc[-1] = np.where(depth == levels - 1, node, -1)
     for lvl in range(levels - 1, 0, -1):
         # (-1 - 1) // b is -1 again, so the marker passes up unchanged.
-        anc[:, lvl - 1] = np.where(depth == lvl - 1, node, (anc[:, lvl] - 1) // b)
-    lca = np.full((node.size, node.size), -1)
-    for col in anc.T:
-        lca += (col[:, None] == col) & (col >= 0)[:, None]
-    return (depth[:, None] + depth - 2 * lca).astype(np.float64)
+        anc[lvl - 1] = np.where(depth == lvl - 1, node, (anc[lvl] - 1) // b)
+    # hops = depth_i + depth_j + 2 - 2 (levels matched), in one float64 array
+    # whose integers are exact: the sums as the K = 2 product
+    # [depth | 1] @ [1 | depth + 2].T, which takes no broadcasting buffer,
+    # then 2 off per matched level.
+    left, right = np.ones((node.size, 2)), np.ones((2, node.size))
+    left[:, 0] = depth
+    right[1] = depth + 2
+    hops = left @ right
+    same = np.empty(hops.shape, dtype=bool)
+    for col in anc:
+        np.equal.outer(col, col, out=same)
+        same[col < 0] = False
+        np.subtract(hops, 2.0, out=hops, where=same)
+    return hops
 
 
 class _StressEval(NamedTuple):
@@ -206,32 +221,51 @@ class _StressEval(NamedTuple):
 
     stress: float
     d: Optional[np.ndarray]    # pairwise distances
-    err: Optional[np.ndarray]  # d - targets, zero diagonal
+    err: Optional[np.ndarray]  # d - lam * t, zero diagonal
     parts: Optional[tuple] = None
 
 
-def _stress_eval(d, targets, parts=None) -> _StressEval:
-    err = d - targets
+def _stress_eval(d, t, lam, parts=None, err=None) -> _StressEval:
+    """The stress of distances ``d`` against the targets ``lam * t``.
+
+    err = d - lam * t is formed in ``err`` (a fresh array when None) as
+    t * (-lam) + d, with no targets array: negation is exact and
+    a + (-b) is a - b in IEEE arithmetic, so the bits are those of the
+    subtraction.
+    """
+    if err is None:
+        err = np.empty_like(d)
+    np.multiply(t, -lam, out=err)
+    err += d
     flat = err.reshape(-1)
     flat[::len(err) + 1] = 0.0  # the diagonal
     stress = 0.5 * float(np.dot(flat, flat))  # each unordered pair once
     return _StressEval(stress, d, err, parts)
 
 
-def _euclidean_distances(x, targets) -> _StressEval:
-    """Stress of ``x`` against ``targets`` from one distance pass.
+def _euclidean_distances(x, t, lam=1.0) -> _StressEval:
+    """Stress of ``x`` against ``lam * t`` from one distance pass.
 
-    The n x n squared distances are summed one coordinate column at a time,
-    each column's differences written into the same buffer.
+    The n x n squared distances are summed one coordinate column at a time.
+    Each column's differences x_ik - x_jk are the K = 2 product
+    [x_k | 1] @ [1 | -x_k].T: two exact products and one rounding, so the
+    bits of the subtraction, without the two buffers a broadcasting
+    subtraction allocates.  The first column's are written into ``d``,
+    the others into the array that then holds the evaluation's errors.
     """
-    d = np.zeros((len(x), len(x)))
-    dk = np.empty_like(d)
+    n = len(x)
+    d = np.empty((n, n))
+    err = np.empty_like(d)
+    left, right = np.ones((n, 2)), np.ones((2, n))
     for k in range(x.shape[1]):
-        np.subtract(x[:, k, None], x[None, :, k], out=dk)
-        dk *= dk
-        d += dk
+        left[:, 0] = x[:, k]
+        np.negative(x[:, k], out=right[1])
+        sq = np.matmul(left, right, out=err if k else d)
+        sq *= sq
+        if k:
+            d += sq
     np.sqrt(d, out=d)
-    return _stress_eval(d, targets)
+    return _stress_eval(d, t, lam, err=err)
 
 
 def _euclidean_stress_grad(x, ev: _StressEval) -> np.ndarray:
@@ -249,8 +283,8 @@ def _euclidean_stress_grad(x, ev: _StressEval) -> np.ndarray:
     return grad
 
 
-def _lorentz_distances(u, targets, c) -> _StressEval:
-    """Stress of ``u``'s rows, lifted onto the hyperboloid, against ``targets``.
+def _lorentz_distances(u, t, c, lam=1.0) -> _StressEval:
+    """Stress of ``u``'s rows, lifted onto the hyperboloid, against ``lam * t``.
 
     The rows are lifted once by :func:`lorentz._lift`, straight into the
     [s | t] queries of :func:`lorentz._distances`, and packed as its keys
@@ -261,12 +295,12 @@ def _lorentz_distances(u, targets, c) -> _StressEval:
     """
     x = np.empty((u.shape[0], u.shape[1] + 1))
     try:
-        t, sc = lorentz._lift(u, c, 1.0, x, "embed_tree")[2:]
+        factors = lorentz._lift(u, c, 1.0, x, "embed_tree")[2:]
     except ValueError:
         return _StressEval(math.inf, None, None)
     with np.errstate(over="ignore", invalid="ignore"):
         d = lorentz._distances(x, lorentz._keys(x, c), c)
-    ev = _stress_eval(d, targets, (c, x, t, sc))
+    ev = _stress_eval(d, t, lam, (c, x, *factors))
     return ev if math.isfinite(ev.stress) else _StressEval(math.inf, None, None)
 
 
@@ -285,12 +319,21 @@ def _lorentz_stress_grad(u, ev: _StressEval) -> np.ndarray:
 
 
 def _distortion(d: np.ndarray, t: np.ndarray):
-    iu = np.triu_indices_from(t, k=1)
-    ds, ts = d[iu], t[iu]
-    mean_rel = float(np.mean(np.abs(ds - ts) / ts))
+    """Mean relative error and worst ratio of ``d`` to ``t`` over the pairs
+    i < j, gathered by a bool mask (row-major, the order of
+    ``np.triu_indices``) and divided in place."""
+    upper = np.tri(len(t), k=-1, dtype=bool).T
+    ds, ts = d[upper], t[upper]
+    del upper
+    ratio = np.subtract(ds, ts)
+    np.abs(ratio, out=ratio)
+    ratio /= ts
+    mean_rel = float(np.mean(ratio))
     with np.errstate(divide="ignore"):
-        worst = float(np.max(np.maximum(ds / ts, ts / np.maximum(ds, 1e-300))))
-    return mean_rel, worst
+        np.divide(ds, ts, out=ratio)
+        np.divide(ts, np.maximum(ds, 1e-300, out=ds), out=ts)
+    np.maximum(ratio, ts, out=ratio)
+    return mean_rel, float(ratio.max())
 
 
 def _lbfgs_direction(grad: np.ndarray, pairs) -> np.ndarray:
@@ -391,26 +434,26 @@ _MOVE_CAP = 0.5
 
 def _expansion_phase(x, t, evaluate, gradient, move_cap, steps, step_size):
     """The expansion schedule of :func:`embed_tree` from ``x``: phase i
-    descends against ``_EXPANSION_PHASES[i] * t`` for at most
+    descends against lam * t, lam = ``_EXPANSION_PHASES[i]``, for at most
     (steps + i) // 4 accepted steps, so the phases sum to ``steps``, with
     the stops stated at ``_STALL_RTOL``.
 
     ``ev`` is the one evaluation alive between searches.  Each phase
     re-targets it, its distances serving the new targets instead of a new
-    pass; a give-up drops it, as its last evaluation is a rejected trial's,
-    and the next phase evaluates its start afresh.  A start whose stress is
-    not finite (a Lorentz start past the lift's limit) raises ValueError.
-    Returns the last point, its evaluation against the last targets,
-    1.0 * t (None when the last phase gave up), and one :class:`PhaseTrace`
-    per phase.  The pairs and the last targets are freed on return, so
-    that they are not alive beside the final distortion's temporaries.
+    pass and its errors rewritten in place; a give-up drops it, as its last
+    evaluation is a rejected trial's, and the next phase evaluates its
+    start afresh.  No phase holds a targets array: each evaluation forms
+    its errors from ``t`` and lam.  A start whose stress is not finite (a
+    Lorentz start past the lift's limit) raises ValueError.  Returns the
+    last point, its evaluation against t (None when the last phase gave
+    up), and one :class:`PhaseTrace` per phase.  The pairs are freed on
+    return.
     """
     phases, ev = [], None
     for i, lam in enumerate(_EXPANSION_PHASES):
         rtol = _STALL_RTOL if i == len(_EXPANSION_PHASES) - 1 else _PHASE_RTOL
-        targets = lam * t
-        at = functools.partial(evaluate, targets=targets)
-        ev = at(x) if ev is None else _stress_eval(ev.d, targets, ev.parts)
+        at = functools.partial(evaluate, t=t, lam=lam)
+        ev = at(x) if ev is None else _stress_eval(ev.d, t, lam, ev.parts, ev.err)
         stress = start_stress = ev.stress
         if not math.isfinite(stress):
             raise ValueError(
@@ -534,10 +577,12 @@ def embed_tree(spec: TreeSpec, run: EmbeddingRun) -> EmbeddingRun:
                                         steps, run.step_size)
     if final is None:  # the last phase gave up
         final = evaluate(x, t)
-    mean_rel, worst = _distortion(final.d, t)
+    d, stress = final.d, final.stress
+    del final  # its errors, so that they are not alive beside _distortion's arrays
+    mean_rel, worst = _distortion(d, t)
     return dataclasses.replace(
         run, final_distortion=mean_rel, worst_ratio=worst,
-        final_stress=final.stress, phases=phases,
+        final_stress=stress, phases=phases,
     )
 
 

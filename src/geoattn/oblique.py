@@ -90,10 +90,14 @@ def project(m) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _point(w, name: str) -> np.ndarray:
-    """``w`` checked as a finite 2-D array whose columns have unit norm
-    within ``_NORM_TOL``.  The test is NaN-safe: [[1e200], [0]], whose
-    squared norm overflows, fails it."""
+    """``w`` checked as a finite 2-D array with at least one row whose
+    columns have unit norm within ``_NORM_TOL``.  The test is NaN-safe:
+    [[1e200], [0]], whose squared norm overflows, fails it.  An array with
+    rows and no columns, which :func:`project` returns for one, passes."""
     w = as_matrix(w, name=name)
+    if w.shape[0] == 0:
+        raise ValueError(f"{name} has no rows: a zero-width column has no "
+                         f"unit vector")
     with np.errstate(over="ignore"):
         err = float(np.abs(np.sqrt((w * w).sum(axis=0)) - 1.0).max(initial=0.0))
     if not err <= _NORM_TOL:

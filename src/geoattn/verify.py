@@ -342,8 +342,10 @@ ALL_PROPERTIES: dict[str, Callable] = {
 def run_properties(filter_substring: str = "", seed: int = 0) -> list[PropertyResult]:
     """Run all (or filtered) properties under the default AttentionConfig.
 
-    Returns one result per property.
+    Returns one result per property.  A seed that is not an integer >= 0
+    raises ValueError, naming ``seed``, before any property runs.
     """
+    seed = experiments._seed(seed)
     cfg = AttentionConfig()
     results = []
     for name, fn in ALL_PROPERTIES.items():

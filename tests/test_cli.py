@@ -1,9 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from geoattn import cli, experiments
+from geoattn import cli, experiments, verify
 
 
 def test_verify_all_pass(capsys):
@@ -24,6 +25,17 @@ def test_verify_filter(capsys):
 def test_verify_unknown_filter(capsys):
     assert cli.main(["verify", "--filter", "no-such-property"]) == 1
     assert "no properties match" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed, message", [
+    (-1, "seed must be >= 0, got -1"),
+    (1.5, "seed must be an integer, got 1.5"),
+    ("3", "seed must be an integer, got '3'"),
+])
+def test_run_properties_refuses_a_bad_seed_before_any_property(monkeypatch, seed, message):
+    monkeypatch.setitem(verify.ALL_PROPERTIES, "never", _never)
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        verify.run_properties(filter_substring="never", seed=seed)
 
 
 def test_bench_csv(capsys):

@@ -647,25 +647,84 @@ def test_embed_tree_keeps_one_evaluation_alive(monkeypatch, space, c, steps):
     assert len(calls) > 4 and not any(calls)
 
 
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("space", ["euclidean", "lorentz"])
 def test_embed_tree_peak_memory(space):
-    # At depth 7 (n = 255) a run holds the tree distances, one phase's
-    # targets, one evaluation's distances and errors and a pass's
-    # temporaries: about 6.5 n x n float64 arrays at its peak.  The last
-    # phase's targets kept alive through the final distortion, or an
-    # evaluation handed back to the caller between phases, takes it past 7.
+    # At depth 7 (n = 255) a run holds the tree distances, one evaluation's
+    # distances and errors, and one gradient temporary with its bool mask:
+    # about 4.3 n x n float64 arrays at its peak.  A targets array, a
+    # broadcasting subtraction's buffers, a re-targeted phase's second
+    # errors array or the final errors kept alive through the distortion
+    # each takes it past 4.5.
     run = EmbeddingRun(space=space, steps=3000, seed=0)
     # A first run's imports (numpy.random) are not the run's allocations.
     embed_tree(TreeSpec(depth=2), run)
     n = 255
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        embed_tree(TreeSpec(depth=7), run)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < 7 * n * n * 8
+    peak = _peak_bytes(lambda: embed_tree(TreeSpec(depth=7), run))
+    assert peak < 4.5 * n * n * 8, peak / (n * n * 8)
+
+
+def test_tree_distance_matrix_peak_memory():
+    # The hops are built in the result itself, beside one n x n bool mask.
+    tree_distance_matrix(TreeSpec(depth=2))
+    n = 255
+    peak = _peak_bytes(lambda: tree_distance_matrix(TreeSpec(depth=7)))
+    assert peak < 1.5 * n * n * 8, peak / (n * n * 8)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("lam", [0.25, 0.5, 0.75, 1.0])
+def test_stress_eval_errors_are_the_subtraction_bit_for_bit(lam):
+    # err is formed as t * (-lam) + d, without a targets array.
+    t = tree_distance_matrix(TreeSpec(branching=3, depth=3))
+    rng = np.random.default_rng(7)
+    d = np.abs(rng.normal(scale=3.0, size=t.shape))
+    want = d - lam * t
+    np.fill_diagonal(want, 0.0)
+    ev = experiments._stress_eval(d, t, lam)
+    assert _same_bits(ev.err, want)
+    flat = want.reshape(-1)
+    assert ev.stress == 0.5 * float(np.dot(flat, flat))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_euclidean_distances_match_the_broadcast_loop_bit_for_bit(dim):
+    t = tree_distance_matrix(TreeSpec(depth=5))
+    rng = np.random.default_rng(dim)
+    x = rng.normal(scale=10.0 ** rng.integers(-3, 4, size=dim), size=(len(t), dim))
+    x[7] = x[3]  # a coincident pair
+    want = np.zeros(t.shape)
+    for k in range(dim):
+        dk = x[:, k, None] - x[None, :, k]
+        want += dk * dk
+    np.sqrt(want, out=want)
+    assert _same_bits(experiments._euclidean_distances(x, t).d, want)
+
+
+def test_distortion_matches_the_triu_indices_form_bit_for_bit():
+    t = tree_distance_matrix(TreeSpec(depth=4))
+    rng = np.random.default_rng(11)
+    d = experiments._euclidean_distances(rng.normal(size=(len(t), 2)), t).d
+    d[2, 9] = d[9, 2] = 0.0  # the 1e-300 guard
+    iu = np.triu_indices_from(t, k=1)
+    ds, ts = d[iu], t[iu]
+    mean_rel = float(np.mean(np.abs(ds - ts) / ts))
+    worst = float(np.max(np.maximum(ds / ts, ts / np.maximum(ds, 1e-300))))
+    got = experiments._distortion(d, t)
+    assert got == (mean_rel, worst)
+    assert worst == t[2, 9] / 1e-300
 
 
 def test_embed_tree_does_not_hand_on_a_give_ups_evaluation(monkeypatch):

@@ -68,7 +68,7 @@ def test_project_returns_a_new_array():
 # (call taking a configuration, the argument's name in errors)
 POINT_ARGUMENTS = {
     "geodesic_distance-q": (lambda a: oblique.geodesic_distance(a, a), "geodesic_distance: q"),
-    "geodesic_distance-k": (lambda a: oblique.geodesic_distance(np.eye(*a.shape), a),
+    "geodesic_distance-k": (lambda a: oblique.geodesic_distance(np.eye(2), a),
                             "geodesic_distance: k"),
     "tangent_project": (lambda a: oblique.tangent_project(a, np.zeros(a.shape)),
                         "tangent_project: w"),
@@ -87,6 +87,24 @@ def test_point_arguments_reject_non_unit_columns(api, bad, err):
     with pytest.raises(ValueError, match=rf"^{name} columns are not unit-norm "
                                          rf"\(max \|norm - 1\| = {err}\)$"):
         call(np.array(bad))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3)])
+@pytest.mark.parametrize("api", POINT_ARGUMENTS)
+def test_point_arguments_reject_no_rows(api, shape):
+    call, name = POINT_ARGUMENTS[api]
+    with pytest.raises(ValueError, match=rf"^{name} has no rows: a zero-width "
+                                         rf"column has no unit vector$"):
+        call(np.zeros(shape))
+
+
+def test_configuration_with_rows_and_no_columns_is_accepted():
+    # project returns an n x 0 configuration for an n x 0 input.
+    w = oblique.project(np.zeros((3, 0)))[0]
+    assert w.shape == (3, 0)
+    assert oblique.geodesic_distance(w, w) == 0.0
+    assert oblique.tangent_project(w, w).shape == (3, 0)
+    assert oblique.retract(w, w, 0.1).shape == (3, 0)
 
 
 @pytest.mark.parametrize("api", POINT_ARGUMENTS)

@@ -14,22 +14,28 @@
   each block's lift and distance pass.
 
 Every kernel, the Euclidean baseline included, runs in one skeleton,
-``_multihead``, as two stages: a key stage, run once per head, puts the
-key slice in the form the kernel's score product consumes, and a block
-stage prepares a block of query rows, at most ``_BLOCK_BYTES`` (1 MiB) of
-scores and at most ``_BLOCK_ROWS`` (512) rows, where it scores them, into
-one score buffer that every block of the call reuses: ``rows =
-max(1, min(512, _BLOCK_BYTES // (8 * m)))``.  So apart from its inputs
-and its n x dv output a kernel holds O(rows * m + m * d) memory whatever
-n is.  The row cap keeps a skinny head's products (64 keys, 16 columns)
-within OpenBLAS's small-matrix path, M * N * K <= 10^6: E @ v took
-34 ns/row at 976 rows and 60 ns/row from 977 rows up (OpenBLAS 0.3.31,
-1 thread).  The skeleton then runs ``softmax_rows``, the package's only
-softmax: it exps a block in place, less each row's max where asked, and
-divides ``E @ v`` (numpy's ``matmul``, a module global that a tracer can
-wrap) by the row sums of E (from BLAS, as E @ ones), on rows x dv
-entries, not rows x m, writing the quotient straight into the head's
-output rows.  No kernel spends a pass over the scores on the row max
+``_multihead``, as two stages, over groups of heads whose scores fit in
+one block together: g = ``_head_group(heads, m)``, the largest divisor
+of ``heads`` with g * rows * m * 8 <= ``_BLOCK_BYTES`` (1 MiB), so four
+skinny heads of 64 keys score as one group and a head of 256 keys or
+more alone.  A key stage, run once per group, puts the group's key
+slices in the form the kernel's score product consumes, and a block
+stage prepares a block of the group's query rows, at most
+``_BLOCK_ROWS`` (512) rows, where it scores them, into one g x rows x m
+score buffer of at most 1 MiB that every block of the call reuses:
+``rows = max(1, min(512, _BLOCK_BYTES // (8 * m)))``.  The Lorentz stage
+lifts a group's block in one call and scores it in one stacked distance
+pass; the others loop over the group's heads.  So apart from its inputs
+and its n x dv output a kernel holds O(g * rows * m + m * d) memory
+whatever n is.  The row cap keeps a skinny head's products (64 keys, 16
+columns) within OpenBLAS's small-matrix path, M * N * K <= 10^6: E @ v
+took 34 ns/row at 976 rows and 60 ns/row from 977 rows up (OpenBLAS
+0.3.31, 1 thread).  The skeleton then runs ``softmax_rows``, the
+package's only softmax, head by head: it exps a head's block in place,
+less each row's max where asked, and divides ``E @ v`` (numpy's
+``matmul``, a module global that a tracer can wrap) by the row sums of
+E (from BLAS, as E @ ones), on rows x dv entries, not rows x m, writing
+the quotient straight into the head's output rows.  No kernel spends a pass over the scores on the row max
 where a bound is known: Lorentz scores lie in (0, 1] and oblique ones
 under -floor/tau_obl < 0, so both exp them as they are (oblique while
 its scores span less than ``_EXP_SPAN``), and the Euclidean product
@@ -38,8 +44,9 @@ scale 1/sqrt(d) and the bound's key factor as an extra column.
 Otherwise (a mask, too wide a span) the row max is subtracted.  Without
 it E serves column sums too (from BLAS, as ones @ E), so cao accumulates
 over blocks and is divided at the end.
-``footprint`` counts the entries a call holds besides its inputs, and
-``geoattn bench``'s size guard adds only its q, k and v to that count.
+``footprint`` counts the entries a call holds besides its inputs, a head
+group's score buffer and keys among them, and ``geoattn bench``'s size
+guard adds only its q, k and v to that count.
 Inputs (q, k, v and the mask) are never written.
 """
 
@@ -49,7 +56,6 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -152,12 +158,12 @@ def fourier_pe(pos, num_freqs: int) -> np.ndarray:
     return pairs.reshape(pos.shape[0], 3 * 2 * num_freqs)
 
 
-def _head_slices(m: np.ndarray, heads: int):
-    d = m.shape[1]
+def _head_slices(x: np.ndarray, heads: int) -> np.ndarray:
+    """The head slices of ``x``'s columns as one (heads, rows, d / heads) view."""
+    d = x.shape[1]
     if d % heads != 0:
         raise ValueError(f"feature dim {d} is not divisible by {heads} heads")
-    step = d // heads
-    return [m[:, h * step:(h + 1) * step] for h in range(heads)]
+    return x.reshape(x.shape[0], heads, d // heads).swapaxes(0, 1)
 
 
 def _check_mask(mask, shape, rows: int) -> Optional[np.ndarray]:
@@ -217,13 +223,24 @@ def _block_rows(m: int) -> int:
     return max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // (8 * m)))
 
 
-def footprint(n: int, m: int, d: int) -> int:
+def _head_group(heads: int, m: int) -> int:
+    """Heads scored together for ``m`` keys: the largest divisor g of
+    ``heads`` whose g blocks of ``_block_rows(m)`` rows of scores fit in
+    ``_BLOCK_BYTES``, at least 1."""
+    fit = _BLOCK_BYTES // (8 * m * _block_rows(m))
+    return next((g for g in range(min(heads, fit), 1, -1) if heads % g == 0), 1)
+
+
+def footprint(n: int, m: int, d: int, heads: int) -> int:
     """Float64 entries one kernel call on n x d queries and m x d keys and
-    values holds besides its inputs: the n x d output, one head's keys (at
-    most m x (d + 1)) and the ``min(rows, n) x m`` score buffer of
+    values in ``heads`` heads holds besides its inputs: the n x d output,
+    and for a group of g = ``_head_group(heads, m)`` heads its keys (at
+    most m x (d + g)) and the g x ``min(rows, n)`` x m score buffer of
     ``_multihead``, none without keys."""
-    scores = min(_block_rows(m), n) * m if m > 0 else 0
-    return n * d + m * (d + 1) + scores
+    if m == 0:
+        return n * d
+    g = _head_group(heads, m)
+    return n * d + m * (d + g) + g * min(_block_rows(m), n) * m
 
 
 def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],
@@ -232,21 +249,26 @@ def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],
                row_max: bool, reverse: bool = False, names: tuple = ("q", "k")):
     """Validation, head split, mask, softmax and value product of every kernel.
 
-    A kernel has two stages.  The key stage, ``prepare_keys(kh)``, runs
-    once per head on the key slice and returns its keys, in whatever form
-    the kernel's score product consumes.  The block stage,
-    ``block_scores(out, query_block, keys)``, runs once per block of
-    ``rows = _block_rows(m) = max(1, min(512, _BLOCK_BYTES // (8 * m)))``
-    query rows, never on all n: it prepares the block's rows (each on its
-    own) and writes their r x m scores into ``out``.  The 512-row cap
-    keeps every product of a skinny head's block (64 keys, 16 columns:
-    about 5.2e5 multiply-adds) under OpenBLAS's small-matrix bound of
-    M * N * K <= 10^6; at 2048 rows each product was packed and took about
-    1.75x as long.  One ``min(rows, n) x m`` score buffer serves every
-    block of the call, ``out`` being its first r rows; the block's mask
-    rows are added in place, and ``softmax_rows`` with ``row_max`` (True
-    under a mask) writes its output rows straight into the head's slice
-    of the output.
+    The heads run in groups of g = ``_head_group(heads, m)``: the largest
+    divisor of ``heads`` whose g blocks of scores fit in ``_BLOCK_BYTES``
+    together, so skinny heads (64 keys: g = 4 of 4 heads) share each stage
+    call and wide ones (256 keys or more) run one at a time.  A kernel has
+    two stages, each given a group's (g, rows, head_dim) slices.  The key
+    stage, ``prepare_keys(ks)``, runs once per group on its key slices and
+    returns their keys, in whatever form the kernel's score product
+    consumes.  The block stage, ``block_scores(out, query_blocks, keys)``,
+    runs once per block of ``rows = _block_rows(m) = max(1, min(512,
+    _BLOCK_BYTES // (8 * m)))`` query rows of the group, never on all n: it
+    prepares the block's rows (each on its own) and writes each head's
+    r x m scores into ``out[j]``.  The 512-row cap keeps every product of a
+    skinny head's block (64 keys, 16 columns: about 5.2e5 multiply-adds)
+    under OpenBLAS's small-matrix bound of M * N * K <= 10^6; at 2048 rows
+    each product was packed and took about 1.75x as long.  One
+    g x ``min(rows, n)`` x m score buffer serves every block of the call,
+    ``out`` being a (g, r, m) view of its start; the block's mask rows are
+    added in place, and head by head ``softmax_rows`` with ``row_max``
+    (True under a mask) writes its output rows straight into the head's
+    slice of the output.
 
     ``names`` name q and k in errors, and v that is k is checked once, as
     k.  With ``reverse``, no row max and no mask, q needs a row, and the
@@ -272,33 +294,51 @@ def _multihead(q, k, v, cfg: AttentionConfig, mask: Optional[np.ndarray],
     n, m = q.shape[0], k.shape[0]
     if m == 0:
         raise ValueError(f"{kn} has no rows: attention needs at least one key")
+    heads = cfg.heads
+    qs, ks, vs = (_head_slices(a, heads) for a in (q, k, v))
     rows = _block_rows(m)
     mask = _check_mask(mask, (n, m), rows)
     if mask is not None:
         row_max = True
     out = np.empty((n, v.shape[1]))
-    buf = np.empty((min(rows, n), m))
+    outs = _head_slices(out, heads)
     rev = np.zeros((m, q.shape[1])) if reverse else None
-    rev_heads = _head_slices(rev, cfg.heads) if reverse else repeat(None)
-    for qh, kh, vh, oh, rh in zip(*(_head_slices(a, cfg.heads) for a in (q, k, v, out)),
-                                  rev_heads):
-        keys = prepare_keys(kh)
-        colsum = np.zeros(m) if rh is not None else None
+    revs = _head_slices(rev, heads) if reverse else None
+    g = _head_group(heads, m)
+    buf = np.empty(g * min(rows, n) * m)
+    for h in range(0, heads, g):
+        group = slice(h, h + g)
+        keys = prepare_keys(ks[group])
+        colsum = np.zeros((g, m)) if reverse else None
         for start in range(0, n, rows):
             blk = slice(start, start + rows)
-            qb = qh[blk]
-            scores = buf[:qb.shape[0]]
+            qb = qs[group, blk]
+            r = qb.shape[1]
+            scores = buf[:g * r * m].reshape(g, r, m)
             block_scores(scores, qb, keys)
             if mask is not None:
                 scores += mask[blk]
-            softmax_rows(scores, vh, row_max, out=oh[blk])
-            if rh is not None:
-                colsum += np.ones(qb.shape[0]) @ scores
-                rh += matmul(scores.T, qb)
-        if rh is not None:
-            rh /= colsum[:, None]
-        del keys  # free this head's keys before the next head prepares its own
+            for j in range(g):
+                softmax_rows(scores[j], vs[h + j], row_max, out=outs[h + j, blk])
+                if reverse:
+                    revs[h + j] += matmul(scores[j].T, qb[j])
+            if reverse:
+                colsum += np.ones(r) @ scores
+        if reverse:
+            revs[group] /= colsum[:, :, None]
+        del keys  # free this group's keys before the next group prepares its own
     return (out, rev) if reverse else out
+
+
+def _each_head(prepare_keys, head_scores):
+    """A kernel's per-head key and block stages as ``_multihead``'s group
+    stages, which loop over the group's heads."""
+
+    def block_scores(out, qb, keys):
+        for scores, qh, kh in zip(out, qb, keys):
+            head_scores(scores, qh, kh)
+
+    return (lambda ks: [prepare_keys(kh) for kh in ks]), block_scores
 
 
 def oblique_attention(q, k, v, cfg: AttentionConfig,
@@ -310,7 +350,7 @@ def oblique_attention(q, k, v, cfg: AttentionConfig,
     = weights @ v_head.  tau_obl = 1 reproduces plain softmax(-D).
     """
 
-    def block_scores(out, qb, kn):
+    def head_scores(out, qb, kn):
         oblique.pairwise_distances(oblique._unit_rows(qb)[0], kn, out=out)
         # One multiply by -1/tau: within 1 ulp of d / -tau.
         np.multiply(out, -1.0 / cfg.tau_obl, out=out)
@@ -319,8 +359,9 @@ def oblique_attention(q, k, v, cfg: AttentionConfig,
     # < 0, and each row's max is at least -(pi - floor) / tau.
     floor = math.acos(1.0 - oblique.EPS_CLIP)
     row_max = (math.pi - floor) / cfg.tau_obl >= _EXP_SPAN
-    return _multihead(q, k, v, cfg, mask, lambda kh: oblique._unit_rows(kh)[0],
-                      block_scores, row_max)
+    return _multihead(q, k, v, cfg, mask,
+                      *_each_head(lambda kh: oblique._unit_rows(kh)[0], head_scores),
+                      row_max)
 
 
 def oblique_self_attention(x, pos, cfg: AttentionConfig,
@@ -339,21 +380,28 @@ def oblique_self_attention(x, pos, cfg: AttentionConfig,
     return oblique_attention(qk, qk, x, cfg, mask=mask)
 
 
-def _lorentz_lift(cfg: AttentionConfig, xh) -> np.ndarray:
-    """One head's rows lifted once as [s | t], with tangent scale 1/sqrt(head_dim)."""
-    x = np.empty((xh.shape[0], xh.shape[1] + 1))
-    lorentz.lift_rows(xh, cfg.curvature, 1.0 / math.sqrt(xh.shape[1]), out=x)
-    return x
+def _lorentz_lift(cfg: AttentionConfig, xs) -> np.ndarray:
+    """A head group's (g, r, head_dim) rows lifted in one call as [s | t],
+    with tangent scale 1/sqrt(head_dim), returned as a (g, r, head_dim + 1)
+    view.  The rows are lifted row by row of the input, head by head within
+    a row, so they are read in place where the group spans the input's
+    columns, and copied first only where it does not."""
+    g, r, dh = xs.shape
+    x = np.empty((r, g, dh + 1))
+    lorentz.lift_rows(xs.swapaxes(0, 1).reshape(r * g, dh), cfg.curvature,
+                      1.0 / math.sqrt(dh), out=x.reshape(r * g, dh + 1))
+    return x.swapaxes(0, 1)
 
 
-def _lorentz_keys(cfg: AttentionConfig, kh) -> np.ndarray:
-    """One head's key slice lifted once and turned, in place, into [-c s | c t]."""
-    x = _lorentz_lift(cfg, kh)
+def _lorentz_keys(cfg: AttentionConfig, ks) -> np.ndarray:
+    """A head group's key slices lifted once and turned, in place, into [-c s | c t]."""
+    x = _lorentz_lift(cfg, ks)
     return lorentz._keys(x, cfg.curvature, out=x)
 
 
 def _lorentz_scores(cfg: AttentionConfig, out, qb, keys) -> None:
-    """exp(-D / tau_lor) of a query block ``qb``, lifted here, written into ``out``."""
+    """exp(-D / tau_lor) of a group's query blocks ``qb``, lifted here,
+    written into ``out`` in one distance pass."""
     lorentz._distances(_lorentz_lift(cfg, qb), keys, cfg.curvature, out=out)
     # One multiply by -1/tau: within 1 ulp of d / -tau.
     np.multiply(out, -1.0 / cfg.tau_lor, out=out)
@@ -383,9 +431,10 @@ def bidirectional_attention(instance, context, cfg: AttentionConfig):
     slices; then oac uses the stacked slices as keys and values, and cao
     is computed per slice and mean-pooled over the slice axis.
 
-    Per head, each block of instance rows is lifted and scored against all
-    context rows in one distance pass, so memory apart from the inputs and
-    outputs is O(rows * m + m * d) whatever the instance count.  The scores
+    Per head group, each block of instance rows is lifted and scored
+    against all context rows in one distance pass, so memory apart from the
+    inputs and outputs is O(g * rows * m + m * d) whatever the instance
+    count.  The scores
     lie in (0, 1], so E = exp(S) needs no row max and serves both directions:
     oac = (E @ context) / rowsum(E) per block, and cao = (sum of
     E.T @ instance) / (sum of colsum(E)).
@@ -428,7 +477,7 @@ def euclidean_attention(q, k, v, cfg: AttentionConfig,
         keys[:, -1] = -bound
         return keys, bound
 
-    def block_scores(out, qb, keys_bound):
+    def head_scores(out, qb, keys_bound):
         keys, bound = keys_bound
         norms = np.sqrt(np.einsum("ij,ij->i", qb, qb))
         # Python floats: an inf or NaN product fails the test without a warning.
@@ -442,6 +491,9 @@ def euclidean_attention(q, k, v, cfg: AttentionConfig,
                 np.matmul(qb, keys[:, :-1].T, out=out)
             if not np.isfinite(out).all():
                 raise ValueError("a score q.k / sqrt(d) is past the float64 limit")
-            out -= out.max(axis=1, keepdims=True)
+            # A row of finite scores can span past the float64 max: its
+            # least entries become -inf, and exp gives them weight 0.
+            with np.errstate(over="ignore"):
+                out -= out.max(axis=1, keepdims=True)
 
-    return _multihead(q, k, v, cfg, mask, prepare_keys, block_scores, False)
+    return _multihead(q, k, v, cfg, mask, *_each_head(prepare_keys, head_scores), False)

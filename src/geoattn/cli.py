@@ -24,7 +24,8 @@ from .verify import run_properties
 _BENCH_FIELDS = ["kernel", "n", "m", "d", "heads", "space",
                  "mean_ns", "p50_ns", "p95_ns", "repeats"]
 # Cap, checked before any allocation, on the float64 entries bench holds at
-# once: the q, k and v it draws and attention.footprint of one kernel call.
+# once: the q, k and v it draws and attention.footprint of one kernel call,
+# whose score block holds a head group's scores within 1 MiB.
 _SIZE_GUARD = 2 ** 24
 # Cap, checked with it, on bench's work: three kernels, each run 3 + repeats
 # times, each call scoring n * m pairs at about heads + d / 32 units a pair
@@ -75,7 +76,8 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     n, m, d, heads, repeats = args.n, args.m, args.d, args.heads, args.repeats
-    held = n * d + 2 * m * d + footprint(n, m, d)
+    cfg = AttentionConfig(heads=heads, tau_obl=args.tau, curvature=args.curvature)
+    held = n * d + 2 * m * d + footprint(n, m, d, heads)
     if held > _SIZE_GUARD:
         print(f"n={n}, m={m}, d={d} would hold {held} float64 entries, past the "
               f"{_SIZE_GUARD} guard", file=sys.stderr)
@@ -87,8 +89,6 @@ def cmd_bench(args) -> int:
               f"(3 + repeats) calls), past the {_WORK_GUARD:.3g} work guard",
               file=sys.stderr)
         return 1
-    cfg = AttentionConfig(heads=args.heads, tau_obl=args.tau,
-                          curvature=args.curvature)
     rng = np.random.default_rng(args.seed)
     q = rng.normal(size=(args.n, args.d))
     k = rng.normal(size=(args.m, args.d))

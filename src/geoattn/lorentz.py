@@ -149,7 +149,8 @@ def _asinhc(s: float) -> float:
 
 def _lift(m: np.ndarray, c: float, scale: float, out: np.ndarray, what: str):
     """Lift the rows of ``m * scale`` into ``out`` as [s | t], unchecked;
-    errors name ``what`` and ``m`` is never written.
+    errors name ``what``.  ``m`` is never written unless it is ``out``'s
+    space columns, ``out[:, :-1]``, which lifts the rows in place.
 
     Each row is scaled once by f = scale * sinh(t) / t, with t =
     sqrt(c) |scale| r and r its norm, and its time is sqrt(1/c + (f r)^2).
@@ -229,10 +230,11 @@ def pairwise_distance_matrix(space_x: np.ndarray, time_x: np.ndarray,
 
 
 def _keys(x: np.ndarray, c: float, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Lifted rows [s | t] as the keys [-c s | c t] of :func:`_distances`,
-    written into ``out`` (``x`` itself for in place) or a fresh array."""
+    """Lifted rows [s | t], stacked or not, as the keys [-c s | c t] of
+    :func:`_distances`, written into ``out`` (``x`` itself for in place) or
+    a fresh array."""
     keys = np.multiply(x, -c, out=out)
-    np.negative(keys[:, -1], out=keys[:, -1])
+    np.negative(keys[..., -1], out=keys[..., -1])
     return keys
 
 
@@ -244,10 +246,13 @@ def _distances(queries: np.ndarray, keys: np.ndarray, c: float,
     arcosh(max(queries @ keys.T, 1 + EPS_CLIP)) / sqrt(c), since
     queries @ keys.T = -c <x, y>_L, the product written into ``out`` or a
     fresh array and the rest in place on it; at c = 1 the scale is exact
-    and skipped.  The one Lorentz distance formula: every caller lifts its
-    rows by :func:`_lift` and packs its keys by :func:`_keys`.
+    and skipped.  Operands may be stacked, (g, n, d + 1) queries against
+    (g, m, d + 1) keys giving (g, n, m) distances in one product and one
+    pass, each 2-D slice as it would be alone.  The one Lorentz distance
+    formula: every caller lifts its rows by :func:`_lift` and packs its
+    keys by :func:`_keys`.
     """
-    beta = np.matmul(queries, keys.T, out=out)
+    beta = np.matmul(queries, keys.swapaxes(-1, -2), out=out)
     np.maximum(beta, 1.0 + EPS_CLIP, out=beta)
     np.arccosh(beta, out=beta)
     if c != 1.0:
@@ -271,7 +276,8 @@ def lift_rows(m: np.ndarray, c: float, scale: float = 1.0,
 
     The rows are written once, as [space | time], into ``out`` (n x (d+1),
     numpy-style) or a fresh array, and space and time are its column
-    views.  ``m`` is never written.  ``c`` and ``scale`` are checked, but
+    views.  ``m`` is never written unless it is ``out[:, :-1]``, which
+    lifts the rows in place.  ``c`` and ``scale`` are checked, but
     not that ``m`` is finite.
     """
     c = check_curvature(c)

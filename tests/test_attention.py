@@ -428,7 +428,9 @@ def test_bidirectional_matches_per_direction_calls(scale, curvature):
 @pytest.mark.parametrize("two_slice", [False, True])
 def test_bidirectional_one_distance_pass_per_head(two_slice, monkeypatch):
     # Query blocks and keys both lift through lorentz.lift_rows, so through
-    # lorentz._lift, and every distance pass is lorentz._distances.
+    # lorentz._lift, and every distance pass is lorentz._distances: one pass
+    # per head group and block, where the 4 heads make one group unless
+    # _BLOCK_BYTES holds one head's block only.
     counts = {"distance_calls": 0, "lifted_rows": 0}
     lift, distances = lorentz._lift, lorentz._distances
 
@@ -447,6 +449,10 @@ def test_bidirectional_one_distance_pass_per_head(two_slice, monkeypatch):
     context = tuple(rng.normal(size=(2, 3, 8))) if two_slice else rng.normal(size=(5, 8))
     n_ctx = 6 if two_slice else 5
     cfg = AttentionConfig(heads=4)
+    bidirectional_attention(inst, context, cfg)
+    assert counts == {"distance_calls": 1, "lifted_rows": 4 * (9 + n_ctx)}
+    counts.update(distance_calls=0, lifted_rows=0)
+    monkeypatch.setattr(attention, "_BLOCK_BYTES", 8 * 512 * n_ctx)
     bidirectional_attention(inst, context, cfg)
     assert counts == {"distance_calls": 4, "lifted_rows": 4 * (9 + n_ctx)}
 
@@ -532,7 +538,63 @@ def test_block_rows_are_capped(m, n, rows, monkeypatch):
     q = rng.normal(size=(n, 8))
     k, v = rng.normal(size=(2, m, 8))
     lorentz_cross_attention(q, k, v, AttentionConfig(heads=2))
-    assert shapes == [(r, m) for r in rows] * 2
+    # Two heads of 64 keys fit 1 MiB of scores together, two of 1024 do not.
+    # Head groups run one after another, each block by block and a block
+    # head by head.
+    g = 2 if m == 64 else 1
+    assert shapes == [(r, m) for _ in range(2 // g) for r in rows for _ in range(g)]
+
+
+@pytest.mark.parametrize("heads, m, g", [(4, 1024, 1), (4, 256, 1), (4, 64, 4),
+                                         (6, 64, 3), (2, 16, 2)])
+def test_head_group_is_the_largest_divisor_within_the_score_budget(heads, m, g):
+    # 256 keys fill 1 MiB with one head's 512 rows; 64 keys take a quarter,
+    # so 4 of 4 heads fit but only 3 of 6, the largest divisor under 4.
+    assert attention._head_group(heads, m) == g
+
+
+def _grouped_and_ungrouped(monkeypatch, call):
+    """``call()`` with the default score budget, four heads of 64 keys in
+    one group, and again at 256 KiB, where each head is its own group; the
+    block rows are 512 in both."""
+    assert attention._head_group(4, 64) == 4 and attention._block_rows(64) == 512
+    grouped = call()
+    with monkeypatch.context() as patched:
+        patched.setattr(attention, "_BLOCK_BYTES", 256 << 10)
+        assert attention._head_group(4, 64) == 1 and attention._block_rows(64) == 512
+        alone = call()
+    return grouped, alone
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda f: f.__name__)
+def test_head_groups_give_the_bits_of_heads_alone(kernel, masked, monkeypatch):
+    # 1100 query rows are ragged blocks of 512 + 512 + 76.
+    rng = np.random.default_rng(75)
+    q = rng.normal(size=(1100, 32))
+    k, v = rng.normal(size=(2, 64, 32))
+    mask = None
+    if masked:
+        mask = rng.normal(size=(1100, 64))
+        mask[rng.random(mask.shape) < 0.2] = -math.inf
+        mask[:, 0] = 0.0
+    cfg = AttentionConfig(heads=4, curvature=30.0)
+    grouped, alone = _grouped_and_ungrouped(monkeypatch,
+                                            lambda: kernel(q, k, v, cfg, mask=mask))
+    assert np.array_equal(grouped, alone)
+
+
+@pytest.mark.parametrize("two_slice", [False, True])
+def test_bidirectional_head_groups_give_the_bits_of_heads_alone(two_slice, monkeypatch):
+    rng = np.random.default_rng(76)
+    inst = rng.normal(size=(1100, 32))
+    ctx = rng.normal(size=(64, 32))
+    context = (ctx[:32], ctx[32:]) if two_slice else ctx
+    cfg = AttentionConfig(heads=4)
+    grouped, alone = _grouped_and_ungrouped(
+        monkeypatch, lambda: bidirectional_attention(inst, context, cfg))
+    for got, want in zip(grouped, alone):
+        assert np.array_equal(got, want)
 
 
 def test_softmax_rows_writes_into_a_strided_view():
@@ -704,7 +766,7 @@ def test_peak_memory_is_independent_of_query_count(case):
 
 
 # footprint is what geoattn bench's size guard counts for a kernel call.
-# Peaks measured 0.66-1.13 of it at these shapes; the rest is per-block
+# Peaks measured 0.65-1.15 of it at these shapes; the rest is per-block
 # temporaries it omits.  A full n x m or n x d buffer would pass the bound.
 @pytest.mark.parametrize("n, m, d, heads", [(1024, 1024, 256, 4), (4096, 64, 64, 4),
                                             (3000, 300, 16, 1), (100, 5000, 32, 4)])
@@ -719,7 +781,18 @@ def test_footprint_bounds_a_call_peak(kernel, n, m, d, heads):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * 8 * attention.footprint(n, m, d) + (64 << 10), peak
+    assert peak <= 1.25 * 8 * attention.footprint(n, m, d, heads) + (64 << 10), peak
+
+
+@pytest.mark.filterwarnings("error")  # an overflow warning fails
+def test_euclidean_row_max_shift_past_float64_gives_weight_zero():
+    # Row scores 1e308 / 1 and -1e308: finite, but their span is not, so
+    # the shift by the row max takes the least one to -inf, weight 0.
+    q = np.array([[1e154], [1e154]])
+    k = np.array([[1e154], [-1e154]])
+    v = np.array([[1.0], [2.0]])
+    out = euclidean_attention(q, k, v, AttentionConfig(heads=1))
+    assert np.array_equal(out, [[1.0], [1.0]])
 
 
 # The oblique kernel exps its scores without the row max only while

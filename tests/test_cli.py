@@ -94,6 +94,13 @@ def test_bench_work_guard_refuses_before_running(capsys, monkeypatch):
         assert part in err
 
 
+def test_bench_refuses_a_bad_head_count_before_any_work(capsys, monkeypatch):
+    # The size guard counts a head group's buffer, so it needs a valid count.
+    _no_bench_work(monkeypatch)
+    assert cli.main(["bench", "--n", "4", "--m", "4", "--d", "4", "--heads", "0"]) == 1
+    assert "error: heads must be >= 1, got 0" in capsys.readouterr().err
+
+
 def test_bench_without_keys_is_a_named_error(capsys):
     assert cli.main(["bench", "--n", "4", "--m", "0", "--d", "4"]) == 1
     assert "k has no rows" in capsys.readouterr().err

@@ -149,8 +149,7 @@ def _asinhc(s: float) -> float:
 
 def _lift(m: np.ndarray, c: float, scale: float, out: np.ndarray, what: str):
     """Lift the rows of ``m * scale`` into ``out`` as [s | t], unchecked;
-    errors name ``what``.  ``m`` is never written unless it is ``out``'s
-    space columns, ``out[:, :-1]``, which lifts the rows in place.
+    errors name ``what`` and ``m`` is never written.
 
     Each row is scaled once by f = scale * sinh(t) / t, with t =
     sqrt(c) |scale| r and r its norm, and its time is sqrt(1/c + (f r)^2).
@@ -276,8 +275,7 @@ def lift_rows(m: np.ndarray, c: float, scale: float = 1.0,
 
     The rows are written once, as [space | time], into ``out`` (n x (d+1),
     numpy-style) or a fresh array, and space and time are its column
-    views.  ``m`` is never written unless it is ``out[:, :-1]``, which
-    lifts the rows in place.  ``c`` and ``scale`` are checked, but
+    views.  ``m`` is never written.  ``c`` and ``scale`` are checked, but
     not that ``m`` is finite.
     """
     c = check_curvature(c)

@@ -786,8 +786,9 @@ def test_footprint_bounds_a_call_peak(kernel, n, m, d, heads):
 
 @pytest.mark.filterwarnings("error")  # an overflow warning fails
 def test_euclidean_row_max_shift_past_float64_gives_weight_zero():
-    # Row scores 1e308 / 1 and -1e308: finite, but their span is not, so
-    # the shift by the row max takes the least one to -inf, weight 0.
+    # Each row's scores q.k / sqrt(1) are 1e308 and -1e308: finite, but
+    # their span is not, so the shift by the row max takes the least one to
+    # -inf, weight 0.
     q = np.array([[1e154], [1e154]])
     k = np.array([[1e154], [-1e154]])
     v = np.array([[1.0], [2.0]])
